@@ -309,15 +309,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     method = CountingMethod(args.method)
     profile = corpus.researcher(args.researcher)
     kinds = table.required_kinds(profile.discipline)
-    vectors = indicator_matrix(
+    (vector,) = indicator_matrix(
         corpus,
         kinds,
         [method],
         config.pub_window,
         config.citation_window,
         config.counting_settings(),
+        researcher_ids=[args.researcher],
     )
-    vector = next(v for v in vectors if v.researcher_id == args.researcher)
     result = evaluate_candidate(vector, profile.discipline, table)
     document = json.dumps(result.to_dict(), indent=2)
     print(document)

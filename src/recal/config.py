@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import defaults
-from .corpus import PubType, YearWindow
+from .corpus import PubType, YearWindow, finite_float
 from .counting import CountingMethod, CountingSettings, IndicatorKind
 from .evaluation import ThresholdTable
 from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RoundingMode
@@ -100,7 +100,7 @@ def _parse_minimums(doc: Mapping) -> dict[tuple[str, IndicatorKind], float]:
                 kind = IndicatorKind(kind_name)
             except ValueError:
                 raise ConfigError(f"unknown indicator kind {kind_name!r}") from None
-            table[(discipline, kind)] = float(value)
+            table[(discipline, kind)] = finite_float(value)
     return table
 
 
@@ -128,7 +128,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         recal_doc = doc.get("recalibration", {})
         t = dict(base.recalibration.t)
         if "t_years" in recal_doc:
-            t = {IndicatorKind(k): float(v) for k, v in recal_doc["t_years"].items()}
+            t = {IndicatorKind(k): finite_float(v) for k, v in recal_doc["t_years"].items()}
         ym_decimals = recal_doc.get("ym_decimals", base.recalibration.ym_decimals)
         recalibration = RecalibrationConfig(
             disciplines=tuple(disciplines),

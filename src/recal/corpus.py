@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -58,7 +59,7 @@ class YearWindow:
         return f"{self.start}-{self.end}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResearcherProfile:
     researcher_id: str
     discipline: str
@@ -66,7 +67,7 @@ class ResearcherProfile:
     last_degree_year: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     pub_id: str
     year: int
@@ -87,7 +88,7 @@ class PublicationRecord:
         return len(self.author_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationLink:
     citation_id: str
     cited_pub_id: str
@@ -385,19 +386,29 @@ def _cell_bool(record: Mapping[str, object], column: str) -> bool:
     raise _RowError(column, f"column {column!r}: {text!r} is not 'true'/'false'")
 
 
+def finite_float(value: object) -> float:
+    """``float(value)``, refusing NaN and the infinities with ``ValueError``."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _cell_opt_float(record: Mapping[str, object], column: str) -> float | None:
     value = record.get(column)
     if isinstance(value, bool):
         raise _RowError(column, f"column {column!r}: expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = _cell_str(record, column).strip()
-    if not text:
-        return None
+    if not isinstance(value, (int, float)):
+        value = _cell_str(record, column).strip()
+        if not value:
+            return None
     try:
-        return float(text)
+        return finite_float(value)
     except ValueError:
-        raise _RowError(column, f"column {column!r}: {text!r} is not a number") from None
+        raise _RowError(column, f"column {column!r}: {value!r} is not a finite number") from None
 
 
 def _cell_id_list(record: Mapping[str, object], column: str) -> tuple[str, ...]:

@@ -110,32 +110,94 @@ def publication_credit(
     return 1.0 / pub.author_count
 
 
-def _is_wos_article(pub: PublicationRecord) -> bool:
-    return pub.pub_type is PubType.JOURNAL_ARTICLE and pub.wos_indexed
-
-
-def _passes_filter(
+def _amounts(
     pub: PublicationRecord,
-    kind: IndicatorKind,
     researcher_id: str,
     degree_year: int | None,
     settings: CountingSettings,
-) -> bool:
-    if kind is IndicatorKind.PUBLICATIONS:
-        return settings.counts_as_publication(pub)
-    if kind is IndicatorKind.WOS_ARTICLES:
-        return _is_wos_article(pub)
-    if kind is IndicatorKind.FIRST_AUTHOR_PUBLICATIONS:
-        return settings.counts_as_publication(pub) and pub.first_author == researcher_id
-    if kind is IndicatorKind.PUBLICATIONS_SINCE_DEGREE:
-        return settings.counts_as_publication(pub) and pub.year >= degree_year  # type: ignore[operator]
-    if kind is IndicatorKind.BOOKS_AND_MONOGRAPHS:
-        return pub.pub_type is PubType.BOOK
-    if kind is IndicatorKind.FOREIGN_LANGUAGE_PUBLICATIONS:
-        return settings.counts_as_publication(pub) and pub.language != settings.domestic_language
-    if kind is IndicatorKind.WOS_ARTICLES_SINCE_DEGREE:
-        return _is_wos_article(pub) and pub.year >= degree_year  # type: ignore[operator]
-    raise CountingError(f"{kind.value} is not a publication-count indicator")
+    cited: int,
+    wos_cited: int,
+) -> dict[IndicatorKind, float | None]:
+    """What one in-window publication adds to each summed kind before it is
+    weighted by the author's credit: True (one) for a counted publication,
+    the impact factor, or a citation count; None where it does not count."""
+    counted = settings.counts_as_publication(pub)
+    article = pub.pub_type is PubType.JOURNAL_ARTICLE
+    wos_article = article and pub.wos_indexed
+    since_degree = degree_year is not None and pub.year >= degree_year
+    return {
+        IndicatorKind.PUBLICATIONS: counted or None,
+        IndicatorKind.WOS_ARTICLES: wos_article or None,
+        IndicatorKind.INDEPENDENT_CITATIONS: cited,
+        IndicatorKind.CUMULATIVE_IF: pub.impact_factor if article else None,
+        IndicatorKind.FIRST_AUTHOR_PUBLICATIONS: (counted and pub.first_author == researcher_id) or None,
+        IndicatorKind.PUBLICATIONS_SINCE_DEGREE: (counted and since_degree) or None,
+        IndicatorKind.BOOKS_AND_MONOGRAPHS: pub.pub_type is PubType.BOOK or None,
+        IndicatorKind.FOREIGN_LANGUAGE_PUBLICATIONS: (
+            counted and pub.language != settings.domestic_language
+        ) or None,
+        IndicatorKind.WOS_ARTICLES_SINCE_DEGREE: (wos_article and since_degree) or None,
+        IndicatorKind.WOS_INDEPENDENT_CITATIONS: wos_cited,
+    }
+
+
+def indicator_matrix(
+    corpus: Corpus,
+    kinds: Sequence[IndicatorKind],
+    methods: Sequence[CountingMethod],
+    pub_window: YearWindow,
+    citation_window: YearWindow,
+    settings: CountingSettings = DEFAULT_SETTINGS,
+    researcher_ids: Sequence[str] | None = None,
+) -> list[IndicatorVector]:
+    """One vector per (researcher, method), in ``researcher_ids`` order
+    (default: every researcher, by id), then in the given method order.
+
+    Publications are selected by publication year in ``pub_window``; citation
+    indicators and the h-index count independent citations whose citing year
+    is in ``citation_window``. One walk over each researcher's in-window
+    publications, in corpus file order, sums every kind under every method.
+    The h-index is only defined under integer counting and is silently
+    dropped from fractional vectors.
+    """
+    if researcher_ids is None:
+        researcher_ids = sorted(corpus.researchers)
+    summed = [kind for kind in dict.fromkeys(kinds) if kind is not IndicatorKind.H_INDEX]
+    vectors: list[IndicatorVector] = []
+    for researcher_id in researcher_ids:
+        degree_year = corpus.researcher(researcher_id).last_degree_year
+        for kind in summed:
+            if kind in SINCE_DEGREE_KINDS and degree_year is None:
+                raise MissingDegreeYearError(researcher_id, kind)
+        # an empty publication sum stays the int 0 of sum(), printed as 0 by evaluate
+        totals = {
+            method: {kind: 0.0 if kind in _CITATION_KINDS else 0 for kind in summed}
+            for method in methods
+        }
+        citation_counts: list[int] = []
+        for pub in corpus.publications_of.get(researcher_id, ()):
+            if pub.year not in pub_window:
+                continue
+            links = independent_citations(corpus, pub, citation_window)
+            citation_counts.append(len(links))
+            wos_cited = sum(1 for link in links if link.citing_wos_indexed)
+            amounts = _amounts(pub, researcher_id, degree_year, settings, len(links), wos_cited)
+            for method in methods:
+                credit = publication_credit(pub, researcher_id, method)
+                sums = totals[method]
+                for kind in summed:
+                    if amounts[kind] is not None:
+                        sums[kind] += amounts[kind] * credit
+        citation_counts.sort(reverse=True)
+        h = sum(1 for rank, count in enumerate(citation_counts, start=1) if count >= rank)
+        for method in methods:
+            values = {
+                kind: float(h) if kind is IndicatorKind.H_INDEX else totals[method][kind]
+                for kind in kinds
+                if kind is not IndicatorKind.H_INDEX or method is CountingMethod.INTEGER
+            }
+            vectors.append(IndicatorVector(researcher_id, method, values))
+    return vectors
 
 
 def indicator_value(
@@ -147,49 +209,14 @@ def indicator_value(
     citation_window: YearWindow,
     settings: CountingSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """Value of one indicator for one researcher over the given windows.
-
-    Publications are selected by publication year in ``pub_window``;
-    citation indicators additionally restrict citing years to
-    ``citation_window``. The h-index is only defined under integer counting.
-    """
-    profile = corpus.researcher(researcher_id)
-    if kind is IndicatorKind.H_INDEX:
-        if method is not CountingMethod.INTEGER:
-            raise CountingError("h_index is only defined under integer counting")
-        return float(h_index(corpus, researcher_id, pub_window, citation_window))
-
-    authored = [
-        pub
-        for pub in corpus.publications_of.get(researcher_id, ())
-        if pub.year in pub_window
-    ]
-
-    if kind is IndicatorKind.CUMULATIVE_IF:
-        return sum(
-            pub.impact_factor * publication_credit(pub, researcher_id, method)
-            for pub in authored
-            if pub.pub_type is PubType.JOURNAL_ARTICLE and pub.impact_factor is not None
-        )
-
-    if kind in _CITATION_KINDS:
-        total = 0.0
-        for pub in authored:
-            links = independent_citations(corpus, pub, citation_window)
-            if kind is IndicatorKind.WOS_INDEPENDENT_CITATIONS:
-                links = [link for link in links if link.citing_wos_indexed]
-            if links:
-                total += len(links) * publication_credit(pub, researcher_id, method)
-        return total
-
-    degree_year = profile.last_degree_year
-    if kind in SINCE_DEGREE_KINDS and degree_year is None:
-        raise MissingDegreeYearError(researcher_id, kind)
-    return sum(
-        publication_credit(pub, researcher_id, method)
-        for pub in authored
-        if _passes_filter(pub, kind, researcher_id, degree_year, settings)
+    """One researcher's value of one indicator, as ``indicator_matrix``
+    computes it; asking for a fractional h-index is an error."""
+    if kind is IndicatorKind.H_INDEX and method is not CountingMethod.INTEGER:
+        raise CountingError("h_index is only defined under integer counting")
+    (vector,) = indicator_matrix(
+        corpus, [kind], [method], pub_window, citation_window, settings, [researcher_id]
     )
+    return vector.values[kind]
 
 
 def h_index(
@@ -200,50 +227,10 @@ def h_index(
 ) -> int:
     """Largest h such that at least h in-window publications each received at
     least h independent citations inside the citation window."""
-    corpus.researcher(researcher_id)
-    counts = sorted(
-        (
-            len(independent_citations(corpus, pub, citation_window))
-            for pub in corpus.publications_of.get(researcher_id, ())
-            if pub.year in pub_window
-        ),
-        reverse=True,
+    value = indicator_value(
+        corpus, researcher_id, IndicatorKind.H_INDEX, CountingMethod.INTEGER, pub_window, citation_window
     )
-    h = 0
-    for i, count in enumerate(counts, start=1):
-        if count >= i:
-            h = i
-        else:
-            break
-    return h
-
-
-def indicator_matrix(
-    corpus: Corpus,
-    kinds: Sequence[IndicatorKind],
-    methods: Sequence[CountingMethod],
-    pub_window: YearWindow,
-    citation_window: YearWindow,
-    settings: CountingSettings = DEFAULT_SETTINGS,
-) -> list[IndicatorVector]:
-    """One vector per (researcher, method), ordered by researcher id then by
-    the given method order. The h-index is silently dropped from fractional
-    vectors; every other failure is re-raised with the researcher named."""
-    vectors: list[IndicatorVector] = []
-    for researcher_id in sorted(corpus.researchers):
-        for method in methods:
-            values: dict[IndicatorKind, float] = {}
-            for kind in kinds:
-                if kind is IndicatorKind.H_INDEX and method is not CountingMethod.INTEGER:
-                    continue
-                try:
-                    values[kind] = indicator_value(
-                        corpus, researcher_id, kind, method, pub_window, citation_window, settings
-                    )
-                except CountingError as exc:
-                    raise CountingError(f"researcher {researcher_id!r}: {exc}") from exc
-            vectors.append(IndicatorVector(researcher_id, method, values))
-    return vectors
+    return int(value)
 
 
 def write_indicator_table(vectors: Iterable[IndicatorVector], path) -> None:

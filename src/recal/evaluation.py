@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .corpus import finite_float
 from .counting import IndicatorKind, IndicatorVector
 
 
@@ -167,7 +168,7 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
         if len(parts) != 3:
             raise EvaluationError(f"{path}:{i}: expected 3 cells")
         try:
-            minimums[(parts[0], IndicatorKind(parts[1]))] = float(parts[2])
+            minimums[(parts[0], IndicatorKind(parts[1]))] = finite_float(parts[2])
         except ValueError as exc:
             raise EvaluationError(f"{path}:{i}: {exc}") from exc
     return ThresholdTable(label=label, minimums=minimums)

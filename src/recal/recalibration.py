@@ -28,13 +28,14 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, YearWindow
+from .corpus import Corpus, YearWindow, finite_float
 from .counting import (
+    CountingError,
     CountingMethod,
     CountingSettings,
     DEFAULT_SETTINGS,
     IndicatorKind,
-    indicator_value,
+    indicator_matrix,
 )
 
 
@@ -242,21 +243,24 @@ def discipline_performance(
     for researcher in corpus.researchers.values():
         if researcher.discipline in members:
             members[researcher.discipline].append(researcher.researcher_id)
-
-    performance: list[DisciplinePerformance] = []
-    for discipline in config.disciplines:
-        ids = members[discipline]
+    for discipline, ids in members.items():
         if not ids:
             raise DegenerateDisciplineError(f"discipline {discipline!r} has no researchers")
+    if IndicatorKind.H_INDEX in config.kinds and CountingMethod.FRACTIONAL in methods:
+        raise CountingError("h_index is only defined under integer counting")
+
+    vectors = indicator_matrix(
+        corpus, config.kinds, methods, pub_window, citation_window, settings,
+        [rid for ids in members.values() for rid in ids],
+    )
+    values = {(v.researcher_id, v.method): v.values for v in vectors}
+    performance: list[DisciplinePerformance] = []
+    for discipline, ids in members.items():
         for kind in config.kinds:
             for method in methods:
-                values = {
-                    rid: indicator_value(
-                        corpus, rid, kind, method, pub_window, citation_window, settings
-                    )
-                    for rid in ids
-                }
-                apv, selected = top_quartile_apv(values, config.top_fraction)
+                apv, selected = top_quartile_apv(
+                    {rid: values[(rid, method)][kind] for rid in ids}, config.top_fraction
+                )
                 performance.append(
                     DisciplinePerformance(discipline, kind, method, apv, len(ids), selected)
                 )
@@ -383,8 +387,9 @@ def derived_scaled_minimums(
 # File formats
 
 def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingMethod], float]:
-    """Read a ``discipline,kind,method,apv`` table."""
+    """Read a ``discipline,kind,method,apv`` table; a cell may appear once."""
     table: dict[tuple[str, IndicatorKind, CountingMethod], float] = {}
+    row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
     with Path(path).open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"discipline", "kind", "method", "apv"}
@@ -397,9 +402,15 @@ def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingM
                     IndicatorKind(record["kind"].strip()),
                     CountingMethod(record["method"].strip()),
                 )
-                table[key] = float(record["apv"])
+                table[key] = finite_float(record["apv"])
             except (KeyError, ValueError) as exc:
                 raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
+            if key in row_of:
+                raise RecalibrationError(
+                    f"{path}:{i}: repeats row {row_of[key]}, the APV of "
+                    f"({key[0]}, {key[1].value}, {key[2].value})"
+                )
+            row_of[key] = i
     return table
 
 

@@ -186,6 +186,34 @@ def test_recalibrate_degenerate_discipline_fails(tmp_path):
     assert code == 1
 
 
+def _write_apv_table(tmp_path: Path, lines: list[str]) -> Path:
+    table = tmp_path / "apv.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return table
+
+
+@pytest.mark.parametrize("cell", ["geology,publications,integer", "geochemistry,cumulative_if,fractional"])
+@pytest.mark.parametrize("number", ["nan", "inf"])
+def test_recalibrate_rejects_non_finite_apv(tmp_path, capsys, cell, number):
+    lines = APV_TABLE.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(cell + ","))
+    lines[row] = f"{cell},{number}"
+    table = _write_apv_table(tmp_path, lines)
+    assert run("recalibrate", "--apv-table", table, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"{table}:{row}:" in err and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_recalibrate_rejects_duplicate_apv_row(tmp_path, capsys):
+    lines = APV_TABLE.read_text().splitlines()
+    table = _write_apv_table(tmp_path, lines + [lines[3]])
+    assert run("recalibrate", "--apv-table", table, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"{table}:{len(lines)}: repeats row 3" in err
+    assert "Traceback" not in err
+
+
 def _small_section_spec(seed: int) -> SynthSpec:
     def params(discipline, mean, ratio):
         return SynthDisciplineParams(
@@ -286,6 +314,30 @@ def test_evaluate_against_saved_threshold_file(tmp_path, capsys):
     assert run("evaluate", *paths, "--researcher", "cand", "--thresholds", thresholds) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["indicators"][0]["score"] == pytest.approx(40 / 39)
+
+
+def test_evaluate_rejects_non_finite_minimum(tmp_path, capsys):
+    paths = dossier_files(tmp_path)
+    thresholds = tmp_path / "thresholds.csv"
+    thresholds.write_text(
+        "label,broken\ndiscipline,kind,minimum\nsocial_geography,publications,nan\n",
+        encoding="utf-8",
+    )
+    assert run("evaluate", *paths, "--researcher", "cand", "--thresholds", thresholds) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{thresholds}:3:" in captured.err and "finite" in captured.err
+
+
+def test_evaluate_ignores_other_researchers_missing_degree_year(tmp_path, capsys):
+    # the since-degree minimums need the candidate's degree year, not a colleague's
+    paths = dossier_files(tmp_path)
+    with paths[0].open("a", encoding="utf-8") as handle:
+        handle.write("colleague,social_geography,false,\n")
+    assert run("evaluate", *paths, "--researcher", "cand") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall_fulfilled"] is True
+    assert captured.err == ""
 
 
 # --------------------------------------------------------------------------

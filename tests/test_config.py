@@ -83,6 +83,23 @@ def test_bad_indicator_kind_rejected(tmp_path):
         load_pipeline_config(path)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"current_minimums": {"geology": {"publications": float("nan")}}},
+        {"recalibration": {"t_years": {"publications": float("inf")}}},
+    ],
+)
+def test_non_finite_number_rejected(tmp_path, override):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"schema_version": 1, "disciplines": [{"key": "geology"}], **override}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="finite"):
+        load_pipeline_config(path)
+
+
 def test_malformed_discipline_entry_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,9 @@ from conftest import (
 )
 
 DISCIPLINES = ("geology", "mining", "social_geography")
+PUBLICATION_HEADER = (
+    "pub_id,year,pub_type,language,wos_indexed,scopus_indexed,impact_factor,author_ids,discipline\n"
+)
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +132,37 @@ def test_parse_error_reports_row_and_column(clean_corpus_files, tmp_path):
         DISCIPLINES,
     )
     assert any("researchers:1" in str(v) and "has_dsc" in str(v) for v in violations)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("publications.csv", "p1,2015,journal_article,en,true,true,nan,r1,geology\n"),
+        ("publications.csv", "p1,2015,journal_article,en,true,true,-inf,r1,geology\n"),
+        ("publications.jsonl", '{"impact_factor": NaN}\n'),
+        ("publications.jsonl", '{"impact_factor": 1e999}\n'),
+    ],
+)
+def test_non_finite_impact_factor_names_the_row(clean_corpus_files, tmp_path, name, text):
+    if name.endswith(".csv"):
+        text = PUBLICATION_HEADER + text
+    else:  # every other field of the clean first publication row
+        record = json.loads(text)
+        record.update(pub_id="p1", year=2015, pub_type="journal_article", language="en",
+                      wos_indexed=True, scopus_indexed=True, author_ids=["r1"], discipline="geology")
+        text = json.dumps(record) + "\n"
+    files = write_corpus_files(tmp_path / "bad", {name: text})
+    corpus, violations = scan_corpus(
+        clean_corpus_files["researchers.csv"],
+        files[name],
+        clean_corpus_files["citations.csv"],
+        DISCIPLINES,
+    )
+    assert corpus is None
+    assert any(
+        str(v).startswith("publications:1:") and "impact_factor" in str(v) and "finite" in str(v)
+        for v in violations
+    )
 
 
 def test_impact_factor_only_on_journal_articles(clean_corpus_files, tmp_path):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recal.corpus import PubType, YearWindow
+from recal.corpus import Corpus, PubType, YearWindow
 from recal.counting import (
     CountingError,
     CountingMethod,
@@ -163,6 +165,9 @@ def test_empty_window_gives_zero_for_every_kind():
     for kind in K:
         value = indicator_value(corpus, "r1", kind, INTEGER, window, window)
         assert value == 0.0
+        # an empty publication sum stays the int 0 of sum(): evaluate prints "value": 0
+        floats = (K.INDEPENDENT_CITATIONS, K.WOS_INDEPENDENT_CITATIONS, K.H_INDEX)
+        assert type(value) is (float if kind in floats else int)
 
 
 def test_citation_and_impact_kinds_two_author_pub():
@@ -378,6 +383,56 @@ def test_since_degree_kinds_match_oracle_when_defined():
         for kind in DEGREE_KINDS:
             value = indicator_value(corpus, rid, kind, INTEGER, PUB_WINDOW, CITATION_WINDOW, settings)
             assert value == expected[rid][kind]
+
+
+def _with_degree_years(corpus):
+    """The corpus with a degree year for every researcher, so every kind is defined."""
+    researchers = {
+        rid: replace(profile, last_degree_year=profile.last_degree_year or 2015)
+        for rid, profile in corpus.researchers.items()
+    }
+    return Corpus(researchers, corpus.publications, corpus.citations)
+
+
+def _independent_citation_counts(corpus, rid):
+    return [
+        sum(
+            1
+            for link in corpus.citations
+            if link.cited_pub_id == pub.pub_id
+            and link.citing_year in CITATION_WINDOW
+            and not set(link.citing_author_ids) & set(pub.author_ids)
+        )
+        for pub in corpus.publications.values()
+        if rid in pub.author_ids and pub.year in PUB_WINDOW
+    ]
+
+
+@given(st.integers(min_value=0, max_value=300))
+@settings(max_examples=60, deadline=None)
+def test_one_researcher_matrix_matches_whole_corpus_and_oracle(seed):
+    corpus = _with_degree_years(random_corpus(seed=seed))
+    kinds = list(K)
+    for method in (INTEGER, FRACTIONAL):
+        whole = {
+            v.researcher_id: v.values
+            for v in indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW)
+        }
+        expected = brute_force_values(
+            corpus, kinds, method, PUB_WINDOW, CITATION_WINDOW, CountingSettings()
+        )
+        for rid in corpus.researchers:
+            (vector,) = indicator_matrix(
+                corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, researcher_ids=[rid]
+            )
+            assert [(k, v, type(v)) for k, v in vector.values.items()] == [
+                (k, v, type(v)) for k, v in whole[rid].items()
+            ]
+            for kind, value in vector.values.items():
+                if kind is K.H_INDEX:
+                    assert value == h_index_oracle(_independent_citation_counts(corpus, rid))
+                else:
+                    assert value == expected[rid][kind], (rid, kind, method)
 
 
 @given(st.integers(min_value=0, max_value=300))
