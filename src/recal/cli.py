@@ -338,14 +338,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or "dsv"
-    suffix = ".jsonl" if fmt == "jsonl" else ".csv"
-    save_corpus(
-        corpus,
-        out_dir / f"researchers{suffix}",
-        out_dir / f"publications{suffix}",
-        out_dir / f"citations{suffix}",
-        fmt=fmt,
-    )
+    names = ("researchers", "publications", "citations")
+    save_corpus(corpus, *(out_dir / f"{name}{_table_suffix(fmt)}" for name in names), fmt=fmt)
     print(
         f"seed {spec.seed}: wrote {len(corpus.researchers)} researchers, "
         f"{len(corpus.publications)} publications, {len(corpus.citations)} citations to {out_dir}"

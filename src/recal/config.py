@@ -164,7 +164,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             recalibration=recalibration,
             counted_publication_types=counted_types,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
 
 

@@ -18,6 +18,12 @@ Booleans are the literals ``true``/``false``. Author lists may contain ids of
 people who are not corpus researchers (external co-authors); they carry credit
 shares but no indicators are computed for them.
 
+A DSV cell holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes
+it: wrapped in ``"``, inner quotes doubled. ``save_corpus`` refuses, with a
+``CorpusError`` naming the record, an id the reader would change: an empty or
+whitespace-padded one (every text cell is stripped on load) or, in DSV, an
+id-list member holding ``;``.
+
 A loaded corpus is immutable and safe to share across threads.
 """
 from __future__ import annotations
@@ -25,9 +31,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -573,12 +582,44 @@ def load_corpus(
 # --------------------------------------------------------------------------
 # Serialization
 
-def _opt(value: object) -> str:
-    return "" if value is None else str(value)
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _dsv_cell(value: object) -> str:
+    """One DSV cell, quoted the way ``csv.writer`` quotes when it holds the
+    delimiter, a double quote or a line break."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    text = _LIST_SEPARATOR.join(value) if isinstance(value, tuple) else str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _check_writable(corpus: Corpus, dsv: bool) -> None:
+    """Refuse an id that would not load back as written, naming its record.
+    Each file's text is tested as one column first; only a failing file is
+    searched record by record."""
+    for source, records, texts, members in (
+        ("researcher", corpus.researchers.values(), attrgetter("researcher_id", "discipline"), lambda r: ()),
+        ("publication", corpus.publications.values(), attrgetter("pub_id", "language", "discipline"),
+         attrgetter("author_ids")),
+        ("citation", corpus.citations, attrgetter("citation_id", "cited_pub_id"),
+         attrgetter("citing_author_ids")),
+    ):
+        listed = list(chain.from_iterable(map(members, records)))
+        column = list(chain(chain.from_iterable(map(texts, records)), listed))
+        split = dsv and _LIST_SEPARATOR in "\n".join(listed)
+        if all(column) and list(map(str.strip, column)) == column and not split:
+            continue
+        for record in records:
+            bad = [text for text in texts(record) + members(record) if not text or text != text.strip()]
+            bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
+            if bad:
+                raise CorpusError(
+                    f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
+                    f" strips every text cell and splits DSV id lists on {_LIST_SEPARATOR!r}"
+                )
 
 
 def save_corpus(
@@ -588,66 +629,35 @@ def save_corpus(
     citation_file: str | Path,
     fmt: str = "dsv",
 ) -> None:
-    """Write the three corpus files in ``dsv`` or ``jsonl`` format.
-
-    Loading the written files yields a record-wise identical corpus.
-    """
+    """Write the three corpus files in ``dsv`` or ``jsonl`` format, streaming
+    one record per line. Loading them yields a record-wise identical corpus;
+    an id that would not load back as written raises ``CorpusError`` before
+    any file is opened."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-
-    researcher_rows = [
-        {
-            "researcher_id": r.researcher_id,
-            "discipline": r.discipline,
-            "has_dsc": r.has_dsc,
-            "last_degree_year": r.last_degree_year,
-        }
-        for r in corpus.researchers.values()
-    ]
-    publication_rows = [
-        {
-            "pub_id": p.pub_id,
-            "year": p.year,
-            "pub_type": p.pub_type.value,
-            "language": p.language,
-            "wos_indexed": p.wos_indexed,
-            "scopus_indexed": p.scopus_indexed,
-            "impact_factor": p.impact_factor,
-            "author_ids": list(p.author_ids),
-            "discipline": p.discipline,
-        }
-        for p in corpus.publications.values()
-    ]
-    citation_rows = [
-        {
-            "citation_id": c.citation_id,
-            "cited_pub_id": c.cited_pub_id,
-            "citing_year": c.citing_year,
-            "citing_author_ids": list(c.citing_author_ids),
-            "citing_wos_indexed": c.citing_wos_indexed,
-        }
-        for c in corpus.citations
-    ]
-    for path, fields, rows in (
-        (Path(researcher_file), RESEARCHER_FIELDS, researcher_rows),
-        (Path(publication_file), PUBLICATION_FIELDS, publication_rows),
-        (Path(citation_file), CITATION_FIELDS, citation_rows),
+    dsv = fmt == "dsv"
+    _check_writable(corpus, dsv)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for path, fields, records in (
+        (researcher_file, RESEARCHER_FIELDS, (
+            (r.researcher_id, r.discipline, r.has_dsc, r.last_degree_year)
+            for r in corpus.researchers.values()
+        )),
+        (publication_file, PUBLICATION_FIELDS, (
+            (p.pub_id, p.year, p.pub_type.value, p.language, p.wos_indexed, p.scopus_indexed,
+             p.impact_factor, p.author_ids, p.discipline)
+            for p in corpus.publications.values()
+        )),
+        (citation_file, CITATION_FIELDS, (
+            (c.citation_id, c.cited_pub_id, c.citing_year, c.citing_author_ids, c.citing_wos_indexed)
+            for c in corpus.citations
+        )),
     ):
-        if fmt == "jsonl":
-            with path.open("w", encoding="utf-8") as handle:
-                for row in rows:
-                    handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-        else:
-            with path.open("w", encoding="utf-8", newline="") as handle:
+        with Path(path).open("w", encoding="utf-8", newline="") as handle:
+            if dsv:
                 handle.write(_DELIMITER.join(fields) + "\n")
-                for row in rows:
-                    cells = []
-                    for name in fields:
-                        value = row[name]
-                        if isinstance(value, bool):
-                            cells.append(_bool(value))
-                        elif isinstance(value, list):
-                            cells.append(_LIST_SEPARATOR.join(value))
-                        else:
-                            cells.append(_opt(value))
-                    handle.write(_DELIMITER.join(cells) + "\n")
+                for record in records:
+                    handle.write(_DELIMITER.join(map(_dsv_cell, record)) + "\n")
+            else:
+                for record in records:
+                    handle.write(encode(dict(zip(fields, record))) + "\n")

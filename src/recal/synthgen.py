@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import Mapping
@@ -193,20 +193,20 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
             size = author_plan[i] if i < multi_count else 1
             first = ids[_uniform_int(rng, 0, len(ids) - 1)]
             authors = [first]
-            taken = {first}
+            taken = {first}  # corpus researchers only: external ids are fresh by construction
             for _ in range(size - 1):
                 picked = None
-                if _bernoulli(rng, 0.5) and len(taken & set(ids)) < len(ids):
+                if _bernoulli(rng, 0.5) and len(taken) < len(ids):
                     for _attempt in range(4):
                         candidate = ids[_uniform_int(rng, 0, len(ids) - 1)]
                         if candidate not in taken:
                             picked = candidate
+                            taken.add(picked)
                             break
                 if picked is None:
                     picked = f"{d}:x{external_serial:05d}"
                     external_serial += 1
                 authors.append(picked)
-                taken.add(picked)
 
             wos_article = _bernoulli(rng, params.wos_article_ratio)
             if wos_article:
@@ -320,12 +320,13 @@ def default_spec(seed: int = 1) -> SynthSpec:
 # Spec file format
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a generator spec from a JSON document."""
-    with Path(path).open(encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if doc.get("schema_version") != 1:
-        raise SynthError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
+    """Read a generator spec from a JSON document; any defect in it raises
+    ``SynthError`` naming the file."""
     try:
+        with Path(path).open(encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+            raise SynthError("expected a JSON object with schema_version 1")
         params = tuple(
             SynthDisciplineParams(discipline=discipline, **fields)
             for discipline, fields in doc["disciplines"].items()
@@ -337,7 +338,7 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             citation_window=YearWindow(*doc["citation_window"]),
             domestic_language=doc.get("domestic_language", defaults.DEFAULT_DOMESTIC_LANGUAGE),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, SynthError) as exc:
         raise SynthError(f"{path}: bad generator spec: {exc}") from exc
 
 
@@ -349,16 +350,7 @@ def save_synth_spec(spec: SynthSpec, path: str | Path) -> None:
         "citation_window": [spec.citation_window.start, spec.citation_window.end],
         "domestic_language": spec.domestic_language,
         "disciplines": {
-            p.discipline: {
-                "researcher_count": p.researcher_count,
-                "pub_count": p.pub_count,
-                "multi_ratio_target": p.multi_ratio_target,
-                "mean_coauthors_multi": p.mean_coauthors_multi,
-                "wos_article_ratio": p.wos_article_ratio,
-                "citation_rate": p.citation_rate,
-                "if_mean": p.if_mean,
-                "domestic_language_ratio": p.domestic_language_ratio,
-            }
+            p.discipline: {name: value for name, value in asdict(p).items() if name != "discipline"}
             for p in spec.params
         },
     }

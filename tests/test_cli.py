@@ -390,3 +390,35 @@ def test_stats_out_dir(clean_corpus_files, tmp_path):
     assert run("stats", *corpus_args(clean_corpus_files), "--out-dir", out) == 0
     text = (out / "coauthorship_stats.csv").read_text()
     assert text.startswith("discipline,pub_count,")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: "not json at all",
+        lambda doc: "[1, 2]",
+        lambda doc: json.dumps({**doc, "pub_window": [2018, 2014]}),
+        lambda doc: json.dumps({**doc, "seed": "abc"}),
+    ],
+    ids=["non_json", "array", "reversed_window", "seed_not_a_number"],
+)
+def test_synth_bad_spec_is_a_typed_failure(tmp_path, capsys, edit):
+    spec_path = tmp_path / "spec.json"
+    save_synth_spec(_small_section_spec(seed=3), spec_path)
+    spec_path.write_text(edit(json.loads(spec_path.read_text())), encoding="utf-8")
+    assert run("synth", "--spec", spec_path, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(spec_path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):
+    config = _two_discipline_config()
+    config["current_minimums"] = [1, 2]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config_path) in err
+    assert "Traceback" not in err

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recal.corpus import (
+    CorpusError,
     CorpusValidationError,
     DisciplineCoauthorship,
     YearWindow,
+    build_corpus,
     corpus_stats,
     independent_citations,
     load_corpus,
@@ -245,6 +250,97 @@ def test_round_trip(tmp_path, fmt):
     assert dict(reloaded.researchers) == dict(original.researchers)
     assert dict(reloaded.publications) == dict(original.publications)
     assert reloaded.citations == original.citations
+
+
+def _corpus_paths(directory: Path, fmt: str) -> list[Path]:
+    suffix = "csv" if fmt == "dsv" else "jsonl"
+    return [directory / f"{name}.{suffix}" for name in ("researchers", "publications", "citations")]
+
+
+def test_dsv_quotes_cells_like_csv_writer(tmp_path):
+    original = small_corpus(
+        [researcher("a,b")],
+        [publication('say "hi"', ("a,b", "x\ry", "l\nm"))],
+        [citation("c,1", 'say "hi"', citing=("z,z",))],
+    )
+    paths = _corpus_paths(tmp_path, "dsv")
+    save_corpus(original, *paths)
+    assert paths[0].read_text(encoding="utf-8").splitlines()[1] == '"a,b",geology,false,2010'
+    reloaded = load_corpus(*paths, disciplines=DISCIPLINES)
+    assert dict(reloaded.researchers) == dict(original.researchers)
+    assert dict(reloaded.publications) == dict(original.publications)
+    assert reloaded.citations == original.citations
+
+
+@pytest.mark.parametrize(
+    "fmt, corpus_parts, named",
+    [
+        ("dsv", ([researcher("r1")], [publication("p1", ("r1", "a;b"))]), "publication 'p1'"),
+        ("dsv", ([researcher(" r1")], []), "researcher ' r1'"),
+        ("jsonl", ([researcher("r1")], [publication("p1\t", ("r1",))]), "publication 'p1\\t'"),
+        ("jsonl", ([researcher("r1")], [publication("p1", ("r1",))], [citation("c1", "p1", citing=("",))]),
+         "citation 'c1'"),
+    ],
+)
+def test_save_refuses_ids_the_reader_would_change(tmp_path, fmt, corpus_parts, named):
+    paths = _corpus_paths(tmp_path, fmt)
+    with pytest.raises(CorpusError, match=re.escape(named)):
+        save_corpus(small_corpus(*corpus_parts), *paths, fmt=fmt)
+    assert not any(path.exists() for path in paths)
+
+
+_ID_TEXT = st.text(st.one_of(st.sampled_from(',";\r\n \t\x85\u2028\x00'), st.characters()), max_size=5)
+
+
+@st.composite
+def corpora_with_arbitrary_ids(draw):
+    researcher_ids = draw(st.lists(_ID_TEXT, min_size=1, max_size=3, unique=True))
+    author = st.one_of(st.sampled_from(researcher_ids), _ID_TEXT)
+    pub_ids = draw(st.lists(_ID_TEXT, max_size=3, unique=True))
+    publications = [
+        publication(pid, draw(st.lists(author, min_size=1, max_size=4, unique=True))) for pid in pub_ids
+    ]
+    citing = st.lists(_ID_TEXT, min_size=1, max_size=3, unique=True)
+    citations = [
+        citation(cid, draw(st.sampled_from(pub_ids)), citing=draw(citing))
+        for cid in (draw(st.lists(_ID_TEXT, max_size=3, unique=True)) if pub_ids else ())
+    ]
+    return build_corpus([researcher(rid) for rid in researcher_ids], publications, citations, ["geology"])
+
+
+def _reads_back_changed(corpus, fmt: str) -> bool:
+    """Oracle: the reader strips every text cell, and DSV splits id lists on ';'."""
+    texts, members = [], []
+    for r in corpus.researchers.values():
+        texts.append(r.researcher_id)
+    for p in corpus.publications.values():
+        texts.append(p.pub_id)
+        members.extend(p.author_ids)
+    for c in corpus.citations:
+        texts.append(c.citation_id)
+        members.extend(c.citing_author_ids)
+    return any(t != t.strip() or not t for t in texts + members) or (
+        fmt == "dsv" and any(";" in m for m in members)
+    )
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora_with_arbitrary_ids())
+def test_save_load_round_trip_for_arbitrary_ids(fmt, corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _corpus_paths(Path(tmp), fmt)
+        try:
+            save_corpus(corpus, *paths, fmt=fmt)
+        except CorpusError:
+            assert _reads_back_changed(corpus, fmt)
+            assert not any(path.exists() for path in paths)
+            return
+        assert not _reads_back_changed(corpus, fmt)
+        reloaded = load_corpus(*paths, disciplines=["geology"])
+    assert dict(reloaded.researchers) == dict(corpus.researchers)
+    assert dict(reloaded.publications) == dict(corpus.publications)
+    assert reloaded.citations == corpus.citations
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from recal.corpus import YearWindow, corpus_stats, load_corpus, save_corpus
@@ -163,3 +165,41 @@ def test_spec_file_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema_version": 99}', encoding="utf-8")
     with pytest.raises(SynthError):
         load_synth_spec(path)
+
+
+# --------------------------------------------------------------------------
+# Golden bytes: the generator's RNG stream and the writers' bytes are pinned,
+# so a change to either shows up here before it moves any downstream number.
+
+GOLDEN_SHA256 = {
+    ("seed1", "dsv"): "0fee69e0f6b6da52d6ce3e87610386fa8de732f80ab08ced87b2eb8c6e2a08c2",
+    ("seed1", "jsonl"): "9196128c97959afd2ec6bec0da79648379ac5fc0aff70a52db8230b6953f86ed",
+    ("seed2", "dsv"): "6e32e57d91cd5dc5e7915d151e09ba0b22b34a2f8b63902efed34b6a4702a492",
+    ("seed2", "jsonl"): "45202cdc907704086b20e7ce022080a722a1ded3ba64a5786c69913f08a21249",
+    ("tiny", "dsv"): "da498626d5350c1b88396250f99104176a156d3cc2842a3e31cca0431e1d8d44",
+    ("tiny", "jsonl"): "3a800086081ec9cea85061a6f3268db2d843c790a574a2ff01bbdf5f8cb590f1",
+}
+
+
+def _tiny_spec() -> SynthSpec:
+    # two researchers, six authors per multi-authored paper: most co-author
+    # draws find every corpus researcher already on the byline
+    return SynthSpec(
+        seed=7,
+        params=(SynthDisciplineParams("geology", 2, 300, 80.0, 6.0, 0.5, 1.5, 1.0, 0.5),),
+        pub_window=PUB_WINDOW,
+        citation_window=CITATION_WINDOW,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("name", ["seed1", "seed2", "tiny"])
+def test_synth_bytes_match_golden_digest(tmp_path, name, fmt):
+    spec = {"seed1": default_spec(1), "seed2": default_spec(2), "tiny": _tiny_spec()}[name]
+    suffix = "jsonl" if fmt == "jsonl" else "csv"
+    paths = [tmp_path / f"{n}.{suffix}" for n in ("researchers", "publications", "citations")]
+    save_corpus(generate_corpus(spec), *paths, fmt=fmt)
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_SHA256[(name, fmt)]
