@@ -15,7 +15,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ConfigError, PipelineConfig, default_config, load_pipeline_config
-from .corpus import Corpus, CorpusError, corpus_stats, load_corpus, save_corpus, scan_corpus
+from .corpus import (
+    Corpus, CorpusError, corpus_stats, load_corpus, save_corpus, scan_corpus, write_table,
+)
 from .counting import CountingError, CountingMethod, IndicatorKind, indicator_matrix
 from .evaluation import (
     EvaluationError,
@@ -35,6 +37,7 @@ from .recalibration import (
     performance_as_table,
     read_apv_table,
     recalibrate_all,
+    write_apv_table,
     write_recalibration_rows,
 )
 from .synthgen import SynthError, default_spec, generate_corpus, load_synth_spec
@@ -50,28 +53,8 @@ def _load_config(path: str | None) -> PipelineConfig:
     return load_pipeline_config(path) if path else default_config()
 
 
-def _write_table(
-    path: Path, fmt: str, header: Sequence[str], rows: Sequence[Sequence[str]]
-) -> None:
-    """Write a small report either as DSV or as line-delimited JSON objects."""
-    with path.open("w", encoding="utf-8") as handle:
-        if fmt == "jsonl":
-            for row in rows:
-                handle.write(json.dumps(dict(zip(header, row))) + "\n")
-        else:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
-
-
 def _table_suffix(fmt: str) -> str:
     return ".jsonl" if fmt == "jsonl" else ".csv"
-
-
-def _pick_format(args: argparse.Namespace, config: PipelineConfig) -> str:
-    if getattr(args, "format", None):
-        return args.format
-    return config.output_formats[0] if config.output_formats else "dsv"
 
 
 def _corpus_from_args(args: argparse.Namespace, config: PipelineConfig) -> Corpus:
@@ -129,15 +112,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 "" if avg is None else f"{avg:.2f}",
             )
         )
-    fmt = _pick_format(args, config)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_table(out_dir / f"coauthorship_stats{_table_suffix(fmt)}", fmt, header, rows)
+        write_table(out_dir / f"coauthorship_stats{_table_suffix(args.format)}", header, rows, args.format)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        write_table(sys.stdout, header, rows)
     return EXIT_OK
 
 
@@ -183,7 +163,7 @@ def _write_figure_data(
                     f"{fractional.dsdr_actual:.6f}",
                 )
             )
-        _write_table(out_dir / f"dsdr_{kind.value}{_table_suffix(fmt)}", fmt, header, table)
+        write_table(out_dir / f"dsdr_{kind.value}{_table_suffix(fmt)}", header, table, fmt)
 
 
 def _cmd_recalibrate(args: argparse.Namespace) -> int:
@@ -191,44 +171,11 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
     rows, performance = _recalibration_rows(args, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = _pick_format(args, config)
+    fmt = args.format
     if performance is not None:
-        # corpus mode: keep the computed APVs reusable as an --apv-table input,
-        # at full float precision so a replay reproduces the rows bit for bit
-        _write_table(
-            out_dir / f"performance{_table_suffix(fmt)}",
-            fmt,
-            ("discipline", "kind", "method", "apv", "population", "selected"),
-            [
-                (p.discipline, p.kind.value, p.method.value, repr(p.apv),
-                 str(p.population), str(p.selected))
-                for p in performance
-            ],
-        )
-    if fmt == "jsonl":
-        with (out_dir / "recalibration.jsonl").open("w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(
-                    json.dumps(
-                        {
-                            "discipline": row.discipline,
-                            "kind": row.kind.value,
-                            "method": row.method.value,
-                            "cmv": row.cmv,
-                            "apv": row.apv,
-                            "y_i": round(row.y_i, 3),
-                            "y_m": round(row.y_m, 3),
-                            "r_y": round(row.r_y, 6),
-                            "dsdr_current": round(row.dsdr_current, 6),
-                            "dsdr_actual": round(row.dsdr_actual, 6),
-                            "rmv_raw": round(row.rmv_raw, 3),
-                            "rmv_rounded": row.rmv_rounded,
-                        }
-                    )
-                    + "\n"
-                )
-    else:
-        write_recalibration_rows(rows, out_dir / "recalibration.csv")
+        # corpus mode: keep the computed APVs reusable as an --apv-table input
+        write_apv_table(performance, out_dir / f"performance{_table_suffix(fmt)}", fmt)
+    write_recalibration_rows(rows, out_dir / f"recalibration{_table_suffix(fmt)}", fmt)
     _write_figure_data(rows, out_dir, fmt, list(config.recalibration.disciplines))
     print(f"wrote {len(rows)} recalibration rows to {out_dir}")
     return EXIT_OK
@@ -265,7 +212,6 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = _pick_format(args, config)
     save_threshold_table(table, out_dir / "thresholds_recalibrated.csv")
 
     header = ("discipline", "kind", "status", "raw", "minimum", "delta_vs_current")
@@ -290,7 +236,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         )
     for kind_name in non_derivable:
         report.append(("*", kind_name, "non_derivable", "", "", ""))
-    _write_table(out_dir / f"derive_report{_table_suffix(fmt)}", fmt, header, report)
+    write_table(out_dir / f"derive_report{_table_suffix(args.format)}", header, report, args.format)
 
     if non_derivable:
         print(f"not derivable from these inputs: {', '.join(non_derivable)}")
@@ -337,9 +283,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus = generate_corpus(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or "dsv"
     names = ("researchers", "publications", "citations")
-    save_corpus(corpus, *(out_dir / f"{name}{_table_suffix(fmt)}" for name in names), fmt=fmt)
+    save_corpus(corpus, *(out_dir / f"{name}{_table_suffix(args.format)}" for name in names), fmt=args.format)
     print(
         f"seed {spec.seed}: wrote {len(corpus.researchers)} researchers, "
         f"{len(corpus.publications)} publications, {len(corpus.citations)} citations to {out_dir}"
@@ -365,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_arguments(p)
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out-dir", help="write the table here instead of stdout")
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, help="table format")
+    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv", help="table format")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("recalibrate", help="full recalibration table plus DSDR figure data")
@@ -373,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apv-table", help="precomputed discipline,kind,method,apv table")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES)
+    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
     p.set_defaults(func=_cmd_recalibrate)
 
     p = sub.add_parser("derive", help="recalibrated threshold table incl. proportionally scaled kinds")
@@ -382,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--method", default="integer", choices=[m.value for m in CountingMethod])
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES)
+    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("evaluate", help="score one researcher against a threshold table")
@@ -397,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", help="generator spec JSON (default: shipped section profile)")
     p.add_argument("--seed", type=int, help="override the spec seed")
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES)
+    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 

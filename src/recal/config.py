@@ -19,7 +19,6 @@ from .evaluation import ThresholdTable
 from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RoundingMode
 
 SCHEMA_VERSION = 1
-OUTPUT_FORMATS = ("dsv", "jsonl")
 
 
 class ConfigError(Exception):
@@ -32,15 +31,11 @@ class PipelineConfig:
     domestic_language: str
     pub_window: YearWindow
     citation_window: YearWindow
-    output_formats: tuple[str, ...]
     current_minimums: Mapping[tuple[str, IndicatorKind], float]
     recalibration: RecalibrationConfig
     counted_publication_types: frozenset[PubType] | None = None
 
     def __post_init__(self) -> None:
-        for fmt in self.output_formats:
-            if fmt not in OUTPUT_FORMATS:
-                raise ConfigError(f"unknown output format {fmt!r}")
         for key in self.recalibration.disciplines:
             if key not in self.disciplines:
                 raise ConfigError(f"recalibration references unregistered discipline {key!r}")
@@ -72,7 +67,6 @@ def default_config() -> PipelineConfig:
         domestic_language=defaults.DEFAULT_DOMESTIC_LANGUAGE,
         pub_window=defaults.DEFAULT_PUB_WINDOW,
         citation_window=defaults.DEFAULT_CITATION_WINDOW,
-        output_formats=("dsv",),
         current_minimums=dict(defaults.CURRENT_MINIMUMS),
         recalibration=RecalibrationConfig(
             disciplines=tuple(defaults.DISCIPLINES),
@@ -108,10 +102,12 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     with Path(path).open(encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: expected schema_version {SCHEMA_VERSION}")
+    if "output_formats" in doc:
+        raise ConfigError(f"{path}: 'output_formats' is not a config key; the --format option sets the format")
 
     base = default_config()
     try:
@@ -159,7 +155,6 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
                 if "citation_window" in doc
                 else base.citation_window
             ),
-            output_formats=tuple(doc.get("output_formats", base.output_formats)),
             current_minimums=minimums,
             recalibration=recalibration,
             counted_publication_types=counted_types,
@@ -180,7 +175,6 @@ def save_pipeline_config(config: PipelineConfig, path: str | Path) -> None:
         "domestic_language": config.domestic_language,
         "pub_window": [config.pub_window.start, config.pub_window.end],
         "citation_window": [config.citation_window.start, config.citation_window.end],
-        "output_formats": list(config.output_formats),
         "current_minimums": minimums,
         "recalibration": {
             "top_fraction": config.recalibration.top_fraction,

@@ -19,9 +19,11 @@ people who are not corpus researchers (external co-authors); they carry credit
 shares but no indicators are computed for them.
 
 A DSV cell holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes
-it: wrapped in ``"``, inner quotes doubled. ``save_corpus`` refuses, with a
-``CorpusError`` naming the record, an id the reader would change: an empty or
-whitespace-padded one (every text cell is stripped on load) or, in DSV, an
+it: wrapped in ``"``, inner quotes doubled. ``write_table`` writes these lines
+for every table the program writes. ``save_corpus`` refuses, with a
+``CorpusError`` naming the record, a text cell the reader would change: an
+empty or whitespace-padded one (every text cell is stripped on load), a
+``language`` with upper-case letters (it is lowercased on load) or, in DSV, an
 id-list member holding ``;``.
 
 A loaded corpus is immutable and safe to share across threads.
@@ -31,14 +33,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 
 class PubType(str, Enum):
@@ -257,8 +261,8 @@ def validate_corpus(
     disciplines: Iterable[str],
 ) -> list[Violation]:
     """Cross-record checks: unique ids, resolvable references, registered
-    disciplines, duplicate-free author lists, impact factor only on journal
-    articles."""
+    disciplines, duplicate-free author lists, a finite non-negative impact
+    factor only on journal articles."""
     registry = set(disciplines)
     violations: list[Violation] = []
     if not registry:
@@ -288,6 +292,8 @@ def validate_corpus(
                 violations.append(
                     Violation("publications", i, f"{p.pub_id!r} has impact_factor but is a {p.pub_type.value}")
                 )
+            elif not math.isfinite(p.impact_factor):
+                violations.append(Violation("publications", i, f"{p.pub_id!r} has impact_factor {p.impact_factor}"))
             elif p.impact_factor < 0:
                 violations.append(Violation("publications", i, f"{p.pub_id!r} has negative impact_factor"))
 
@@ -431,45 +437,49 @@ def _cell_id_list(record: Mapping[str, object], column: str) -> tuple[str, ...]:
 
 
 def _iter_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation]):
-    """Yield (row_number, record_dict) from a DSV or line-delimited JSON file."""
-    if path.suffix.lower() in _JSON_SUFFIXES:
-        with path.open(encoding="utf-8") as handle:
-            for row, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    violations.append(Violation(source, row, f"invalid JSON: {exc}"))
-                    continue
-                if not isinstance(record, dict):
-                    violations.append(Violation(source, row, "JSON line is not an object"))
-                    continue
-                yield row, record
-        return
+    """Yield (row_number, record_dict) from a DSV or line-delimited JSON file.
+    Bytes that are not UTF-8 end the file with a violation naming it."""
+    try:
+        if path.suffix.lower() in _JSON_SUFFIXES:
+            with path.open(encoding="utf-8") as handle:
+                for row, line in enumerate(handle, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        violations.append(Violation(source, row, f"invalid JSON: {exc}"))
+                        continue
+                    if not isinstance(record, dict):
+                        violations.append(Violation(source, row, "JSON line is not an object"))
+                        continue
+                    yield row, record
+            return
 
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=_DELIMITER)
-        header = next(reader, None)
-        if header is None:
-            violations.append(Violation(source, None, "file is empty (missing header)"))
-            return
-        header = [cell.strip() for cell in header]
-        missing = [f for f in fields if f not in header]
-        if missing:
-            violations.append(Violation(source, None, f"header is missing column(s) {missing}"))
-            return
-        index = {name: header.index(name) for name in fields}
-        for row, cells in enumerate(reader, start=1):
-            if not any(cell.strip() for cell in cells):
-                continue
-            if len(cells) != len(header):
-                violations.append(
-                    Violation(source, row, f"expected {len(header)} cells, found {len(cells)}")
-                )
-                continue
-            yield row, {name: cells[index[name]] for name in fields}
+        with path.open(encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle, delimiter=_DELIMITER)
+            header = next(reader, None)
+            if header is None:
+                violations.append(Violation(source, None, "file is empty (missing header)"))
+                return
+            header = [cell.strip() for cell in header]
+            missing = [f for f in fields if f not in header]
+            if missing:
+                violations.append(Violation(source, None, f"header is missing column(s) {missing}"))
+                return
+            index = {name: header.index(name) for name in fields}
+            for row, cells in enumerate(reader, start=1):
+                if not "".join(cells).strip():
+                    continue
+                if len(cells) != len(header):
+                    violations.append(
+                        Violation(source, row, f"expected {len(header)} cells, found {len(cells)}")
+                    )
+                    continue
+                yield row, {name: cells[index[name]] for name in fields}
+    except UnicodeDecodeError as exc:
+        violations.append(Violation(str(path), None, f"not UTF-8 text: {exc}"))
 
 
 def _parse_enum(record: Mapping[str, object], column: str, enum_type):
@@ -552,17 +562,11 @@ def scan_corpus(
         except _RowError as exc:
             violations.append(Violation("citations", row, str(exc)))
 
-    violations.extend(validate_corpus(researchers, publications, citations, disciplines))
-    if violations:
-        return None, violations
-    return (
-        Corpus(
-            researchers={r.researcher_id: r for r in researchers},
-            publications={p.pub_id: p for p in publications},
-            citations=tuple(citations),
-        ),
-        [],
-    )
+    try:
+        corpus = build_corpus(researchers, publications, citations, disciplines)
+    except CorpusValidationError as exc:
+        violations.extend(exc.violations)
+    return (None, violations) if violations else (corpus, [])
 
 
 def load_corpus(
@@ -583,42 +587,81 @@ def load_corpus(
 # Serialization
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _dsv_cell(value: object) -> str:
-    """One DSV cell, quoted the way ``csv.writer`` quotes when it holds the
-    delimiter, a double quote or a line break."""
+    """The DSV text of one corpus value: None is empty, booleans are
+    ``true``/``false`` and id lists are ``;``-joined."""
     if value is None:
         return ""
     if value is True or value is False:
         return "true" if value else "false"
-    text = _LIST_SEPARATOR.join(value) if isinstance(value, tuple) else str(value)
-    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+    return _LIST_SEPARATOR.join(value) if isinstance(value, tuple) else str(value)
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+
+
+def _dsv_line(cells: Sequence[str]) -> str:
+    line = _DELIMITER.join(cells)
+    # one test per line: extra delimiters, a quote or a line break
+    if line.count(_DELIMITER) >= len(cells) or '"' in line or "\n" in line or "\r" in line:
+        line = _DELIMITER.join(map(_quoted, cells))
+    return line + "\n"
+
+
+def write_table(
+    out: str | os.PathLike | TextIO, fields: Sequence[str], rows: Iterable[Sequence], fmt: str = "dsv"
+) -> None:
+    """Write a table to a file path or an open text stream, one line per row,
+    streaming the rows in bounded batches.
+
+    In ``dsv`` the first line holds ``fields`` and each row is a sequence of
+    text cells; a cell holding ``,``, ``"``, CR or LF is quoted as
+    ``csv.writer`` quotes it (wrapped in ``"``, inner quotes doubled; by hand,
+    because Python 3.11's ``csv.writer`` leaves a CR unquoted, which its own
+    reader then splits). In ``jsonl`` each row becomes one object mapping
+    ``fields`` to its values, with non-ASCII text kept as UTF-8.
+    """
+    if fmt == "jsonl":
+        lines = (_encode_json(dict(zip(fields, row))) + "\n" for row in rows)
+    else:
+        lines = map(_dsv_line, chain((fields,), rows))
+    is_path = isinstance(out, (str, os.PathLike))
+    with Path(out).open("w", encoding="utf-8", newline="") if is_path else nullcontext(out) as handle:
+        while chunk := "".join(islice(lines, 1024)):  # fewer write calls, never a whole file's text
+            handle.write(chunk)
 
 
 def _check_writable(corpus: Corpus, dsv: bool) -> None:
-    """Refuse an id that would not load back as written, naming its record.
-    Each file's text is tested as one column first; only a failing file is
-    searched record by record."""
-    for source, records, texts, members in (
-        ("researcher", corpus.researchers.values(), attrgetter("researcher_id", "discipline"), lambda r: ()),
+    """Refuse a text cell that would not load back as written, naming its
+    record. Each file's text is tested as one column first; only a failing
+    file is searched record by record."""
+    for source, records, texts, members, lowered in (
+        ("researcher", corpus.researchers.values(), attrgetter("researcher_id", "discipline"),
+         lambda r: (), lambda r: ()),
         ("publication", corpus.publications.values(), attrgetter("pub_id", "language", "discipline"),
-         attrgetter("author_ids")),
+         attrgetter("author_ids"), lambda p: (p.language,)),
         ("citation", corpus.citations, attrgetter("citation_id", "cited_pub_id"),
-         attrgetter("citing_author_ids")),
+         attrgetter("citing_author_ids"), lambda c: ()),
     ):
         listed = list(chain.from_iterable(map(members, records)))
         column = list(chain(chain.from_iterable(map(texts, records)), listed))
         split = dsv and _LIST_SEPARATOR in "\n".join(listed)
-        if all(column) and list(map(str.strip, column)) == column and not split:
+        lower = "\n".join(chain.from_iterable(map(lowered, records)))
+        if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower():
             continue
         for record in records:
             bad = [text for text in texts(record) + members(record) if not text or text != text.strip()]
             bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
+            bad += [text for text in lowered(record) if text != text.lower()]
             if bad:
                 raise CorpusError(
                     f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
-                    f" strips every text cell and splits DSV id lists on {_LIST_SEPARATOR!r}"
+                    f" strips every text cell, lowercases the language and splits DSV id lists on"
+                    f" {_LIST_SEPARATOR!r}"
                 )
 
 
@@ -631,13 +674,12 @@ def save_corpus(
 ) -> None:
     """Write the three corpus files in ``dsv`` or ``jsonl`` format, streaming
     one record per line. Loading them yields a record-wise identical corpus;
-    an id that would not load back as written raises ``CorpusError`` before
-    any file is opened."""
+    a text cell that would not load back as written raises ``CorpusError``
+    before any file is opened."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
     dsv = fmt == "dsv"
     _check_writable(corpus, dsv)
-    encode = json.JSONEncoder(ensure_ascii=False).encode
     for path, fields, records in (
         (researcher_file, RESEARCHER_FIELDS, (
             (r.researcher_id, r.discipline, r.has_dsc, r.last_degree_year)
@@ -653,11 +695,4 @@ def save_corpus(
             for c in corpus.citations
         )),
     ):
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            if dsv:
-                handle.write(_DELIMITER.join(fields) + "\n")
-                for record in records:
-                    handle.write(_DELIMITER.join(map(_dsv_cell, record)) + "\n")
-            else:
-                for record in records:
-                    handle.write(encode(dict(zip(fields, record))) + "\n")
+        write_table(path, fields, (tuple(map(_dsv_cell, r)) for r in records) if dsv else records, fmt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import (
     Corpus,
@@ -232,14 +232,3 @@ def h_index(
     )
     return int(value)
 
-
-def write_indicator_table(vectors: Iterable[IndicatorVector], path) -> None:
-    """Export vectors as ``researcher_id,method,kind,value`` with six-decimal
-    values."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("researcher_id,method,kind,value\n")
-        for vector in vectors:
-            for kind, value in vector.values.items():
-                handle.write(
-                    f"{vector.researcher_id},{vector.method.value},{kind.value},{value:.6f}\n"
-                )

@@ -7,11 +7,13 @@ into a composite.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import finite_float
+from .corpus import finite_float, write_table
 from .counting import IndicatorKind, IndicatorVector
 
 
@@ -146,29 +148,31 @@ def _format_minimum(value: float) -> str:
 
 
 def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"label,{table.label}\n")
-        handle.write("discipline,kind,minimum\n")
-        for (discipline, kind), minimum in table.minimums.items():
-            handle.write(f"{discipline},{kind.value},{_format_minimum(minimum)}\n")
+    """Write the table; its ``label,<text>`` line is the first DSV row."""
+    cells = ((discipline, kind.value, _format_minimum(minimum))
+             for (discipline, kind), minimum in table.minimums.items())
+    write_table(path, ("label", table.label), chain([("discipline", "kind", "minimum")], cells))
 
 
 def load_threshold_table(path: str | Path) -> ThresholdTable:
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith("label,"):
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: not UTF-8 text: {exc}") from None
+    if len(rows) < 2 or len(rows[0][1]) != 2 or rows[0][1][0] != "label":
         raise EvaluationError(f"{path}: expected a 'label,<text>' first line")
-    label = lines[0].split(",", 1)[1]
-    if lines[1] != "discipline,kind,minimum":
+    label = rows[0][1][1]
+    if rows[1][1] != ["discipline", "kind", "minimum"]:
         raise EvaluationError(f"{path}: expected header discipline,kind,minimum")
     minimums: dict[tuple[str, IndicatorKind], float] = {}
-    for i, line in enumerate(lines[2:], start=3):
-        parts = line.split(",")
-        if len(parts) != 3:
+    for i, cells in rows[2:]:
+        if len(cells) != 3:
             raise EvaluationError(f"{path}:{i}: expected 3 cells")
         try:
-            minimums[(parts[0], IndicatorKind(parts[1]))] = finite_float(parts[2])
+            minimums[(cells[0], IndicatorKind(cells[1]))] = finite_float(cells[2])
         except ValueError as exc:
             raise EvaluationError(f"{path}:{i}: {exc}") from exc
     return ThresholdTable(label=label, minimums=minimums)

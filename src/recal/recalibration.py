@@ -20,7 +20,6 @@ None for exact-mean algebra (then raw RMVs are invariant under rescaling t).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
@@ -28,7 +27,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, YearWindow, finite_float
+from .corpus import Corpus, YearWindow, _cell_required, _iter_records, finite_float, write_table
 from .counting import (
     CountingError,
     CountingMethod,
@@ -386,53 +385,69 @@ def derived_scaled_minimums(
 # --------------------------------------------------------------------------
 # File formats
 
+APV_FIELDS = ("discipline", "kind", "method", "apv")
+RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_m", "r_y",
+                        "dsdr_current", "dsdr_actual", "rmv_raw", "rmv_rounded")
+
+
 def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingMethod], float]:
-    """Read a ``discipline,kind,method,apv`` table; a cell may appear once."""
+    """Read a ``discipline,kind,method,apv`` table, DSV or JSONL as the corpus
+    files are (``write_apv_table`` output reads back); a cell may appear once."""
     table: dict[tuple[str, IndicatorKind, CountingMethod], float] = {}
     row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"discipline", "kind", "method", "apv"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise RecalibrationError(f"{path}: expected header discipline,kind,method,apv")
-        for i, record in enumerate(reader, start=1):
-            try:
-                key = (
-                    record["discipline"].strip(),
-                    IndicatorKind(record["kind"].strip()),
-                    CountingMethod(record["method"].strip()),
-                )
-                table[key] = finite_float(record["apv"])
-            except (KeyError, ValueError) as exc:
-                raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
-            if key in row_of:
-                raise RecalibrationError(
-                    f"{path}:{i}: repeats row {row_of[key]}, the APV of "
-                    f"({key[0]}, {key[1].value}, {key[2].value})"
-                )
-            row_of[key] = i
+    violations = []
+    for i, record in _iter_records(Path(path), APV_FIELDS, str(path), violations):
+        if violations:
+            break
+        try:
+            key = (
+                _cell_required(record, "discipline"),
+                IndicatorKind(_cell_required(record, "kind")),
+                CountingMethod(_cell_required(record, "method")),
+            )
+            table[key] = finite_float(_cell_required(record, "apv"))
+        except ValueError as exc:
+            raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
+        if key in row_of:
+            raise RecalibrationError(
+                f"{path}:{i}: repeats row {row_of[key]}, the APV of "
+                f"({key[0]}, {key[1].value}, {key[2].value})"
+            )
+        row_of[key] = i
+    if violations:
+        raise RecalibrationError(str(violations[0]))
     return table
 
 
-def write_apv_table(table: ApvTable, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("discipline,kind,method,apv\n")
-        for (discipline, kind, method), apv in table.items():
-            handle.write(f"{discipline},{kind.value},{method.value},{apv}\n")
+def write_apv_table(
+    performance: Iterable[DisciplinePerformance], path: str | Path, fmt: str = "dsv"
+) -> None:
+    """Write each cell's APV, at full float precision so that a replay through
+    ``read_apv_table`` reproduces it bit for bit, with its population and
+    selection sizes."""
+    rows = ((p.discipline, p.kind.value, p.method.value, repr(p.apv), str(p.population), str(p.selected))
+            for p in performance)
+    write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)
 
 
-def write_recalibration_rows(rows: Iterable[RecalibrationRow], path: str | Path) -> None:
-    """Write rows with ratios to 6 decimals and years/minimums to 3."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(
-            "discipline,kind,method,cmv,apv,y_i,y_m,r_y,"
-            "dsdr_current,dsdr_actual,rmv_raw,rmv_rounded\n"
+def write_recalibration_rows(
+    rows: Iterable[RecalibrationRow], path: str | Path, fmt: str = "dsv"
+) -> None:
+    """Write rows with ratios to 6 decimals and years/minimums to 3; JSONL
+    keeps CMV and APV unrounded."""
+    if fmt == "jsonl":
+        records = (
+            (r.discipline, r.kind.value, r.method.value, r.cmv, r.apv, round(r.y_i, 3),
+             round(r.y_m, 3), round(r.r_y, 6), round(r.dsdr_current, 6), round(r.dsdr_actual, 6),
+             round(r.rmv_raw, 3), r.rmv_rounded)
+            for r in rows
         )
-        for row in rows:
-            rounded = "" if row.rmv_rounded is None else str(row.rmv_rounded)
-            handle.write(
-                f"{row.discipline},{row.kind.value},{row.method.value},"
-                f"{row.cmv:.3f},{row.apv:.3f},{row.y_i:.3f},{row.y_m:.3f},"
-                f"{row.r_y:.6f},{row.dsdr_current:.6f},{row.dsdr_actual:.6f},"
-                f"{row.rmv_raw:.3f},{rounded}\n"
-            )
+    else:
+        records = (
+            (r.discipline, r.kind.value, r.method.value, f"{r.cmv:.3f}", f"{r.apv:.3f}",
+             f"{r.y_i:.3f}", f"{r.y_m:.3f}", f"{r.r_y:.6f}", f"{r.dsdr_current:.6f}",
+             f"{r.dsdr_actual:.6f}", f"{r.rmv_raw:.3f}",
+             "" if r.rmv_rounded is None else str(r.rmv_rounded))
+            for r in rows
+        )
+    write_table(path, RECALIBRATION_FIELDS, records, fmt)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from recal.cli import main
-from recal.corpus import save_corpus
+from recal.corpus import load_corpus, save_corpus
+from recal.recalibration import DisciplinePerformance, read_apv_table, write_apv_table
 from recal.synthgen import SynthDisciplineParams, SynthSpec, save_synth_spec
 
 from conftest import PUB_WINDOW, CITATION_WINDOW, social_geography_dossier
@@ -129,36 +131,40 @@ def test_recalibrate_corpus_mode_runs_end_to_end(tmp_path):
     save_synth_spec(_small_section_spec(seed=1), spec_path)
     corpus_dir = tmp_path / "corpus"
     assert run("synth", "--spec", spec_path, "--out-dir", corpus_dir) == 0
-    out_dir = tmp_path / "out"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_two_discipline_config()), encoding="utf-8")
-    code = run(
-        "recalibrate",
-        corpus_dir / "researchers.csv",
-        corpus_dir / "publications.csv",
-        corpus_dir / "citations.csv",
-        "--config",
-        config_path,
-        "--out-dir",
-        out_dir,
-    )
-    assert code == 0
-    assert (out_dir / "recalibration.csv").exists()
-    # the emitted performance table is itself a valid fixture-mode input
-    replay_dir = tmp_path / "replay"
-    code = run(
-        "recalibrate",
-        "--apv-table",
-        out_dir / "performance.csv",
-        "--config",
-        config_path,
-        "--out-dir",
-        replay_dir,
-    )
-    assert code == 0
-    assert (out_dir / "recalibration.csv").read_bytes() == (
-        replay_dir / "recalibration.csv"
-    ).read_bytes()
+    for fmt, suffix in (("dsv", ".csv"), ("jsonl", ".jsonl")):
+        out_dir = tmp_path / f"out_{fmt}"
+        code = run(
+            "recalibrate",
+            corpus_dir / "researchers.csv",
+            corpus_dir / "publications.csv",
+            corpus_dir / "citations.csv",
+            "--config",
+            config_path,
+            "--format",
+            fmt,
+            "--out-dir",
+            out_dir,
+        )
+        assert code == 0
+        # the emitted performance table is itself a valid fixture-mode input
+        replay_dir = tmp_path / f"replay_{fmt}"
+        code = run(
+            "recalibrate",
+            "--apv-table",
+            out_dir / f"performance{suffix}",
+            "--config",
+            config_path,
+            "--format",
+            fmt,
+            "--out-dir",
+            replay_dir,
+        )
+        assert code == 0
+        assert (out_dir / f"recalibration{suffix}").read_bytes() == (
+            replay_dir / f"recalibration{suffix}"
+        ).read_bytes()
 
 
 def test_recalibrate_degenerate_discipline_fails(tmp_path):
@@ -202,6 +208,16 @@ def test_recalibrate_rejects_non_finite_apv(tmp_path, capsys, cell, number):
     assert run("recalibrate", "--apv-table", table, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert f"{table}:{row}:" in err and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["geology,publications", "geology,publications,integer", "geology,publications,integer,"])
+def test_recalibrate_rejects_short_apv_row(tmp_path, capsys, line):
+    lines = APV_TABLE.read_text().splitlines()
+    table = _write_apv_table(tmp_path, lines[:3] + [line] + lines[3:])
+    assert run("recalibrate", "--apv-table", table, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}:3: ")
     assert "Traceback" not in err
 
 
@@ -422,3 +438,144 @@ def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config_path) in err
     assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# golden report bytes: exit code, stdout and every output file of the report
+# commands, recorded before the table writers were merged into one
+
+GOLDEN_COMMANDS = {
+    "recalibrate_fixture_dsv": ["recalibrate", "--apv-table", APV_TABLE, "--format", "dsv"],
+    "recalibrate_fixture_jsonl": ["recalibrate", "--apv-table", APV_TABLE, "--format", "jsonl"],
+    "derive_fixture_integer": ["derive", "--apv-table", APV_TABLE, "--method", "integer"],
+    "derive_fixture_fractional_jsonl": ["derive", "--apv-table", APV_TABLE, "--method", "fractional",
+                                        "--format", "jsonl"],
+    "stats_stdout": ["stats", "CORPUS"],
+    "stats_dsv": ["stats", "CORPUS", "--format", "dsv"],
+    "stats_jsonl": ["stats", "CORPUS", "--format", "jsonl"],
+    "recalibrate_corpus_dsv": ["recalibrate", "SYNTH", "--config", "CONFIG", "--format", "dsv"],
+    "recalibrate_corpus_jsonl": ["recalibrate", "SYNTH", "--config", "CONFIG", "--format", "jsonl"],
+}
+
+GOLDEN_REPORT_SHA256 = {
+    "derive_fixture_fractional_jsonl": "aa18e33eb7df37dc761901f332439fb6bfc98afee307bf0a839cfa01655491dd",
+    "derive_fixture_integer": "68235f88c4fdf3f618a46fc7f91d5a75ffed70c58bbe9af12ada2adff6de1d91",
+    "recalibrate_corpus_dsv": "9f61781adb5688bd7b701f2542ede38fe797faeceee805a2bd45aace4022d144",
+    "recalibrate_corpus_jsonl": "508ffd0a045ce55d256a06b2a7c53706f81809e21e2cf791e5f20638f629f976",
+    "recalibrate_fixture_dsv": "2df4c23d01b02fe382142791927ae8ab398e87ff485821320e374b7bcb744a25",
+    "recalibrate_fixture_jsonl": "394967e572f3e90ea907e9369ebc35859e2b4c774b91f82a149c7e6d60c3e314",
+    "stats_dsv": "8b034b326f04046557abc56c363ae3eadbcbcf10643f7ce8872dbe3be41d00f3",
+    "stats_jsonl": "5101ed967eb2239bb6d69b1e021ca9953c42adb5df2838283b37577469eea949",
+    "stats_stdout": "780ff8903377cb59bc8e1910971a05d368c98e2e9313ab1b7d58b86e854cd143",
+}
+
+
+def _golden_argv(name: str, tmp_path: Path, clean_corpus_files, out_dir: Path) -> list:
+    argv = []
+    for arg in GOLDEN_COMMANDS[name]:
+        if arg == "CORPUS":
+            argv += corpus_args(clean_corpus_files)
+        elif arg == "SYNTH":
+            spec_path = tmp_path / "spec.json"
+            save_synth_spec(_small_section_spec(seed=1), spec_path)
+            assert run("synth", "--spec", spec_path, "--out-dir", tmp_path / "corpus") == 0
+            argv += [tmp_path / "corpus" / f"{n}.csv" for n in ("researchers", "publications", "citations")]
+        elif arg == "CONFIG":
+            argv.append(tmp_path / "config.json")
+            argv[-1].write_text(json.dumps(_two_discipline_config()), encoding="utf-8")
+        else:
+            argv.append(arg)
+    if name != "stats_stdout":
+        argv += ["--out-dir", out_dir]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_report_bytes_match_golden_digest(tmp_path, clean_corpus_files, capsys, name):
+    out_dir = tmp_path / "out"
+    argv = _golden_argv(name, tmp_path, clean_corpus_files, out_dir)
+    capsys.readouterr()
+    code = run(*argv)
+    stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+    listing = [f"exit {code}", f"stdout {hashlib.sha256(stdout.encode()).hexdigest()}"]
+    if out_dir.exists():
+        listing += [
+            f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+            for path in sorted(out_dir.iterdir())
+        ]
+    digest = hashlib.sha256("\n".join(listing).encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256.get(name), "\n".join(listing)
+
+
+# --------------------------------------------------------------------------
+# fuzz: a corrupted input file ends in exit 1 or 2 with a message, never in a
+# traceback
+
+def _fuzz_input(name: str, tmp_path: Path, clean_corpus_files) -> tuple[Path, list, str]:
+    """The file to corrupt, the command that reads it, and a number in it."""
+    corpus = corpus_args(clean_corpus_files)
+    out = ["--out-dir", tmp_path / "out"]
+    if name == "corpus_dsv":
+        return corpus[1], ["validate", *corpus], "2.5"
+    if name == "corpus_jsonl":
+        paths = [tmp_path / f"{n}.jsonl" for n in ("researchers", "publications", "citations")]
+        save_corpus(load_corpus(*corpus, disciplines=["geology", "mining"]), *paths, fmt="jsonl")
+        return paths[1], ["validate", *paths], "2.5"
+    if name in ("apv_dsv", "apv_jsonl"):
+        path = tmp_path / ("apv.csv" if name == "apv_dsv" else "apv.jsonl")
+        performance = [DisciplinePerformance(*cell, apv, 8, 2) for cell, apv in read_apv_table(APV_TABLE).items()]
+        write_apv_table(performance, path, "dsv" if name == "apv_dsv" else "jsonl")
+        return path, ["recalibrate", "--apv-table", path, *out], "8.854"
+    if name == "thresholds":
+        path = tmp_path / "thresholds.csv"
+        path.write_text("label,tiny\ndiscipline,kind,minimum\nsocial_geography,publications,39\n", encoding="utf-8")
+        return path, ["evaluate", *dossier_files(tmp_path), "--researcher", "cand", "--thresholds", path], "39"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_two_discipline_config()), encoding="utf-8")
+    return path, ["stats", *corpus, "--config", path], "30"
+
+
+def _corrupt(corruption: str, data: bytes, number: str, is_json: bool) -> bytes:
+    text = data.decode("utf-8")
+    lines = text.splitlines()
+    if corruption == "truncate_mid_row":
+        start = text.rstrip("\n").rfind("\n") + 1
+        return text[: start + len(lines[-1]) // 2].encode("utf-8")
+    if corruption == "drop_column":
+        if is_json:
+            dropped = [dict(list(json.loads(line).items())[1:]) for line in lines]
+            return "".join(json.dumps(record) + "\n" for record in dropped).encode("utf-8")
+        return "".join(line.partition(",")[2] + "\n" for line in lines).encode("utf-8")
+    if corruption in ("nan", "inf"):
+        bad = {"nan": "NaN", "inf": "Infinity"}[corruption] if is_json else corruption
+        assert number in text
+        return text.replace(number, bad, 1).encode("utf-8")
+    if corruption == "corrupt_json":
+        return text.replace("{", "[", 1).encode("utf-8")
+    return data[: len(data) // 2] + b"\xff\xfe" + data[len(data) // 2:]  # not_utf8
+
+
+FUZZ_INPUTS = ("corpus_dsv", "corpus_jsonl", "apv_dsv", "apv_jsonl", "thresholds", "config")
+FUZZ_CORRUPTIONS = ("truncate_mid_row", "drop_column", "nan", "inf", "corrupt_json", "not_utf8")
+
+
+@pytest.mark.parametrize(
+    "name, corruption",
+    [
+        (name, corruption)
+        for name in FUZZ_INPUTS
+        for corruption in FUZZ_CORRUPTIONS
+        if corruption != "corrupt_json" or name in ("corpus_jsonl", "apv_jsonl", "config")
+    ],
+)
+def test_corrupted_input_is_a_typed_failure(tmp_path, clean_corpus_files, capsys, name, corruption):
+    path, argv, number = _fuzz_input(name, tmp_path, clean_corpus_files)
+    assert run(*argv) == 0
+    path.write_bytes(_corrupt(corruption, path.read_bytes(), number, path.suffix != ".csv"))
+    capsys.readouterr()
+    assert run(*argv) in (1, 2)
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") or "invalid: " in captured.out
+    assert "Traceback" not in captured.err
+    if corruption == "not_utf8":
+        assert f"{path}: " in captured.out + captured.err

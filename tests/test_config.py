@@ -67,6 +67,13 @@ def test_unknown_schema_version_rejected(tmp_path):
         load_pipeline_config(path)
 
 
+def test_output_formats_key_is_a_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": 1, "output_formats": ["jsonl"]}', encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{path}.*output_formats.*--format"):
+        load_pipeline_config(path)
+
+
 def test_bad_indicator_kind_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recal.corpus import (
     CorpusError,
@@ -170,6 +170,17 @@ def test_non_finite_impact_factor_names_the_row(clean_corpus_files, tmp_path, na
     )
 
 
+@pytest.mark.parametrize("impact_factor, message", [
+    (-1.0, "negative impact_factor"),
+    (float("nan"), "impact_factor nan"),
+    (float("inf"), "impact_factor inf"),
+])
+def test_build_corpus_rejects_negative_or_non_finite_impact_factor(impact_factor, message):
+    with pytest.raises(CorpusValidationError, match=f"publications:1: 'p1' has {message}"):
+        build_corpus([researcher("r1")], [publication("p1", ("r1",), impact_factor=impact_factor)], [],
+                     ["geology"])
+
+
 def test_impact_factor_only_on_journal_articles(clean_corpus_files, tmp_path):
     files = write_corpus_files(
         tmp_path,
@@ -280,6 +291,7 @@ def test_dsv_quotes_cells_like_csv_writer(tmp_path):
         ("jsonl", ([researcher("r1")], [publication("p1\t", ("r1",))]), "publication 'p1\\t'"),
         ("jsonl", ([researcher("r1")], [publication("p1", ("r1",))], [citation("c1", "p1", citing=("",))]),
          "citation 'c1'"),
+        ("jsonl", ([researcher("r1")], [publication("p1", ("r1",), language="EN")]), "publication 'p1'"),
     ],
 )
 def test_save_refuses_ids_the_reader_would_change(tmp_path, fmt, corpus_parts, named):
@@ -298,7 +310,9 @@ def corpora_with_arbitrary_ids(draw):
     author = st.one_of(st.sampled_from(researcher_ids), _ID_TEXT)
     pub_ids = draw(st.lists(_ID_TEXT, max_size=3, unique=True))
     publications = [
-        publication(pid, draw(st.lists(author, min_size=1, max_size=4, unique=True))) for pid in pub_ids
+        publication(pid, draw(st.lists(author, min_size=1, max_size=4, unique=True)),
+                    language=draw(st.sampled_from(["hu", "en", "EN", "Hu", "\u0130"])))
+        for pid in pub_ids
     ]
     citing = st.lists(_ID_TEXT, min_size=1, max_size=3, unique=True)
     citations = [
@@ -309,7 +323,10 @@ def corpora_with_arbitrary_ids(draw):
 
 
 def _reads_back_changed(corpus, fmt: str) -> bool:
-    """Oracle: the reader strips every text cell, and DSV splits id lists on ';'."""
+    """Oracle: the reader strips every text cell, lowercases the language, and
+    DSV splits id lists on ';'."""
+    if any(p.language != p.language.lower() for p in corpus.publications.values()):
+        return True
     texts, members = [], []
     for r in corpus.researchers.values():
         texts.append(r.researcher_id)
@@ -327,6 +344,7 @@ def _reads_back_changed(corpus, fmt: str) -> bool:
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
 @settings(max_examples=150, deadline=None)
 @given(corpus=corpora_with_arbitrary_ids())
+@example(corpus=small_corpus([researcher("r1")], [publication("p1", ("r1",), language="EN")]))
 def test_save_load_round_trip_for_arbitrary_ids(fmt, corpus):
     with tempfile.TemporaryDirectory() as tmp:
         paths = _corpus_paths(Path(tmp), fmt)

@@ -16,7 +16,6 @@ from recal.counting import (
     indicator_matrix,
     indicator_value,
     publication_credit,
-    write_indicator_table,
 )
 
 from conftest import (
@@ -497,13 +496,3 @@ def test_window_additivity_for_count_kinds():
                 ) + indicator_value(corpus, rid, kind, FRACTIONAL, right, CITATION_WINDOW)
                 assert total == pytest.approx(split, abs=1e-12)
 
-
-def test_export_format(tmp_path):
-    corpus = _corpus_three_pubs()
-    vectors = indicator_matrix(corpus, [K.PUBLICATIONS], [INTEGER, FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
-    out = tmp_path / "matrix.csv"
-    write_indicator_table(vectors, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "researcher_id,method,kind,value"
-    assert "r1,integer,publications,3.000000" in lines
-    assert "r1,fractional,publications,1.750000" in lines

@@ -142,9 +142,10 @@ def test_diff_identity_and_antisymmetry():
 
 
 def test_threshold_table_round_trip(tmp_path):
-    table = published_recalibrated_table()
-    path = tmp_path / "thresholds.csv"
-    save_threshold_table(table, path)
-    loaded = load_threshold_table(path)
-    assert loaded.label == table.label
-    assert loaded.minimums == dict(table.minimums)
+    quoted = ThresholdTable('label, "quoted"', {('a,"b"', K.PUBLICATIONS): 30.5})
+    for table in (published_recalibrated_table(), quoted):
+        path = tmp_path / "thresholds.csv"
+        save_threshold_table(table, path)
+        loaded = load_threshold_table(path)
+        assert loaded.label == table.label
+        assert loaded.minimums == dict(table.minimums)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
     DegenerateDisciplineError,
+    DisciplinePerformance,
     MissingBaseRowError,
     MissingCmvError,
     RecalibrationConfig,
@@ -203,9 +204,25 @@ def test_config_requires_complete_cmv_coverage():
 
 
 def test_apv_table_round_trip(tmp_path):
-    path = tmp_path / "apv.csv"
-    write_apv_table(ref.apv_table(), path)
-    assert read_apv_table(path) == ref.apv_table()
+    for table in (ref.apv_table(), {('a,"b" földtan', K.PUBLICATIONS, INTEGER): 0.1 + 0.2}):
+        for path, fmt in ((tmp_path / "apv.csv", "dsv"), (tmp_path / "apv.jsonl", "jsonl")):
+            performance = [DisciplinePerformance(*cell, apv, 8, 2) for cell, apv in table.items()]
+            write_apv_table(performance, path, fmt)
+            assert read_apv_table(path) == table
+
+
+def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
+    cell = [DisciplinePerformance('a,"b" földtan', K.PUBLICATIONS, INTEGER, 1.5, 8, 2)]
+    write_apv_table(cell, tmp_path / "apv.csv")
+    write_apv_table(cell, tmp_path / "apv.jsonl", "jsonl")
+    assert (tmp_path / "apv.csv").read_bytes() == (
+        'discipline,kind,method,apv,population,selected\n'
+        '"a,""b"" földtan",publications,integer,1.5,8,2\n'
+    ).encode("utf-8")
+    assert (tmp_path / "apv.jsonl").read_bytes() == (
+        '{"discipline": "a,\\"b\\" földtan", "kind": "publications", "method": "integer",'
+        ' "apv": "1.5", "population": "8", "selected": "2"}\n'
+    ).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
