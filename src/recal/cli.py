@@ -8,6 +8,7 @@ decimal widths, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -117,7 +118,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_table(out_dir / f"coauthorship_stats{_table_suffix(args.format)}", header, rows, args.format)
     else:
-        write_table(sys.stdout, header, rows)
+        write_table(sys.stdout, header, rows, args.format)
     return EXIT_OK
 
 
@@ -294,7 +295,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` keeps no state between
+    calls."""
     parser = argparse.ArgumentParser(
         prog="recal",
         description="Recalibrate discipline-specific minimum bibliometric requirements.",

@@ -3,7 +3,8 @@ recalibration knobs, loadable from a versioned JSON document.
 
 Every key except ``schema_version`` is optional; omitted keys fall back to
 the shipped defaults (the nine-discipline section, 2014-2018 publications,
-2014-2019 citations, top quarter, t=5 years).
+2014-2019 citations, top quarter, t=5 years). Unknown keys are refused, and
+every error names the file.
 """
 from __future__ import annotations
 
@@ -15,10 +16,15 @@ from typing import Mapping
 from . import defaults
 from .corpus import PubType, YearWindow, finite_float
 from .counting import CountingMethod, CountingSettings, IndicatorKind
-from .evaluation import ThresholdTable
-from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RoundingMode
+from .evaluation import EvaluationError, ThresholdTable
+from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RecalibrationError, RoundingMode
 
 SCHEMA_VERSION = 1
+CONFIG_KEYS = frozenset({
+    "schema_version", "disciplines", "domestic_language", "pub_window", "citation_window",
+    "current_minimums", "recalibration", "counted_publication_types",
+})
+RECALIBRATION_KEYS = frozenset({"top_fraction", "t_years", "ym_source_method", "ym_decimals", "rounding"})
 
 
 class ConfigError(Exception):
@@ -36,12 +42,10 @@ class PipelineConfig:
     counted_publication_types: frozenset[PubType] | None = None
 
     def __post_init__(self) -> None:
-        for key in self.recalibration.disciplines:
-            if key not in self.disciplines:
-                raise ConfigError(f"recalibration references unregistered discipline {key!r}")
         for (key, _kind) in self.current_minimums:
             if key not in self.disciplines:
                 raise ConfigError(f"minimum for unregistered discipline {key!r}")
+        self.current_threshold_table()  # every minimum is positive
 
     def counting_settings(self) -> CountingSettings:
         return CountingSettings(
@@ -98,6 +102,15 @@ def _parse_minimums(doc: Mapping) -> dict[tuple[str, IndicatorKind], float]:
     return table
 
 
+def _refuse_unknown_keys(doc: Mapping, known: frozenset[str], where: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"known keys: {', '.join(sorted(known))}"
+        )
+
+
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     with Path(path).open(encoding="utf-8") as handle:
         try:
@@ -106,11 +119,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: expected schema_version {SCHEMA_VERSION}")
-    if "output_formats" in doc:
-        raise ConfigError(f"{path}: 'output_formats' is not a config key; the --format option sets the format")
 
     base = default_config()
     try:
+        _refuse_unknown_keys(doc, CONFIG_KEYS, "the config (the --format option sets the output format)")
         disciplines = dict(base.disciplines)
         if "disciplines" in doc:
             disciplines = {}
@@ -122,6 +134,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             minimums = _parse_minimums(doc["current_minimums"])
 
         recal_doc = doc.get("recalibration", {})
+        _refuse_unknown_keys(recal_doc, RECALIBRATION_KEYS, "'recalibration'")
         t = dict(base.recalibration.t)
         if "t_years" in recal_doc:
             t = {IndicatorKind(k): finite_float(v) for k, v in recal_doc["t_years"].items()}
@@ -159,7 +172,8 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             recalibration=recalibration,
             counted_publication_types=counted_types,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ConfigError, EvaluationError, RecalibrationError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
 
 

@@ -133,53 +133,44 @@ class RecalibrationRow:
     rmv_rounded: int | None
 
 
+#: Both counting methods, in output order.
+METHODS = (CountingMethod.INTEGER, CountingMethod.FRACTIONAL)
+
 #: APV lookup: (discipline, kind, method) -> value.
 ApvTable = Mapping[tuple[str, IndicatorKind, CountingMethod], float]
 
 
 def top_quartile_apv(
-    values: Mapping[str, float] | Iterable[float],
-    top_fraction: float = 0.25,
+    values: Mapping[str, float], top_fraction: float = 0.25
 ) -> tuple[float, int]:
-    """Mean of the top ``top_fraction`` share of values.
+    """Mean of the top ``top_fraction`` share of a researcher-id -> value
+    mapping, and the number of researchers selected.
 
-    ``values`` is either a researcher-id -> value mapping or a plain
-    sequence. The selection size is ``floor(top_fraction * n)`` clamped to at
-    least one; ties at the cut are broken by ascending id so the result never
-    depends on input order.
+    The selection size is ``floor(top_fraction * n)`` clamped to at least one;
+    ties at the cut are broken by ascending id so the result never depends on
+    input order. ``values`` is non-empty, as ``discipline_performance``
+    guarantees, and ``top_fraction`` is in (0, 1], as ``RecalibrationConfig``
+    guarantees.
     """
-    if not 0.0 < top_fraction <= 1.0:
-        raise RecalibrationError(f"top_fraction {top_fraction} outside (0, 1]")
-    if isinstance(values, Mapping):
-        pairs = list(values.items())
-    else:
-        pairs = list(enumerate(values))
-    if not pairs:
-        raise DegenerateDisciplineError("cannot take a top quartile of an empty population")
-    pairs.sort(key=lambda item: (-item[1], item[0]))
+    pairs = sorted(values.items(), key=lambda item: (-item[1], item[0]))
     k = max(1, int(top_fraction * len(pairs)))
     return fmean(value for _, value in pairs[:k]), k
 
 
 def years_to_fulfill(cmv: float, apv: float, t: float) -> float:
     """Years a discipline's top performers need to reach the minimum:
-    ``cmv / apv * t``."""
-    if cmv <= 0 or t <= 0:
-        raise RecalibrationError(f"cmv and t must be positive (cmv={cmv}, t={t})")
-    if apv <= 0:
-        raise DegenerateDisciplineError(f"apv={apv}: the minimum can never be fulfilled")
+    ``cmv / apv * t``. All three are positive, as ``RecalibrationConfig`` and
+    ``recalibrate_all`` guarantee."""
     return cmv / apv * t
 
 
 def dsdr(values: Mapping[str, float]) -> dict[str, float]:
-    """Each discipline's share of the total; shares sum to one."""
+    """Each discipline's share of the total; shares sum to one. The values
+    are positive CMVs or APVs, as ``RecalibrationConfig`` and
+    ``recalibrate_all`` guarantee."""
     total = 0.0
-    for discipline, value in values.items():
-        if value < 0:
-            raise RecalibrationError(f"negative value for {discipline!r}")
+    for value in values.values():
         total += value
-    if total <= 0:
-        raise RecalibrationError("all values are zero; distance ratios are undefined")
     return {discipline: value / total for discipline, value in values.items()}
 
 
@@ -189,9 +180,8 @@ def mean_years(years: Mapping[str, float]) -> float:
 
 
 def recalibrated_minimum(cmv: float, y_m: float, y_i: float) -> float:
-    """Minimum rescaled so fulfilling it takes y_m years: ``cmv * y_m / y_i``."""
-    if y_i <= 0:
-        raise RecalibrationError(f"y_i must be positive, got {y_i}")
+    """Minimum rescaled so fulfilling it takes y_m years: ``cmv * y_m / y_i``.
+    ``y_i`` is positive, as ``years_to_fulfill`` of positive inputs is."""
     return cmv * y_m / y_i
 
 
@@ -209,10 +199,10 @@ def round_minimum(
 
     Count kinds (and the integer-method cumulative impact factor) round half
     away from zero; the fractional cumulative impact factor stays unrounded,
-    as do all values under mode ``none``.
+    as do all values under mode ``none``. ``raw`` is positive, as the
+    positive minimums that ``RecalibrationConfig`` and the config load
+    guarantee make it.
     """
-    if raw < 0:
-        raise RecalibrationError(f"raw minimum must be non-negative, got {raw}")
     if mode is RoundingMode.NONE:
         return None
     if kind is IndicatorKind.CUMULATIVE_IF and method is CountingMethod.FRACTIONAL:
@@ -232,12 +222,11 @@ def discipline_performance(
     config: RecalibrationConfig,
     pub_window: YearWindow,
     citation_window: YearWindow,
-    methods: Sequence[CountingMethod] = (CountingMethod.INTEGER, CountingMethod.FRACTIONAL),
     settings: CountingSettings = DEFAULT_SETTINGS,
 ) -> list[DisciplinePerformance]:
-    """Compute APVs from a corpus: per configured discipline and kind, the
-    top-quartile mean over all of the discipline's researchers (researchers
-    with zero output included)."""
+    """Compute APVs from a corpus: per configured discipline, kind and
+    counting method, the top-quartile mean over all of the discipline's
+    researchers (researchers with zero output included)."""
     members: dict[str, list[str]] = {d: [] for d in config.disciplines}
     for researcher in corpus.researchers.values():
         if researcher.discipline in members:
@@ -245,18 +234,18 @@ def discipline_performance(
     for discipline, ids in members.items():
         if not ids:
             raise DegenerateDisciplineError(f"discipline {discipline!r} has no researchers")
-    if IndicatorKind.H_INDEX in config.kinds and CountingMethod.FRACTIONAL in methods:
+    if IndicatorKind.H_INDEX in config.kinds:
         raise CountingError("h_index is only defined under integer counting")
 
     vectors = indicator_matrix(
-        corpus, config.kinds, methods, pub_window, citation_window, settings,
+        corpus, config.kinds, METHODS, pub_window, citation_window, settings,
         [rid for ids in members.values() for rid in ids],
     )
     values = {(v.researcher_id, v.method): v.values for v in vectors}
     performance: list[DisciplinePerformance] = []
     for discipline, ids in members.items():
         for kind in config.kinds:
-            for method in methods:
+            for method in METHODS:
                 apv, selected = top_quartile_apv(
                     {rid: values[(rid, method)][kind] for rid in ids}, config.top_fraction
                 )
@@ -270,36 +259,17 @@ def performance_as_table(performance: Iterable[DisciplinePerformance]) -> dict:
     return {(p.discipline, p.kind, p.method): p.apv for p in performance}
 
 
-def recalibrate_all(
-    source: Corpus | ApvTable,
-    config: RecalibrationConfig,
-    pub_window: YearWindow | None = None,
-    citation_window: YearWindow | None = None,
-    settings: CountingSettings = DEFAULT_SETTINGS,
-) -> list[RecalibrationRow]:
+def recalibrate_all(apv_table: ApvTable, config: RecalibrationConfig) -> list[RecalibrationRow]:
     """Run the full recalibration over every configured (kind, method,
-    discipline) cell.
+    discipline) cell of an APV table.
 
-    ``source`` is either a corpus (APVs are computed from it; the two windows
-    are then required) or a precomputed APV table. Per kind, Y_m comes from
-    the ``ym_source_method`` Y_i values and applies to both methods. Rows come
-    out grouped by kind, then method, then configured discipline order.
+    Per kind, Y_m comes from the ``ym_source_method`` Y_i values and applies
+    to both methods. Rows come out grouped by kind, then method, then
+    configured discipline order.
     """
-    methods = (CountingMethod.INTEGER, CountingMethod.FRACTIONAL)
-    if isinstance(source, Corpus):
-        if pub_window is None or citation_window is None:
-            raise RecalibrationError("corpus mode needs pub_window and citation_window")
-        apv_table = performance_as_table(
-            discipline_performance(corpus=source, config=config,
-                                   pub_window=pub_window, citation_window=citation_window,
-                                   methods=methods, settings=settings)
-        )
-    else:
-        apv_table = dict(source)
-
     for discipline in config.disciplines:
         for kind in config.kinds:
-            for method in methods:
+            for method in METHODS:
                 apv = apv_table.get((discipline, kind, method))
                 if apv is None:
                     raise RecalibrationError(
@@ -322,7 +292,7 @@ def recalibrate_all(
         }
         y_m = _quantize(mean_years(source_years), config.ym_decimals)
 
-        for method in methods:
+        for method in METHODS:
             apvs = {d: apv_table[(d, kind, method)] for d in config.disciplines}
             dsdr_actual = dsdr(apvs)
             for discipline in config.disciplines:
@@ -350,7 +320,6 @@ def recalibrate_all(
 def derived_scaled_minimums(
     base_rows: Sequence[RecalibrationRow],
     derived_cmv: Mapping[tuple[str, IndicatorKind], float],
-    base_kind_of: Mapping[IndicatorKind, IndicatorKind] | None = None,
     method: CountingMethod = CountingMethod.INTEGER,
     rounding: RoundingMode = RoundingMode.HALF_AWAY_FROM_ZERO,
 ) -> dict[tuple[str, IndicatorKind], tuple[float, int | None]]:
@@ -358,18 +327,16 @@ def derived_scaled_minimums(
 
     For each (discipline, derived kind) cell:
     ``raw = base_rmv_raw * derived_cmv / base_cmv``, then presentation
-    rounding. Returns ``(discipline, kind) -> (raw, rounded)``. A derived kind
-    without a base mapping, or whose base row is absent, raises
+    rounding. Returns ``(discipline, kind) -> (raw, rounded)``. A kind
+    outside ``DEFAULT_BASE_KINDS``, or whose base row is absent, raises
     ``MissingBaseRowError``.
     """
-    if base_kind_of is None:
-        base_kind_of = DEFAULT_BASE_KINDS
     base_by_cell = {
         (row.discipline, row.kind): row for row in base_rows if row.method is method
     }
     out: dict[tuple[str, IndicatorKind], tuple[float, int | None]] = {}
     for (discipline, kind), cmv in derived_cmv.items():
-        base_kind = base_kind_of.get(kind)
+        base_kind = DEFAULT_BASE_KINDS.get(kind)
         if base_kind is None:
             raise MissingBaseRowError(f"{kind.value} has no scaling base")
         base = base_by_cell.get((discipline, base_kind))

@@ -23,13 +23,11 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
-from typing import Mapping
 
 from . import defaults
 from .corpus import (
     CitationLink,
     Corpus,
-    CoauthorshipStats,
     PublicationRecord,
     PubType,
     ResearcherProfile,
@@ -252,40 +250,6 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
     return build_corpus(
         researchers, publications, citations, disciplines=[p.discipline for p in spec.params]
     )
-
-
-def params_from_stats(
-    stats: CoauthorshipStats,
-    researcher_counts: Mapping[str, int] | None = None,
-    wos_article_ratios: Mapping[str, float] | None = None,
-    citation_rate: float = defaults.DEFAULT_CITATION_RATE,
-    if_mean: float = defaults.DEFAULT_IF_MEAN,
-    domestic_language_ratios: Mapping[str, float] | None = None,
-) -> list[SynthDisciplineParams]:
-    """Turn observed co-authorship statistics into generator targets.
-
-    Only the co-authorship columns exist in the statistics; fill the rest per
-    discipline via the optional mappings or the shipped defaults.
-    """
-    out = []
-    for discipline, row in stats.per_discipline.items():
-        mean = row.avg_coauthors_per_multi
-        out.append(
-            SynthDisciplineParams(
-                discipline=discipline,
-                researcher_count=(researcher_counts or defaults.RESEARCHER_COUNTS).get(discipline, 40),
-                pub_count=row.pub_count,
-                multi_ratio_target=row.multi_ratio,
-                mean_coauthors_multi=mean if mean is not None else 2.0,
-                wos_article_ratio=(wos_article_ratios or defaults.WOS_ARTICLE_RATIOS).get(discipline, 0.2),
-                citation_rate=citation_rate,
-                if_mean=if_mean,
-                domestic_language_ratio=(
-                    domestic_language_ratios or defaults.DOMESTIC_LANGUAGE_RATIOS
-                ).get(discipline, 0.5),
-            )
-        )
-    return out
 
 
 def default_spec(seed: int = 1) -> SynthSpec:

@@ -25,6 +25,8 @@ from recal.recalibration import (
     MissingBaseRowError,
     RecalibrationConfig,
     derived_scaled_minimums,
+    discipline_performance,
+    performance_as_table,
     read_apv_table,
     recalibrate_all,
 )
@@ -271,12 +273,8 @@ def test_criterion_5_synthetic_end_to_end():
                 failures.append(
                     f"seed {seed} {discipline}: mean co-authors {realized_mean} vs target {mean}"
                 )
-        rows = recalibrate_all(
-            corpus,
-            config,
-            pub_window=spec.pub_window,
-            citation_window=spec.citation_window,
-        )
+        performance = discipline_performance(corpus, config, spec.pub_window, spec.citation_window)
+        rows = recalibrate_all(performance_as_table(performance), config)
         _recalibration_invariants(rows, DEFAULT_T, failures, tag=f"seed {seed} ")
     _finish("criterion 5 (synthetic corpora, seeds 1-10)", failures)
 

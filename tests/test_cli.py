@@ -401,6 +401,17 @@ def test_recalibrate_jsonl_format(tmp_path):
     assert json.loads(figure[0])["discipline"] == "geochemistry"
 
 
+def test_stats_jsonl_stdout(clean_corpus_files, capsys):
+    assert run("stats", *corpus_args(clean_corpus_files), "--format", "jsonl") == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records and all(isinstance(record, dict) for record in records)
+    fields = ["discipline", "pub_count", "multi_authored_count", "multi_ratio",
+              "coauthor_total", "avg_coauthors_per_multi"]
+    assert all(list(record) == fields for record in records)
+    geology = next(record for record in records if record["discipline"] == "geology")
+    assert geology["multi_ratio"] == "50.00"
+
+
 def test_stats_out_dir(clean_corpus_files, tmp_path):
     out = tmp_path / "out"
     assert run("stats", *corpus_args(clean_corpus_files), "--out-dir", out) == 0
@@ -437,6 +448,37 @@ def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):
     assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config_path) in err
+    assert "Traceback" not in err
+
+
+def _with_geology_minimum(kind: str, value: float) -> dict:
+    config = _two_discipline_config()
+    config["current_minimums"]["geology"][kind] = value
+    return config
+
+
+@pytest.mark.parametrize("command", ["recalibrate", "derive"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**_two_discipline_config(), "recalibration": {"top_fraction": 2}},
+        {**_two_discipline_config(), "recalibration": {"t_years": {"publications": -1}}},
+        {**_two_discipline_config(), "disciplines": []},
+        _with_geology_minimum("first_author_publications", -5),
+        _with_geology_minimum("first_author_publications", 0),
+        {**_two_discipline_config(), "pub_windw": [2010, 2011]},
+        {**_two_discipline_config(), "recalibration": {"top_fracton": 0.5}},
+    ],
+    ids=["top_fraction_2", "negative_t", "no_disciplines", "negative_derived_minimum",
+         "zero_derived_minimum", "unknown_key", "unknown_recalibration_key"],
+)
+def test_bad_config_is_refused_at_load_naming_the_file(tmp_path, capsys, command, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run(command, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {config_path}: ")
     assert "Traceback" not in err
 
 

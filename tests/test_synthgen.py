@@ -13,7 +13,6 @@ from recal.synthgen import (
     default_spec,
     generate_corpus,
     load_synth_spec,
-    params_from_stats,
     save_synth_spec,
 )
 
@@ -122,26 +121,6 @@ def test_generated_corpus_round_trips(tmp_path):
     save_corpus(corpus, *paths)
     reloaded = load_corpus(*paths, disciplines=("geology",))
     assert dict(reloaded.publications) == dict(corpus.publications)
-
-
-def test_params_from_stats_transcribes_observed_rows():
-    spec = default_spec(seed=9)
-    stats = corpus_stats(generate_corpus(spec), PUB_WINDOW)
-    params = {p.discipline: p for p in params_from_stats(stats)}
-    geophysics = params["geophysics"]
-    assert geophysics.multi_ratio_target == pytest.approx(94.60, abs=0.05)
-    assert geophysics.mean_coauthors_multi == pytest.approx(9.56, abs=0.05)
-    mining = params["mining"]
-    assert mining.multi_ratio_target == pytest.approx(86.60, abs=0.05)
-    assert mining.mean_coauthors_multi == pytest.approx(4.63, abs=0.05)
-
-
-def test_params_from_stats_zero_multi_row():
-    spec = one_discipline_spec(seed=1, pub_count=50, multi_ratio_target=0.0)
-    stats = corpus_stats(generate_corpus(spec), PUB_WINDOW)
-    (params,) = params_from_stats(stats)
-    assert params.multi_ratio_target == 0.0
-    assert params.mean_coauthors_multi == 2.0  # placeholder, unused at ratio 0
 
 
 def test_default_spec_covers_all_disciplines():
