@@ -1,0 +1,318 @@
+"""Byte-for-byte violation messages of the corpus and APV readers.
+
+Each case replaces one input file and pins ``str()`` of every violation (or
+the one ``RecalibrationError`` of an APV table), in order. The expected texts
+were recorded from the readers as they stood before the column tables
+replaced the per-cell helpers; a change to any of them is a change to what
+users read on stderr and should be made on purpose.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from recal.corpus import scan_corpus
+from recal.recalibration import RecalibrationError, read_apv_table
+
+from conftest import write_corpus_files
+
+DISCIPLINES = ("geology", "mining", "social_geography")
+HEADERS = {
+    "researchers": "researcher_id,discipline,has_dsc,last_degree_year\n",
+    "publications": "pub_id,year,pub_type,language,wos_indexed,scopus_indexed,impact_factor,author_ids,discipline\n",
+    "citations": "citation_id,cited_pub_id,citing_year,citing_author_ids,citing_wos_indexed\n",
+    "apv": "discipline,kind,method,apv\n",
+}
+#: One valid JSON record per file, as key -> JSON literal text.
+JSON_RECORDS = {
+    "researchers": {"researcher_id": '"r1"', "discipline": '"geology"', "has_dsc": "true",
+                    "last_degree_year": "2009"},
+    "publications": {"pub_id": '"p1"', "year": "2015", "pub_type": '"journal_article"', "language": '"en"',
+                     "wos_indexed": "true", "scopus_indexed": "true", "impact_factor": "2.5",
+                     "author_ids": '["r1", "ext_a"]', "discipline": '"geology"'},
+    "citations": {"citation_id": '"c1"', "cited_pub_id": '"p1"', "citing_year": "2018",
+                  "citing_author_ids": '["ext_b", "ext_c"]', "citing_wos_indexed": "true"},
+    "apv": {"discipline": '"geology"', "kind": '"publications"', "method": '"integer"', "apv": '"1.5"'},
+}
+BIG = "1" + "0" * 400  # overflows a float
+
+
+def dsv(file: str, *rows: str) -> tuple[str, str]:
+    return f"{file}.csv", HEADERS[file] + "".join(row + "\n" for row in rows)
+
+
+def jsonl(file: str, **literals: str | None) -> tuple[str, str]:
+    """One JSON line: the file's valid record with some values replaced by
+    JSON literal text, or dropped where the literal is None."""
+    record = {**JSON_RECORDS[file], **literals}
+    return f"{file}.jsonl", "{" + ", ".join(f'"{k}": {v}' for k, v in record.items() if v is not None) + "}\n"
+
+
+CORPUS_CASES = {
+    # researchers, DSV
+    "r_bad_bool": (dsv("researchers", "r1,geology,yes,2009"), [
+        "researchers:1: column 'has_dsc': 'yes' is not 'true'/'false'",
+    ]),
+    "r_empty_id": (dsv("researchers", ",geology,true,2009", "r2,mining,false,"), [
+        "researchers:1: column 'researcher_id' is empty",
+    ]),
+    "r_empty_bool": (dsv("researchers", "r1,geology,,2009", "r2,mining,false,"), [
+        "researchers:1: column 'has_dsc' is empty",
+    ]),
+    "r_bad_year": (dsv("researchers", "r1,geology,true,abc", "r2,mining,false, "), [
+        "researchers:1: column 'last_degree_year': 'abc' is not an integer",
+    ]),
+    "r_blank_discipline": (dsv("researchers", "r1, ,true,2009", "r2,mining,false,"), [
+        "researchers:1: column 'discipline' is empty",
+    ]),
+    "r_short_row": (dsv("researchers", "r1,geology,true", "r2,mining,false,"), [
+        "researchers:1: expected 4 cells, found 3",
+    ]),
+    "r_missing_column": (("researchers.csv", "researcher_id,discipline,has_dsc\nr1,geology,true\n"), [
+        "researchers: header is missing column(s) ['last_degree_year']",
+    ]),
+    "r_empty_file": (("researchers.csv", ""), [
+        "researchers: file is empty (missing header)",
+    ]),
+    "r_duplicate_and_unknown": (dsv("researchers", "r1,geology,true,2009", "r1,geo,false,"), [
+        "researchers:2: duplicate researcher_id 'r1'",
+        "researchers:2: unknown discipline 'geo'",
+    ]),
+    # publications, DSV
+    "p_empty_year": (dsv("publications", "p1,,book,hu,false,false,,r1,geology"), [
+        "publications:1: column 'year' is empty",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_multi_fault_no_owner": (dsv("publications", "p1,abc,book,hu,false,false,,ext1,"), [
+        "publications:1: column 'discipline' is empty and no author is a corpus researcher",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_multi_fault_with_owner": (dsv("publications", "p1,abc,book,hu,false,false,,ext1;r2,"), [
+        "publications:1: column 'year': 'abc' is not an integer",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_bad_type": (dsv("publications", "p1,2015,poem,hu,false,false,,r1,geology"), [
+        "publications:1: column 'pub_type': 'poem' is not one of "
+        "[journal_article, book, book_chapter, conference_paper, map, other]",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_empty_type": (dsv("publications", "p1,2015,,hu,false,false,,r1,geology"), [
+        "publications:1: column 'pub_type' is empty",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_empty_language": (dsv("publications", "p1,2015,book,,false,false,,r1,geology"), [
+        "publications:1: column 'language' is empty",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_bad_bool_first": (dsv("publications", "p1,2015,journal_article,en,true,maybe,abc,r1,geology"), [
+        "publications:1: column 'scopus_indexed': 'maybe' is not 'true'/'false'",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_bad_float": (dsv("publications", "p1,2015,journal_article,en,true,true,abc,r1,geology"), [
+        "publications:1: column 'impact_factor': 'abc' is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_float_1e999": (dsv("publications", "p1,2015,journal_article,en,true,true,1e999,r1,geology"), [
+        "publications:1: column 'impact_factor': '1e999' is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_float_10_400": (dsv("publications", f"p1,2015,journal_article,en,true,true,{BIG},r1,geology"), [
+        f"publications:1: column 'impact_factor': '{BIG}' is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "p_empty_authors": (dsv("publications", "p1,2015,book,hu,false,false,,,geology"), [
+        "publications:1: 'p1' has an empty author list",
+    ]),
+    "p_repeated_author": (dsv("publications", "p1,2015,book,hu,false,false,, r1 ;r1,geology"), [
+        "publications:1: 'p1' repeats an author id",
+    ]),
+    "p_impact_on_book": (dsv("publications", "p1,2015,book,hu,false,false,-1,r1,geology"), [
+        "publications:1: 'p1' has impact_factor but is a book",
+    ]),
+    # citations, DSV
+    "c_bad_year": (dsv("citations", "c1,p1,x,ext_b,true"), [
+        "citations:1: column 'citing_year': 'x' is not an integer",
+    ]),
+    "c_empty_bool": (dsv("citations", "c1,p1,2018,ext_b,"), [
+        "citations:1: column 'citing_wos_indexed' is empty",
+    ]),
+    "c_empty_cited": (dsv("citations", "c1,,2018,ext_b,true"), [
+        "citations:1: column 'cited_pub_id' is empty",
+    ]),
+    "c_dangling_no_authors": (dsv("citations", "c1,p9,2018,,true", "c1,p1,2018,a;a,true"), [
+        "citations:1: cited_pub_id 'p9' does not resolve to a publication",
+        "citations:1: 'c1' has an empty citing author list",
+        "citations:2: duplicate citation_id 'c1'",
+        "citations:2: 'c1' repeats a citing author id",
+    ]),
+    # researchers, JSONL
+    "rj_int_as_bool": (jsonl("researchers", has_dsc="1"), [
+        "researchers:1: column 'has_dsc': '1' is not 'true'/'false'",
+    ]),
+    "rj_null_bool": (jsonl("researchers", has_dsc="null"), [
+        "researchers:1: column 'has_dsc' is empty",
+    ]),
+    "rj_true_as_int": (jsonl("researchers", last_degree_year="true"), [
+        "researchers:1: column 'last_degree_year': expected an integer",
+    ]),
+    "rj_text_as_int": (jsonl("researchers", last_degree_year='"abc"'), [
+        "researchers:1: column 'last_degree_year': 'abc' is not an integer",
+    ]),
+    "rj_fraction_as_int": (jsonl("researchers", last_degree_year="2009.5"), [
+        "researchers:1: column 'last_degree_year': '2009.5' is not an integer",
+    ]),
+    "rj_inf_as_int": (jsonl("researchers", last_degree_year="1e999"), [
+        "researchers:1: column 'last_degree_year': 'inf' is not an integer",
+    ]),
+    "rj_missing_id": (jsonl("researchers", researcher_id=None), [
+        "researchers:1: column 'researcher_id' is empty",
+    ]),
+    "rj_blank_id": (jsonl("researchers", researcher_id='"  "'), [
+        "researchers:1: column 'researcher_id' is empty",
+    ]),
+    "rj_not_object": (("researchers.jsonl", '["r1"]\n'), [
+        "researchers:1: JSON line is not an object",
+    ]),
+    "rj_invalid_json": (("researchers.jsonl", '{"researcher_id": \n'), [
+        "researchers:1: invalid JSON: Expecting value: line 1 column 18 (char 17)",
+    ]),
+    # publications, JSONL
+    "pj_true_as_int": (jsonl("publications", year="true"), [
+        "publications:1: column 'year': expected an integer",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_text_as_int": (jsonl("publications", year='"abc"'), [
+        "publications:1: column 'year': 'abc' is not an integer",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_missing_year": (jsonl("publications", year=None), [
+        "publications:1: column 'year' is empty",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_inf_as_int": (jsonl("publications", year="1e999"), [
+        "publications:1: column 'year': 'inf' is not an integer",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_bad_type": (jsonl("publications", pub_type='"poem"'), [
+        "publications:1: column 'pub_type': 'poem' is not one of "
+        "[journal_article, book, book_chapter, conference_paper, map, other]",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_number_as_type": (jsonl("publications", pub_type="5"), [
+        "publications:1: column 'pub_type': '5' is not one of "
+        "[journal_article, book, book_chapter, conference_paper, map, other]",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_text_as_bool": (jsonl("publications", wos_indexed='"yes"'), [
+        "publications:1: column 'wos_indexed': 'yes' is not 'true'/'false'",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_int_as_bool": (jsonl("publications", wos_indexed="0"), [
+        "publications:1: column 'wos_indexed': '0' is not 'true'/'false'",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_true_as_float": (jsonl("publications", impact_factor="true"), [
+        "publications:1: column 'impact_factor': expected a number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_float_1e999": (jsonl("publications", impact_factor="1e999"), [
+        "publications:1: column 'impact_factor': inf is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_int_10_400": (jsonl("publications", impact_factor=BIG), [
+        f"publications:1: column 'impact_factor': {BIG} is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_nan": (jsonl("publications", impact_factor="NaN"), [
+        "publications:1: column 'impact_factor': nan is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_text_as_float": (jsonl("publications", impact_factor='"abc"'), [
+        "publications:1: column 'impact_factor': 'abc' is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_list_as_float": (jsonl("publications", impact_factor="[1]"), [
+        "publications:1: column 'impact_factor': '[1]' is not a finite number",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_missing_authors": (jsonl("publications", author_ids=None), [
+        "publications:1: 'p1' has an empty author list",
+    ]),
+    "pj_multi_fault_no_owner": (jsonl("publications", year='"abc"', author_ids='["ext1"]', discipline=None), [
+        "publications:1: column 'discipline' is empty and no author is a corpus researcher",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    # citations, JSONL
+    "cj_true_as_int": (jsonl("citations", citing_year="true"), [
+        "citations:1: column 'citing_year': expected an integer",
+    ]),
+    "cj_text_as_bool": (jsonl("citations", citing_wos_indexed='"yes"'), [
+        "citations:1: column 'citing_wos_indexed': 'yes' is not 'true'/'false'",
+    ]),
+    "cj_no_authors": (jsonl("citations", citing_author_ids="[]"), [
+        "citations:1: 'c1' has an empty citing author list",
+    ]),
+    "cj_missing_cited": (jsonl("citations", cited_pub_id=None), [
+        "citations:1: column 'cited_pub_id' is empty",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+def test_corpus_violation_messages_are_pinned(clean_corpus_files, tmp_path, case):
+    (name, text), expected = CORPUS_CASES[case]
+    bad = write_corpus_files(tmp_path / "bad", {name: text})[name]
+    paths = [
+        bad if name.startswith(file) else clean_corpus_files[f"{file}.csv"]
+        for file in ("researchers", "publications", "citations")
+    ]
+    corpus, violations = scan_corpus(*paths, DISCIPLINES)
+    assert corpus is None
+    assert [str(v) for v in violations] == expected
+
+
+def test_not_utf8_violation_names_the_file(clean_corpus_files, tmp_path):
+    bad = tmp_path / "researchers.csv"
+    bad.write_bytes(HEADERS["researchers"].encode() + b"r1,geo\xfflogy,true,2009\n")
+    _, violations = scan_corpus(
+        bad, clean_corpus_files["publications.csv"], clean_corpus_files["citations.csv"], DISCIPLINES
+    )
+    assert [str(v) for v in violations] == [
+        f"{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 56: invalid start byte",
+    ]
+
+
+APV_CASES = {
+    "empty_apv": (dsv("apv", "geology,publications,integer,"), "APV:1: bad APV row: column 'apv' is empty"),
+    "empty_discipline": (dsv("apv", ",publications,integer,1"), "APV:1: bad APV row: column 'discipline' is empty"),
+    "bad_kind": (dsv("apv", "geology,pubs,integer,1.5"), "APV:1: bad APV row: 'pubs' is not a valid IndicatorKind"),
+    "bad_method": (dsv("apv", "geology,publications,fraction,1"),
+                   "APV:1: bad APV row: 'fraction' is not a valid CountingMethod"),
+    "bad_float": (dsv("apv", "geology,publications,integer,abc"),
+                  "APV:1: bad APV row: could not convert string to float: 'abc'"),
+    "nan": (dsv("apv", "geology,publications,integer,nan"), "APV:1: bad APV row: 'nan' is not a finite number"),
+    "overflow": (dsv("apv", f"geology,publications,integer,{BIG}"),
+                 f"APV:1: bad APV row: '{BIG}' is not a finite number"),
+    "long_row": (dsv("apv", "geology,publications,integer,1.5,9"), "APV:1: expected 4 cells, found 5"),
+    "missing_column": (("apv.csv", "discipline,kind,method\ngeology,publications,integer\n"),
+                       "APV: header is missing column(s) ['apv']"),
+    "repeated": (dsv("apv", "geology,publications,integer,1.5", "mining,publications,integer,2",
+                     "geology,publications,integer,1.5"),
+                 "APV:3: repeats row 1, the APV of (geology, publications, integer)"),
+    "json_true": (jsonl("apv", apv="true"), "APV:1: bad APV row: could not convert string to float: 'True'"),
+    "json_missing": (jsonl("apv", apv=None), "APV:1: bad APV row: column 'apv' is empty"),
+    "json_1e999": (jsonl("apv", apv="1e999"), "APV:1: bad APV row: 'inf' is not a finite number"),
+    "json_10_400": (jsonl("apv", apv=BIG), f"APV:1: bad APV row: '{BIG}' is not a finite number"),
+    "json_number_kind": (jsonl("apv", kind="5"), "APV:1: bad APV row: '5' is not a valid IndicatorKind"),
+    "json_not_object": (("apv.jsonl", "[1]\n"), "APV:1: JSON line is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APV_CASES))
+def test_apv_table_messages_are_pinned(tmp_path, case):
+    (name, text), expected = APV_CASES[case]
+    path = write_corpus_files(tmp_path, {name: text})[name]
+    with pytest.raises(RecalibrationError) as caught:
+        read_apv_table(path)
+    assert str(caught.value).replace(str(path), "APV") == expected
