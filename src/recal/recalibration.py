@@ -27,9 +27,8 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, YearWindow, _cell_required, _iter_records, finite_float, write_table
+from .corpus import Corpus, YearWindow, _iter_records, finite_float, required_text, write_table
 from .counting import (
-    CountingError,
     CountingMethod,
     CountingSettings,
     DEFAULT_SETTINGS,
@@ -91,6 +90,8 @@ class RecalibrationConfig:
             raise RecalibrationError("no disciplines configured")
         if not 0.0 < self.top_fraction <= 1.0:
             raise RecalibrationError(f"top_fraction {self.top_fraction} outside (0, 1]")
+        if IndicatorKind.H_INDEX in self.t:
+            raise RecalibrationError("h_index cannot be recalibrated: it is only defined under integer counting")
         for kind, years in self.t.items():
             if years <= 0:
                 raise RecalibrationError(f"t for {kind.value} must be positive, got {years}")
@@ -234,8 +235,6 @@ def discipline_performance(
     for discipline, ids in members.items():
         if not ids:
             raise DegenerateDisciplineError(f"discipline {discipline!r} has no researchers")
-    if IndicatorKind.H_INDEX in config.kinds:
-        raise CountingError("h_index is only defined under integer counting")
 
     vectors = indicator_matrix(
         corpus, config.kinds, METHODS, pub_window, citation_window, settings,
@@ -363,16 +362,16 @@ def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingM
     table: dict[tuple[str, IndicatorKind, CountingMethod], float] = {}
     row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
     violations = []
-    for i, record in _iter_records(Path(path), APV_FIELDS, str(path), violations):
+    for i, (discipline, kind, method, apv) in _iter_records(Path(path), APV_FIELDS, str(path), violations):
         if violations:
             break
         try:
             key = (
-                _cell_required(record, "discipline"),
-                IndicatorKind(_cell_required(record, "kind")),
-                CountingMethod(_cell_required(record, "method")),
+                required_text(discipline, "discipline"),
+                IndicatorKind(required_text(kind, "kind")),
+                CountingMethod(required_text(method, "method")),
             )
-            table[key] = finite_float(_cell_required(record, "apv"))
+            table[key] = finite_float(required_text(apv, "apv"))
         except ValueError as exc:
             raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
         if key in row_of:

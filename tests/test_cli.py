@@ -457,6 +457,14 @@ def _with_geology_minimum(kind: str, value: float) -> dict:
     return config
 
 
+def _with_h_index_t() -> dict:
+    config = _two_discipline_config()
+    for minimums in config["current_minimums"].values():
+        minimums["h_index"] = 8
+    config["recalibration"] = {"t_years": {"publications": 5, "h_index": 5}}
+    return config
+
+
 @pytest.mark.parametrize("command", ["recalibrate", "derive"])
 @pytest.mark.parametrize(
     "config",
@@ -468,9 +476,10 @@ def _with_geology_minimum(kind: str, value: float) -> dict:
         _with_geology_minimum("first_author_publications", 0),
         {**_two_discipline_config(), "pub_windw": [2010, 2011]},
         {**_two_discipline_config(), "recalibration": {"top_fracton": 0.5}},
+        _with_h_index_t(),
     ],
     ids=["top_fraction_2", "negative_t", "no_disciplines", "negative_derived_minimum",
-         "zero_derived_minimum", "unknown_key", "unknown_recalibration_key"],
+         "zero_derived_minimum", "unknown_key", "unknown_recalibration_key", "h_index_t"],
 )
 def test_bad_config_is_refused_at_load_naming_the_file(tmp_path, capsys, command, config):
     config_path = tmp_path / "config.json"

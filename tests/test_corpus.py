@@ -251,6 +251,61 @@ def test_jsonl_equivalent_format(tmp_path):
     assert corpus.researchers["r1"].has_dsc is True
 
 
+_JSONL_PUBLICATION = (
+    '{{"pub_id": "p1", "year": 2015, "pub_type": "book", "language": "hu", "wos_indexed": false,'
+    ' "scopus_indexed": false, "author_ids": {}, "discipline": "geology"}}\n'
+)
+_JSONL_CITATION = (
+    '{{"citation_id": "c1", "cited_pub_id": "p1", "citing_year": 2018, "citing_author_ids": {},'
+    ' "citing_wos_indexed": true}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "authors, citing, expected",
+    [
+        ('["r1", null]', '["ext_b"]', [
+            "publications:1: column 'author_ids': member None is not a string",
+            "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+        ]),
+        ('["r1", true]', '["ext_b"]', [
+            "publications:1: column 'author_ids': member True is not a string",
+            "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+        ]),
+        ('["r1", ["x"]]', '["ext_b"]', [
+            "publications:1: column 'author_ids': member ['x'] is not a string",
+            "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+        ]),
+        ('["r1"]', '["ext_b", 7]', ["citations:1: column 'citing_author_ids': member 7 is not a string"]),
+        ('["r1", " r1"]', '["ext_b"]', ["publications:1: 'p1' repeats an author id"]),
+        ('["r1"]', '["ext_b", "ext_b "]', ["citations:1: 'c1' repeats a citing author id"]),
+        ('[" r1 ", "", "  "]', '["ext_b", " "]', [("r1",), ("ext_b",)]),
+    ],
+    ids=["null", "boolean", "nested", "citing_number", "padded_repeat", "padded_citing_repeat", "stripped"],
+)
+def test_jsonl_id_lists_follow_the_dsv_rules(clean_corpus_files, tmp_path, authors, citing, expected):
+    files = write_corpus_files(tmp_path / "json", {
+        "publications.jsonl": _JSONL_PUBLICATION.format(authors),
+        "citations.jsonl": _JSONL_CITATION.format(citing),
+    })
+    paths = [clean_corpus_files["researchers.csv"], files["publications.jsonl"], files["citations.jsonl"]]
+    corpus, violations = scan_corpus(*paths, DISCIPLINES)
+    if corpus is None:
+        assert [str(v) for v in violations] == expected
+        return
+    assert [corpus.publications["p1"].author_ids, corpus.citations[0].citing_author_ids] == expected
+    save_corpus(corpus, *_corpus_paths(tmp_path, "jsonl"), fmt="jsonl")  # writable as loaded
+
+
+def test_jsonl_integer_too_long_to_convert_is_a_violation(clean_corpus_files, tmp_path):
+    files = write_corpus_files(tmp_path, {"publications.jsonl": '{"pub_id": "p1", "year": ' + "1" * 5000 + "}\n"})
+    _, violations = scan_corpus(
+        clean_corpus_files["researchers.csv"], files["publications.jsonl"], clean_corpus_files["citations.csv"],
+        DISCIPLINES,
+    )
+    assert str(violations[0]).startswith("publications:1: invalid JSON: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
 def test_round_trip(tmp_path, fmt):
     original = random_corpus(seed=7)
