@@ -31,7 +31,6 @@ from .counting import (
     h_index,
     indicator_matrix,
     indicator_value,
-    publication_credit,
 )
 from .evaluation import (
     EvaluationResult,
@@ -99,7 +98,6 @@ __all__ = [
     "load_corpus",
     "load_threshold_table",
     "mean_years",
-    "publication_credit",
     "recalibrate_all",
     "recalibrated_minimum",
     "round_minimum",

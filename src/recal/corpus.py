@@ -343,12 +343,28 @@ _JSON_SUFFIXES = {".jsonl", ".ndjson", ".json"}
 # the key is missing), so one converter serves both formats.
 
 
-def _text(cell: object, column: str) -> str:
+def _text(cell: object, column: str) -> str:  # what a number, boolean or type converter parses
     return "" if cell is None else (cell if isinstance(cell, str) else str(cell)).strip()
 
 
 def required_text(cell: object, column: str) -> str:
     if text := _text(cell, column):
+        return text
+    raise ValueError(f"column {column!r} is empty")
+
+
+def _string(cell: object, column: str) -> str:
+    """A text column's cell, stripped: DSV text or a JSON string; a missing
+    key or ``null`` is empty, and any other JSON value is refused."""
+    if isinstance(cell, str):
+        return cell.strip()
+    if cell is None:
+        return ""
+    raise ValueError(f"column {column!r}: {cell!r} is not a string")
+
+
+def _required_string(cell: object, column: str) -> str:
+    if text := _string(cell, column):
         return text
     raise ValueError(f"column {column!r} is empty")
 
@@ -422,21 +438,21 @@ def _pub_type(cell: object, column: str) -> PubType:
 
 
 def _language(cell: object, column: str) -> str:
-    return required_text(cell, column).lower()
+    return _required_string(cell, column).lower()
 
 
 #: Each file's columns in record-field order, with one converter each.
 RESEARCHER_COLUMNS = (
-    ("researcher_id", required_text), ("discipline", required_text), ("has_dsc", _bool),
+    ("researcher_id", _required_string), ("discipline", _required_string), ("has_dsc", _bool),
     ("last_degree_year", _opt_int),
 )
 PUBLICATION_COLUMNS = (
-    ("pub_id", required_text), ("year", _int), ("pub_type", _pub_type), ("language", _language),
+    ("pub_id", _required_string), ("year", _int), ("pub_type", _pub_type), ("language", _language),
     ("wos_indexed", _bool), ("scopus_indexed", _bool), ("impact_factor", _opt_float),
-    ("author_ids", _id_list), ("discipline", _text),
+    ("author_ids", _id_list), ("discipline", _string),
 )
 CITATION_COLUMNS = (
-    ("citation_id", required_text), ("cited_pub_id", required_text), ("citing_year", _int),
+    ("citation_id", _required_string), ("cited_pub_id", _required_string), ("citing_year", _int),
     ("citing_author_ids", _id_list), ("citing_wos_indexed", _bool),
 )
 RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (

@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Mapping, Sequence
 
-from .corpus import (
-    Corpus,
-    CorpusError,
-    PublicationRecord,
-    PubType,
-    YearWindow,
-    independent_citations,
-)
+from .corpus import Corpus, CorpusError, PublicationRecord, PubType, YearWindow, independent_citations
 
 
 class CountingMethod(str, Enum):
@@ -49,13 +43,9 @@ CORE_KINDS = (
 )
 
 #: Kinds that need the researcher's last degree year.
-SINCE_DEGREE_KINDS = frozenset(
-    {IndicatorKind.PUBLICATIONS_SINCE_DEGREE, IndicatorKind.WOS_ARTICLES_SINCE_DEGREE}
-)
+SINCE_DEGREE_KINDS = frozenset({IndicatorKind.PUBLICATIONS_SINCE_DEGREE, IndicatorKind.WOS_ARTICLES_SINCE_DEGREE})
 
-_CITATION_KINDS = frozenset(
-    {IndicatorKind.INDEPENDENT_CITATIONS, IndicatorKind.WOS_INDEPENDENT_CITATIONS}
-)
+_CITATION_KINDS = frozenset({IndicatorKind.INDEPENDENT_CITATIONS, IndicatorKind.WOS_INDEPENDENT_CITATIONS})
 
 
 class CountingError(CorpusError):
@@ -98,49 +88,6 @@ class IndicatorVector:
     values: Mapping[IndicatorKind, float]
 
 
-def publication_credit(
-    pub: PublicationRecord, author_id: str, method: CountingMethod
-) -> float:
-    """Credit an author receives for one publication: 1 under integer
-    counting, an equal share 1/n under fractional counting."""
-    if author_id not in pub.author_ids:
-        raise CountingError(f"author {author_id!r} is not on publication {pub.pub_id!r}")
-    if method is CountingMethod.INTEGER:
-        return 1.0
-    return 1.0 / pub.author_count
-
-
-def _amounts(
-    pub: PublicationRecord,
-    researcher_id: str,
-    degree_year: int | None,
-    settings: CountingSettings,
-    cited: int,
-    wos_cited: int,
-) -> dict[IndicatorKind, float | None]:
-    """What one in-window publication adds to each summed kind before it is
-    weighted by the author's credit: True (one) for a counted publication,
-    the impact factor, or a citation count; None where it does not count."""
-    counted = settings.counts_as_publication(pub)
-    article = pub.pub_type is PubType.JOURNAL_ARTICLE
-    wos_article = article and pub.wos_indexed
-    since_degree = degree_year is not None and pub.year >= degree_year
-    return {
-        IndicatorKind.PUBLICATIONS: counted or None,
-        IndicatorKind.WOS_ARTICLES: wos_article or None,
-        IndicatorKind.INDEPENDENT_CITATIONS: cited,
-        IndicatorKind.CUMULATIVE_IF: pub.impact_factor if article else None,
-        IndicatorKind.FIRST_AUTHOR_PUBLICATIONS: (counted and pub.first_author == researcher_id) or None,
-        IndicatorKind.PUBLICATIONS_SINCE_DEGREE: (counted and since_degree) or None,
-        IndicatorKind.BOOKS_AND_MONOGRAPHS: pub.pub_type is PubType.BOOK or None,
-        IndicatorKind.FOREIGN_LANGUAGE_PUBLICATIONS: (
-            counted and pub.language != settings.domestic_language
-        ) or None,
-        IndicatorKind.WOS_ARTICLES_SINCE_DEGREE: (wos_article and since_degree) or None,
-        IndicatorKind.WOS_INDEPENDENT_CITATIONS: wos_cited,
-    }
-
-
 def indicator_matrix(
     corpus: Corpus,
     kinds: Sequence[IndicatorKind],
@@ -155,46 +102,85 @@ def indicator_matrix(
 
     Publications are selected by publication year in ``pub_window``; citation
     indicators and the h-index count independent citations whose citing year
-    is in ``citation_window``. One walk over each researcher's in-window
-    publications, in corpus file order, sums every kind under every method.
-    The h-index is only defined under integer counting and is silently
-    dropped from fractional vectors.
+    is in ``citation_window``. One walk over the corpus publications, in file
+    order, scans each in-window publication that has a requested co-author
+    for its independent citations once and adds what it is worth, under
+    every method, to each of those co-authors: its amount times 1 (integer)
+    or 1/n of its n authors (fractional). The h-index is a rank statistic
+    over citation counts, not a credit sum, so every vector carries the same
+    integer h whatever its method.
     """
     if researcher_ids is None:
         researcher_ids = sorted(corpus.researchers)
     summed = [kind for kind in dict.fromkeys(kinds) if kind is not IndicatorKind.H_INDEX]
-    vectors: list[IndicatorVector] = []
+    # one running sum per (method, summed kind), its slot; the slots are grouped by who gets
+    # the kind's amount: every co-author, the first author, or a co-author with a degree by then
+    groups: tuple[list, list, list] = ([], [], [])
+    for slot, (method, kind) in enumerate(product(methods, summed)):
+        group = 2 if kind in SINCE_DEGREE_KINDS else 1 if kind is IndicatorKind.FIRST_AUTHOR_PUBLICATIONS else 0
+        groups[group].append((slot, kind, method is CountingMethod.FRACTIONAL))
+    # per researcher: degree year, in-window citation counts and the sums by slot;
+    # an empty publication sum stays the int 0 of sum(), printed as 0 by evaluate
+    zero_sums = [0.0 if kind in _CITATION_KINDS else 0 for _ in methods for kind in summed]
+    states: dict[str, tuple[int | None, list[int], list[float]]] = {}
     for researcher_id in researcher_ids:
         degree_year = corpus.researcher(researcher_id).last_degree_year
         for kind in summed:
             if kind in SINCE_DEGREE_KINDS and degree_year is None:
                 raise MissingDegreeYearError(researcher_id, kind)
-        # an empty publication sum stays the int 0 of sum(), printed as 0 by evaluate
-        totals = {
-            method: {kind: 0.0 if kind in _CITATION_KINDS else 0 for kind in summed}
-            for method in methods
+        states[researcher_id] = (degree_year, [], zero_sums.copy())
+
+    for pub in corpus.publications.values():
+        if states.keys().isdisjoint(pub.author_ids) or pub.year not in pub_window:
+            continue
+        links = independent_citations(corpus, pub, citation_window)
+        cited, first_author = len(links), pub.first_author
+        counted = settings.counts_as_publication(pub)
+        article = pub.pub_type is PubType.JOURNAL_ARTICLE
+        wos_article = article and pub.wos_indexed
+        # what the publication adds to each kind before it is weighted by credit; None where it does not count
+        amounts = {
+            IndicatorKind.PUBLICATIONS: counted or None,
+            IndicatorKind.WOS_ARTICLES: wos_article or None,
+            IndicatorKind.INDEPENDENT_CITATIONS: cited,
+            IndicatorKind.CUMULATIVE_IF: pub.impact_factor if article else None,
+            IndicatorKind.FIRST_AUTHOR_PUBLICATIONS: counted or None,
+            IndicatorKind.PUBLICATIONS_SINCE_DEGREE: counted or None,
+            IndicatorKind.BOOKS_AND_MONOGRAPHS: pub.pub_type is PubType.BOOK or None,
+            IndicatorKind.FOREIGN_LANGUAGE_PUBLICATIONS: (
+                counted and pub.language != settings.domestic_language
+            ) or None,
+            IndicatorKind.WOS_ARTICLES_SINCE_DEGREE: wos_article or None,
+            IndicatorKind.WOS_INDEPENDENT_CITATIONS: sum(1 for link in links if link.citing_wos_indexed),
         }
-        citation_counts: list[int] = []
-        for pub in corpus.publications_of.get(researcher_id, ()):
-            if pub.year not in pub_window:
+        share = 1.0 / pub.author_count
+        to_every, to_first, to_since_degree = (
+            [(slot, amounts[kind] * (share if fractional else 1.0)) for slot, kind, fractional in group
+             if amounts[kind] is not None]
+            for group in groups
+        )
+        for author in pub.author_ids:
+            if (state := states.get(author)) is None:
                 continue
-            links = independent_citations(corpus, pub, citation_window)
-            citation_counts.append(len(links))
-            wos_cited = sum(1 for link in links if link.citing_wos_indexed)
-            amounts = _amounts(pub, researcher_id, degree_year, settings, len(links), wos_cited)
-            for method in methods:
-                credit = publication_credit(pub, researcher_id, method)
-                sums = totals[method]
-                for kind in summed:
-                    if amounts[kind] is not None:
-                        sums[kind] += amounts[kind] * credit
+            degree_year, citation_counts, sums = state
+            citation_counts.append(cited)
+            additions = to_every
+            if author == first_author:
+                additions = additions + to_first
+            if degree_year is not None and pub.year >= degree_year:
+                additions = additions + to_since_degree
+            for slot, amount in additions:
+                sums[slot] += amount
+
+    vectors: list[IndicatorVector] = []
+    for researcher_id in researcher_ids:
+        _, citation_counts, sums = states[researcher_id]
         citation_counts.sort(reverse=True)
-        h = sum(1 for rank, count in enumerate(citation_counts, start=1) if count >= rank)
-        for method in methods:
+        h = float(sum(1 for rank, count in enumerate(citation_counts, start=1) if count >= rank))
+        for m, method in enumerate(methods):
             values = {
-                kind: float(h) if kind is IndicatorKind.H_INDEX else totals[method][kind]
+                kind: h if kind is IndicatorKind.H_INDEX else sums[m * len(summed) + summed.index(kind)]
                 for kind in kinds
-                if kind is not IndicatorKind.H_INDEX or method is CountingMethod.INTEGER
             }
             vectors.append(IndicatorVector(researcher_id, method, values))
     return vectors
@@ -210,9 +196,7 @@ def indicator_value(
     settings: CountingSettings = DEFAULT_SETTINGS,
 ) -> float:
     """One researcher's value of one indicator, as ``indicator_matrix``
-    computes it; asking for a fractional h-index is an error."""
-    if kind is IndicatorKind.H_INDEX and method is not CountingMethod.INTEGER:
-        raise CountingError("h_index is only defined under integer counting")
+    computes it; the h-index is the same under both methods."""
     (vector,) = indicator_matrix(
         corpus, [kind], [method], pub_window, citation_window, settings, [researcher_id]
     )

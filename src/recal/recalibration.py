@@ -91,7 +91,7 @@ class RecalibrationConfig:
         if not 0.0 < self.top_fraction <= 1.0:
             raise RecalibrationError(f"top_fraction {self.top_fraction} outside (0, 1]")
         if IndicatorKind.H_INDEX in self.t:
-            raise RecalibrationError("h_index cannot be recalibrated: it is only defined under integer counting")
+            raise RecalibrationError("h_index cannot be recalibrated: it is a rank statistic, not a sum over years")
         for kind, years in self.t.items():
             if years <= 0:
                 raise RecalibrationError(f"t for {kind.value} must be positive, got {years}")

@@ -17,7 +17,6 @@ from recal.counting import (
     CountingSettings,
     IndicatorKind,
     indicator_matrix,
-    publication_credit,
 )
 from recal.defaults import COAUTHORSHIP_PROFILE, CURRENT_MINIMUMS, DEFAULT_T, DISCIPLINES
 from recal.evaluation import ThresholdTable, evaluate_candidate
@@ -179,15 +178,15 @@ def test_criterion_4_property_suite():
     start = perf_counter()
     failures: list[str] = []
 
-    # credit conservation at 1e-12
-    from recal.corpus import PublicationRecord, PubType
+    # credit conservation at 1e-12: the co-authors' fractional publication counts sum to one
+    from recal.corpus import PublicationRecord, PubType, ResearcherProfile, build_corpus
 
     for n in [1, 2, 3, 7, 64, 499, 5000]:
-        pub = PublicationRecord(
-            "p", 2015, PubType.JOURNAL_ARTICLE, "en", False, False, None,
-            tuple(f"a{i}" for i in range(n)), "geology",
-        )
-        total = sum(publication_credit(pub, a, FRACTIONAL) for a in pub.author_ids)
+        authors = tuple(f"a{i}" for i in range(n))
+        pub = PublicationRecord("p", 2015, PubType.JOURNAL_ARTICLE, "en", False, False, None, authors, "geology")
+        corpus = build_corpus([ResearcherProfile(a, "geology") for a in authors], [pub], [], ["geology"])
+        vectors = indicator_matrix(corpus, [K.PUBLICATIONS], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
+        total = sum(v.values[K.PUBLICATIONS] for v in vectors)
         if abs(total - 1.0) > 1e-12:
             failures.append(f"credit conservation broken for {n} authors: {total!r}")
 

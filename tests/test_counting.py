@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recal.corpus import Corpus, PubType, YearWindow
+import recal.counting
+from recal.corpus import Corpus, PubType, YearWindow, independent_citations
 from recal.counting import (
     CountingError,
     CountingMethod,
@@ -15,7 +16,6 @@ from recal.counting import (
     h_index,
     indicator_matrix,
     indicator_value,
-    publication_credit,
 )
 
 from conftest import (
@@ -107,34 +107,37 @@ def h_index_oracle(citation_counts):
 
 
 # --------------------------------------------------------------------------
-# Credit
+# Credit: what one publication adds to each co-author's publication count
+
+def _credits(author_ids, researcher_ids, method):
+    """Each listed researcher's publications value for one publication by ``author_ids``."""
+    corpus = small_corpus([researcher(rid) for rid in researcher_ids], [publication("p1", author_ids)])
+    vectors = indicator_matrix(corpus, [K.PUBLICATIONS], [method], PUB_WINDOW, CITATION_WINDOW)
+    return {v.researcher_id: v.values[K.PUBLICATIONS] for v in vectors}
+
 
 def test_credit_single_author_both_methods():
-    pub = publication("p1", ("r1",))
-    assert publication_credit(pub, "r1", INTEGER) == 1.0
-    assert publication_credit(pub, "r1", FRACTIONAL) == 1.0
+    for method in (INTEGER, FRACTIONAL):
+        (credit,) = _credits(("r1",), ("r1",), method).values()
+        assert credit == 1.0 and type(credit) is float
 
 
 def test_credit_four_authors_fractional():
-    pub = publication("p1", ("r1", "a", "b", "c"))
-    assert publication_credit(pub, "r1", FRACTIONAL) == 0.25
+    authors = ("r1", "a", "b", "c")
+    assert _credits(authors, ("r1", "b"), FRACTIONAL) == {"r1": 0.25, "b": 0.25}
+    assert _credits(authors, ("r1", "b"), INTEGER) == {"r1": 1.0, "b": 1.0}
 
 
 def test_credit_hyperauthorship_extreme():
-    pub = publication("p1", tuple(f"a{i}" for i in range(5000)))
-    assert publication_credit(pub, "a0", FRACTIONAL) == pytest.approx(0.0002)
-
-
-def test_credit_author_not_on_publication():
-    with pytest.raises(CountingError):
-        publication_credit(publication("p1", ("r1",)), "r2", FRACTIONAL)
+    authors = tuple(f"a{i}" for i in range(5000))
+    assert _credits(authors, ("a0",), FRACTIONAL)["a0"] == pytest.approx(0.0002)
 
 
 @given(st.integers(min_value=1, max_value=400))
 def test_credit_conservation(n_authors):
-    pub = publication("p1", tuple(f"a{i}" for i in range(n_authors)))
-    total = sum(publication_credit(pub, a, FRACTIONAL) for a in pub.author_ids)
-    assert abs(total - 1.0) <= 1e-12
+    authors = tuple(f"a{i}" for i in range(n_authors))
+    assert abs(sum(_credits(authors, authors, FRACTIONAL).values()) - 1.0) <= 1e-12
+    assert set(_credits(authors, authors, INTEGER).values()) == {1.0}
 
 
 # --------------------------------------------------------------------------
@@ -279,10 +282,12 @@ def test_h_index_expected_values():
     assert h_index(_corpus_with_citation_counts([1, 1, 1]), "r1", PUB_WINDOW, CITATION_WINDOW) == 1
 
 
-def test_h_index_fractional_is_rejected():
-    corpus = _corpus_three_pubs()
-    with pytest.raises(CountingError):
-        indicator_value(corpus, "r1", K.H_INDEX, FRACTIONAL, PUB_WINDOW, CITATION_WINDOW)
+def test_h_index_is_the_same_under_both_methods():
+    corpus = _corpus_with_citation_counts([10, 8, 5, 4, 3])
+    args = ("r1", K.H_INDEX)
+    fractional = indicator_value(corpus, *args, FRACTIONAL, PUB_WINDOW, CITATION_WINDOW)
+    assert fractional == indicator_value(corpus, *args, INTEGER, PUB_WINDOW, CITATION_WINDOW) == 4.0
+    assert type(fractional) is float
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -328,14 +333,43 @@ def test_matrix_empty_corpus():
     assert indicator_matrix(corpus, [K.PUBLICATIONS], [INTEGER], PUB_WINDOW, CITATION_WINDOW) == []
 
 
-def test_matrix_h_index_only_in_integer_vectors():
-    corpus = _corpus_three_pubs()
+def test_matrix_h_index_in_every_vector():
+    corpus = _corpus_with_citation_counts([3, 3, 1])
     vectors = indicator_matrix(
         corpus, [K.PUBLICATIONS, K.H_INDEX], [INTEGER, FRACTIONAL], PUB_WINDOW, CITATION_WINDOW
     )
-    by_method = {v.method: v for v in vectors}
-    assert K.H_INDEX in by_method[INTEGER].values
-    assert K.H_INDEX not in by_method[FRACTIONAL].values
+    assert [v.values for v in vectors] == [
+        {K.PUBLICATIONS: 3.0, K.H_INDEX: 2.0},
+        {K.PUBLICATIONS: 3.0, K.H_INDEX: 2.0},
+    ]
+    (h_only,) = indicator_matrix(corpus, [K.H_INDEX], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
+    assert h_only.values == {K.H_INDEX: 2.0}
+
+
+def test_matrix_scans_each_publication_once(monkeypatch):
+    corpus = _with_degree_years(random_corpus(seed=10))  # 6 researchers; r0 and r1 share 4 publications
+    requested = ["r0", "r1"]
+    scanned = []
+
+    def spy(corpus_, pub, window):
+        scanned.append(pub.pub_id)
+        return independent_citations(corpus_, pub, window)
+
+    monkeypatch.setattr(recal.counting, "independent_citations", spy)
+    indicator_matrix(corpus, list(K), [INTEGER, FRACTIONAL], PUB_WINDOW, CITATION_WINDOW, researcher_ids=requested)
+    expected = [
+        pub.pub_id
+        for pub in corpus.publications.values()
+        if pub.year in PUB_WINDOW and set(requested) & set(pub.author_ids)
+    ]
+    assert any(set(requested) <= set(corpus.publications[pid].author_ids) for pid in expected)
+    assert scanned == expected
+
+
+def test_matrix_builds_no_author_index():
+    corpus = _with_degree_years(random_corpus(seed=3))
+    indicator_matrix(corpus, list(K), [INTEGER], PUB_WINDOW, CITATION_WINDOW, researcher_ids=["r0"])
+    assert "publications_of" not in vars(corpus)
 
 
 def test_matrix_error_names_researcher():

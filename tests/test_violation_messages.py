@@ -3,8 +3,11 @@
 Each case replaces one input file and pins ``str()`` of every violation (or
 the one ``RecalibrationError`` of an APV table), in order. The expected texts
 were recorded from the readers as they stood before the column tables
-replaced the per-cell helpers; a change to any of them is a change to what
-users read on stderr and should be made on purpose.
+replaced the per-cell helpers, except the cases of a JSON value other than a
+string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
+``*_as_cited``), which were written when those columns began refusing one. A
+change to any of them is a change to what users read on stderr and should be
+made on purpose.
 """
 from __future__ import annotations
 
@@ -171,6 +174,15 @@ CORPUS_CASES = {
     "rj_blank_id": (jsonl("researchers", researcher_id='"  "'), [
         "researchers:1: column 'researcher_id' is empty",
     ]),
+    "rj_list_as_id": (jsonl("researchers", researcher_id='["r1"]'), [
+        "researchers:1: column 'researcher_id': ['r1'] is not a string",
+    ]),
+    "rj_true_as_id": (jsonl("researchers", researcher_id="true"), [
+        "researchers:1: column 'researcher_id': True is not a string",
+    ]),
+    "rj_number_as_discipline": (jsonl("researchers", discipline="5"), [
+        "researchers:1: column 'discipline': 5 is not a string",
+    ]),
     "rj_not_object": (("researchers.jsonl", '["r1"]\n'), [
         "researchers:1: JSON line is not an object",
     ]),
@@ -236,6 +248,18 @@ CORPUS_CASES = {
         "publications:1: column 'impact_factor': '[1]' is not a finite number",
         "citations:1: cited_pub_id 'p1' does not resolve to a publication",
     ]),
+    "pj_number_as_id": (jsonl("publications", pub_id="1"), [
+        "publications:1: column 'pub_id': 1 is not a string",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_number_as_language": (jsonl("publications", language="5"), [
+        "publications:1: column 'language': 5 is not a string",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_list_as_discipline": (jsonl("publications", discipline='["geology"]'), [
+        "publications:1: column 'discipline': ['geology'] is not a string",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
     "pj_missing_authors": (jsonl("publications", author_ids=None), [
         "publications:1: 'p1' has an empty author list",
     ]),
@@ -252,6 +276,12 @@ CORPUS_CASES = {
     ]),
     "cj_no_authors": (jsonl("citations", citing_author_ids="[]"), [
         "citations:1: 'c1' has an empty citing author list",
+    ]),
+    "cj_list_as_cited": (jsonl("citations", cited_pub_id='["p1"]'), [
+        "citations:1: column 'cited_pub_id': ['p1'] is not a string",
+    ]),
+    "cj_object_as_id": (jsonl("citations", citation_id='{"id": "c1"}'), [
+        "citations:1: column 'citation_id': {'id': 'c1'} is not a string",
     ]),
     "cj_missing_cited": (jsonl("citations", cited_pub_id=None), [
         "citations:1: column 'cited_pub_id' is empty",
