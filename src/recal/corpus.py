@@ -572,6 +572,7 @@ def load_corpus(
 # Serialization
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -636,17 +637,22 @@ def _check_writable(corpus: Corpus, dsv: bool) -> None:
         column = list(chain(chain.from_iterable(map(texts, records)), listed))
         split = dsv and _LIST_SEPARATOR in "\n".join(listed)
         lower = "\n".join(chain.from_iterable(map(lowered, records)))
-        if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower():
+        whole = "\n".join(column)
+        if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower() \
+                and not _SURROGATE.search(whole):
             continue
         for record in records:
-            bad = [text for text in texts(record) + members(record) if not text or text != text.strip()]
+            bad = [
+                text for text in texts(record) + members(record)
+                if not text or text != text.strip() or _SURROGATE.search(text)
+            ]
             bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
             bad += [text for text in lowered(record) if text != text.lower()]
             if bad:
                 raise CorpusError(
                     f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
                     f" strips every text cell, lowercases the language and splits DSV id lists on"
-                    f" {_LIST_SEPARATOR!r}"
+                    f" {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
                 )
 
 

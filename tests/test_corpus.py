@@ -347,6 +347,8 @@ def test_dsv_quotes_cells_like_csv_writer(tmp_path):
         ("jsonl", ([researcher("r1")], [publication("p1", ("r1",))], [citation("c1", "p1", citing=("",))]),
          "citation 'c1'"),
         ("jsonl", ([researcher("r1")], [publication("p1", ("r1",), language="EN")]), "publication 'p1'"),
+        ("dsv", ([researcher(chr(0xD800))], []), "researcher '\\ud800'"),
+        ("jsonl", ([researcher("r1")], [publication("p1", ("r1", "a" + chr(0xDFFF)))]), "publication 'p1'"),
     ],
 )
 def test_save_refuses_ids_the_reader_would_change(tmp_path, fmt, corpus_parts, named):
@@ -379,7 +381,7 @@ def corpora_with_arbitrary_ids(draw):
 
 def _reads_back_changed(corpus, fmt: str) -> bool:
     """Oracle: the reader strips every text cell, lowercases the language, and
-    DSV splits id lists on ';'."""
+    DSV splits id lists on ';'; a lone surrogate cannot be written as UTF-8."""
     if any(p.language != p.language.lower() for p in corpus.publications.values()):
         return True
     texts, members = [], []
@@ -391,7 +393,7 @@ def _reads_back_changed(corpus, fmt: str) -> bool:
     for c in corpus.citations:
         texts.append(c.citation_id)
         members.extend(c.citing_author_ids)
-    return any(t != t.strip() or not t for t in texts + members) or (
+    return any(t != t.strip() or not t or re.search(r"[\ud800-\udfff]", t) for t in texts + members) or (
         fmt == "dsv" and any(";" in m for m in members)
     )
 
