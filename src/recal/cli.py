@@ -19,7 +19,7 @@ from .config import ConfigError, PipelineConfig, default_config, load_pipeline_c
 from .corpus import (
     Corpus, CorpusError, corpus_stats, load_corpus, save_corpus, scan_corpus, write_table,
 )
-from .counting import CountingError, CountingMethod, IndicatorKind, indicator_matrix
+from .counting import CountingError, CountingMethod, indicator_matrix
 from .evaluation import (
     EvaluationError,
     ThresholdTable,
@@ -190,14 +190,12 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         rows, config.derived_cmv(), method=method, rounding=config.recalibration.rounding
     )
 
-    minimums: dict[tuple[str, IndicatorKind], float] = {}
-    for row in rows:
-        if row.method is method and row.rmv_rounded is not None:
-            minimums[(row.discipline, row.kind)] = float(row.rmv_rounded)
-        elif row.method is method:
-            minimums[(row.discipline, row.kind)] = row.rmv_raw
-    for cell, (raw, rounded) in derived.items():
-        minimums[cell] = float(rounded) if rounded is not None else raw
+    # (raw, rounded) per cell. A rounded minimum below 1 is floored to 1: a
+    # minimum of 0 asks for nothing, and the threshold table refuses it.
+    cells = {(row.discipline, row.kind): (row.rmv_raw, row.rmv_rounded) for row in rows if row.method is method}
+    cells.update(derived)
+    floored = {cell for cell, (_, rounded) in cells.items() if rounded is not None and rounded < 1}
+    minimums = {cell: raw if rounded is None else float(max(rounded, 1)) for cell, (raw, rounded) in cells.items()}
     table = ThresholdTable(label=f"recalibrated minimums ({method.value})", minimums=minimums)
 
     current = config.current_threshold_table()
@@ -217,9 +215,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
     header = ("discipline", "kind", "status", "raw", "minimum", "delta_vs_current")
     report = []
-    for (discipline, kind) in sorted(minimums, key=lambda c: (c[0], c[1].value)):
-        raw = derived.get((discipline, kind), (None, None))[0]
-        delta = deltas.get((discipline, kind))
+    for cell in sorted(minimums, key=lambda c: (c[0], c[1].value)):
+        status = "floored" if cell in floored else "derived" if cell in derived else "recalibrated"
+        raw = None if status == "recalibrated" else cells[cell][0]
+        delta = deltas.get(cell)
         delta_text = ""
         if delta is not None and delta.delta is not None:
             delta_text = f"{delta.delta:+.0f}"
@@ -227,11 +226,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
             delta_text = "newly introduced"
         report.append(
             (
-                discipline,
-                kind.value,
-                "derived" if (discipline, kind) in derived else "recalibrated",
+                cell[0],
+                cell[1].value,
+                status,
                 "" if raw is None else f"{raw:.3f}",
-                f"{minimums[(discipline, kind)]:g}",
+                f"{minimums[cell]:g}",
                 delta_text,
             )
         )

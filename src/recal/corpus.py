@@ -38,11 +38,11 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import chain, islice
+from functools import cached_property, partial
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 
 class PubType(str, Enum):
@@ -80,8 +80,7 @@ class ResearcherProfile:
     last_degree_year: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     pub_id: str
     year: int
     pub_type: PubType
@@ -101,8 +100,7 @@ class PublicationRecord:
         return len(self.author_ids)
 
 
-@dataclass(frozen=True, slots=True)
-class CitationLink:
+class CitationLink(NamedTuple):
     citation_id: str
     cited_pub_id: str
     citing_year: int
@@ -337,6 +335,8 @@ def build_corpus(
 _DELIMITER = ","
 _LIST_SEPARATOR = ";"
 _JSON_SUFFIXES = {".jsonl", ".ndjson", ".json"}
+_CHUNK_ROWS = 1024  # rows read and converted at a time; a file is never held whole
+_scan_json = json.JSONDecoder().scan_once
 
 # A converter turns one cell into a record field, or raises ValueError naming
 # its column. A cell is DSV text or, in JSONL, the key's JSON value (None when
@@ -363,7 +363,7 @@ def _string(cell: object, column: str) -> str:
     raise ValueError(f"column {column!r}: {cell!r} is not a string")
 
 
-def _required_string(cell: object, column: str) -> str:
+def required_string(cell: object, column: str) -> str:
     if text := _string(cell, column):
         return text
     raise ValueError(f"column {column!r} is empty")
@@ -438,74 +438,246 @@ def _pub_type(cell: object, column: str) -> PubType:
 
 
 def _language(cell: object, column: str) -> str:
-    return _required_string(cell, column).lower()
+    return required_string(cell, column).lower()
 
 
-#: Each file's columns in record-field order, with one converter each.
+# A column converter turns one column of a chunk at once, with C-level bulk
+# operations, into the values its cell converter would give. Where that cannot
+# be shown for every cell it raises, and the chunk is converted cell by cell,
+# so only the cell converters ever word a violation.
+
+
+def _strings(column: Sequence, column_name: str) -> list[str]:
+    """Strings, stripped, none of them empty."""
+    stripped = list(map(str.strip, column))  # TypeError for a cell that is not a string
+    if not all(stripped):
+        raise ValueError
+    return stripped
+
+
+def _ints(column: Sequence, column_name: str) -> Sequence[int]:
+    """JSON integers as they are, or integer text."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return column
+    if kinds == {str}:
+        return list(map(int, column))  # int() ignores the blanks str.strip() removes
+    raise ValueError
+
+
+def _opt_ints(column: Sequence, column_name: str) -> list[int | None]:
+    return list(map(_opt_int, column, repeat(column_name)))  # researchers only: few rows
+
+
+def _bools(column: Sequence, column_name: str) -> Sequence[bool]:
+    """The literals ``true``/``false``, or JSON booleans as they are."""
+    if column.count("true") + column.count("false") == len(column):
+        return list(map("true".__eq__, column))
+    if set(map(type, column)) == {bool}:
+        return column
+    raise ValueError
+
+
+def _opt_floats(column: Sequence, column_name: str) -> Sequence[float | None]:
+    """Finite JSON floats and nulls as they are, or number text with blank
+    cells as None."""
+    kinds = set(map(type, column))
+    if kinds <= {float, type(None)}:
+        if all(map(math.isfinite, filter(None, column))):  # filter drops None, and 0.0 is finite
+            return column
+    elif kinds == {str}:
+        stripped = list(map(str.strip, column))
+        distinct = dict.fromkeys(stripped)
+        distinct.pop("", None)
+        number_of = dict(zip(distinct, map(float, distinct)))
+        if all(map(math.isfinite, number_of.values())):
+            number_of[""] = None
+            return list(map(number_of.__getitem__, stripped))
+    raise ValueError
+
+
+def _id_lists(column: Sequence, column_name: str) -> list[tuple[str, ...]]:
+    """DSV text split on ``;``, or JSON arrays of strings, when no id is
+    empty or padded."""
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        ids = "\n".join(column).replace(_LIST_SEPARATOR, "\n")
+        lists = map(str.split, column, repeat(_LIST_SEPARATOR))
+    elif kinds == {list}:
+        ids = "\n".join(chain.from_iterable(column))  # TypeError for a member that is not a string
+        lists = column
+    else:
+        raise ValueError
+    # The ids, one or more lines each: no line may be empty, and the only
+    # blanks allowed are the line breaks, all inside ids. Every blank that
+    # str.strip() removes is a space, a line break or not printable.
+    if not ids or "\n\n" in ids or ids[0] == "\n" or ids[-1] == "\n" or " " in ids \
+            or not ids.replace("\n", "").isprintable():
+        raise ValueError
+    return list(map(tuple, lists))
+
+
+def _pub_types(column: Sequence, column_name: str) -> list[PubType]:
+    return list(map(_PUB_TYPES.__getitem__, column))
+
+
+def _languages(column: Sequence, column_name: str) -> list[str]:
+    return list(map(str.lower, _strings(column, column_name)))
+
+
+#: Each file's columns in record-field order, with a cell and a column
+#: converter each.
 RESEARCHER_COLUMNS = (
-    ("researcher_id", _required_string), ("discipline", _required_string), ("has_dsc", _bool),
-    ("last_degree_year", _opt_int),
+    ("researcher_id", required_string, _strings), ("discipline", required_string, _strings),
+    ("has_dsc", _bool, _bools), ("last_degree_year", _opt_int, _opt_ints),
 )
 PUBLICATION_COLUMNS = (
-    ("pub_id", _required_string), ("year", _int), ("pub_type", _pub_type), ("language", _language),
-    ("wos_indexed", _bool), ("scopus_indexed", _bool), ("impact_factor", _opt_float),
-    ("author_ids", _id_list), ("discipline", _string),
+    ("pub_id", required_string, _strings), ("year", _int, _ints), ("pub_type", _pub_type, _pub_types),
+    ("language", _language, _languages), ("wos_indexed", _bool, _bools),
+    ("scopus_indexed", _bool, _bools), ("impact_factor", _opt_float, _opt_floats),
+    ("author_ids", _id_list, _id_lists),
+    ("discipline", _string, _strings),  # an empty one, to inherit, is left to the cell converters
 )
 CITATION_COLUMNS = (
-    ("citation_id", _required_string), ("cited_pub_id", _required_string), ("citing_year", _int),
-    ("citing_author_ids", _id_list), ("citing_wos_indexed", _bool),
+    ("citation_id", required_string, _strings), ("cited_pub_id", required_string, _strings),
+    ("citing_year", _int, _ints), ("citing_author_ids", _id_list, _id_lists),
+    ("citing_wos_indexed", _bool, _bools),
 )
 RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (
-    tuple(name for name, _ in columns) for columns in (RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS)
+    tuple(column[0] for column in columns) for columns in (RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS)
 )
+_CONVERSION_FAILURES = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
+def _json_value(line: str) -> object:
+    """The JSON value of one stripped line, read by the C scanner, which must
+    end at the end of the line; ``json.loads`` words the failure."""
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)  # raises, as the scanner did
+
+
+def _json_cells(line: str, fields: Sequence[str]) -> tuple | None:
+    """One JSONL line's cells in ``fields`` order, None for a blank line."""
+    if not (line := line.strip()):
+        return None
+    try:
+        record = _json_value(line)
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError("JSON line is not an object")
+    return tuple(map(record.get, fields))  # a missing key is an empty cell
+
+
+def _json_columns(lines: list[str], fields: Sequence[str]) -> list | None:
+    """The columns of a chunk of JSONL lines that are all JSON objects, or
+    None."""
+    lines = list(map(str.strip, lines))
+    if not all(lines):
+        return None
+    try:
+        # the scanner's StopIteration at a bad line ends the map early
+        values = list(map(_scan_json, lines, repeat(0)))
+    except ValueError:
+        return None
+    if len(values) != len(lines):
+        return None
+    records, ends = zip(*values)
+    if ends != tuple(map(len, lines)) or set(map(type, records)) != {dict}:
+        return None
+    return [list(map(dict.get, records, repeat(field))) for field in fields]
+
+
+def _dsv_columns(rows: list[list[str]], width: int, in_field_order) -> list | None:
+    """The columns, in field order, of a chunk of DSV rows that all have
+    ``width`` cells and none of them blank, or None."""
+    if set(map(len, rows)) == {width} and all(map(str.strip, map("".join, rows))):
+        return list(zip(*map(in_field_order, rows)))
+    return None
+
+
+def _dsv_cells(cells: list[str], width: int, in_field_order) -> tuple | None:
+    """One DSV row's cells in field order, None for a blank row."""
+    if not "".join(cells).strip():
+        return None
+    if len(cells) != width:
+        raise ValueError(f"expected {width} cells, found {len(cells)}")
+    return in_field_order(cells)
+
+
+def _chunks(rows: Iterable) -> Iterable[list]:
+    """Lists of at most ``_CHUNK_ROWS`` items of ``rows``. When bytes that are
+    not UTF-8 stop the reading, the items read before them come first."""
+    try:
+        while True:
+            chunk = []
+            for item in islice(rows, _CHUNK_ROWS):
+                chunk.append(item)
+            if not chunk:
+                return
+            yield chunk
+    except UnicodeDecodeError:
+        if chunk:
+            yield chunk
+        raise
 
 
 def _iter_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation]):
-    """Yield (row_number, cells) from a DSV or line-delimited JSON file, the
-    cells a tuple in ``fields`` order. Bytes that are not UTF-8 end the file
-    with a violation naming it."""
+    """Yield the rows of a DSV or line-delimited JSON file in chunks of at
+    most ``_CHUNK_ROWS``, each ``(row_numbers, columns)`` with one column per
+    field, in ``fields`` order. A row that is not a record (bad JSON, a wrong
+    cell count) is a violation, appended once the rows before it are yielded,
+    so that violations come in row order. Bytes that are not UTF-8 end the
+    file with a violation naming it."""
+    is_json = path.suffix.lower() in _JSON_SUFFIXES
     try:
-        if path.suffix.lower() in _JSON_SUFFIXES:
-            cells_in_field_order = itemgetter(*fields)
-            with path.open(encoding="utf-8") as handle:
-                for row, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError as exc:  # bad JSON, or an integer too long to convert
-                        violations.append(Violation(source, row, f"invalid JSON: {exc}"))
-                        continue
-                    if not isinstance(record, dict):
-                        violations.append(Violation(source, row, "JSON line is not an object"))
-                        continue
-                    try:
-                        cells = cells_in_field_order(record)
-                    except KeyError:  # a missing key is an empty cell
-                        cells = tuple(map(record.get, fields))
-                    yield row, cells
-            return
+        with path.open(encoding="utf-8", newline=None if is_json else "") as handle:
+            if is_json:
+                rows = handle
+                columns_of = partial(_json_columns, fields=fields)
+                cells_of = partial(_json_cells, fields=fields)
+            else:
+                rows = csv.reader(handle, delimiter=_DELIMITER)
+                header = next(rows, None)
+                if header is None:
+                    violations.append(Violation(source, None, "file is empty (missing header)"))
+                    return
+                header = [cell.strip() for cell in header]
+                missing = [f for f in fields if f not in header]
+                if missing:
+                    violations.append(Violation(source, None, f"header is missing column(s) {missing}"))
+                    return
+                in_field_order = itemgetter(*map(header.index, fields))
+                columns_of = partial(_dsv_columns, width=len(header), in_field_order=in_field_order)
+                cells_of = partial(_dsv_cells, width=len(header), in_field_order=in_field_order)
 
-        with path.open(encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle, delimiter=_DELIMITER)
-            header = next(reader, None)
-            if header is None:
-                violations.append(Violation(source, None, "file is empty (missing header)"))
-                return
-            header = [cell.strip() for cell in header]
-            missing = [f for f in fields if f not in header]
-            if missing:
-                violations.append(Violation(source, None, f"header is missing column(s) {missing}"))
-                return
-            cells_in_field_order = itemgetter(*map(header.index, fields))
-            for row, cells in enumerate(reader, start=1):
-                if not "".join(cells).strip():
-                    continue
-                if len(cells) != len(header):
-                    violations.append(Violation(source, row, f"expected {len(header)} cells, found {len(cells)}"))
-                    continue
-                yield row, cells_in_field_order(cells)
+            first = 1
+            for chunk in _chunks(rows):
+                columns = columns_of(chunk)
+                if columns is not None:
+                    yield range(first, first + len(chunk)), columns
+                else:  # row by row
+                    numbers, kept = [], []
+                    for row, item in enumerate(chunk, start=first):
+                        try:
+                            cells = cells_of(item)
+                        except ValueError as exc:
+                            if numbers:
+                                yield numbers, list(zip(*kept))
+                                numbers, kept = [], []
+                            violations.append(Violation(source, row, str(exc)))
+                            continue
+                        if cells is not None:
+                            numbers.append(row)
+                            kept.append(cells)
+                    if numbers:
+                        yield numbers, list(zip(*kept))
+                first += len(chunk)
     except UnicodeDecodeError as exc:
         violations.append(Violation(str(path), None, f"not UTF-8 text: {exc}"))
 
@@ -531,21 +703,32 @@ def scan_corpus(
     ):
         parsed = records[record_type] = []
         discipline_of = {r.researcher_id: r.discipline for r in records.get(ResearcherProfile, ())}
-        for row, cells in _iter_records(Path(path), [name for name, _ in columns], source, violations):
+        fields = [name for name, _, _ in columns]
+        for rows, cells_by_field in _iter_records(Path(path), fields, source, violations):
             try:
-                if record_type is PublicationRecord and not _text(cells[-1], "discipline"):
-                    # Inherit the first corpus researcher's discipline. This runs before the other
-                    # cells are converted, so a row with no owner reports that whatever else is wrong.
-                    owner = next((a for a in _id_list(cells[-2], "author_ids") if a in discipline_of), None)
-                    if owner is None:
-                        raise ValueError("column 'discipline' is empty and no author is a corpus researcher")
-                    cells = (*cells[:-1], discipline_of[owner])
-                values = []  # a loop, not a comprehension: one function object fewer per row
-                for (name, convert), cell in zip(columns, cells):
-                    values.append(convert(cell, name))
-                parsed.append(record_type(*values))
-            except ValueError as exc:
-                violations.append(Violation(source, row, str(exc)))
+                values = [
+                    convert_column(cells, name) for (name, _, convert_column), cells in zip(columns, cells_by_field)
+                ]
+            except _CONVERSION_FAILURES:
+                pass
+            else:
+                parsed.extend(map(record_type, *values))
+                continue
+            for row, cells in zip(rows, zip(*cells_by_field)):
+                try:
+                    if record_type is PublicationRecord and not _text(cells[-1], "discipline"):
+                        # Inherit the first corpus researcher's discipline. This runs before the other
+                        # cells are converted, so a row with no owner reports that whatever else is wrong.
+                        owner = next((a for a in _id_list(cells[-2], "author_ids") if a in discipline_of), None)
+                        if owner is None:
+                            raise ValueError("column 'discipline' is empty and no author is a corpus researcher")
+                        cells = (*cells[:-1], discipline_of[owner])
+                    values = []  # a loop, not a comprehension: one function object fewer per row
+                    for (name, convert, _), cell in zip(columns, cells):
+                        values.append(convert(cell, name))
+                    parsed.append(record_type(*values))
+                except ValueError as exc:
+                    violations.append(Violation(source, row, str(exc)))
 
     try:
         corpus = build_corpus(*records.values(), disciplines)
@@ -623,8 +806,9 @@ def write_table(
 
 def _check_writable(corpus: Corpus, dsv: bool) -> None:
     """Refuse a text cell that would not load back as written, naming its
-    record. Each file's text is tested as one column first; only a failing
-    file is searched record by record."""
+    record. The text of each chunk of records is tested as one column first,
+    and only a failing chunk is searched record by record, so no test holds
+    more than a chunk's text."""
     for source, records, texts, members, lowered in (
         ("researcher", corpus.researchers.values(), attrgetter("researcher_id", "discipline"),
          lambda r: (), lambda r: ()),
@@ -633,27 +817,29 @@ def _check_writable(corpus: Corpus, dsv: bool) -> None:
         ("citation", corpus.citations, attrgetter("citation_id", "cited_pub_id"),
          attrgetter("citing_author_ids"), lambda c: ()),
     ):
-        listed = list(chain.from_iterable(map(members, records)))
-        column = list(chain(chain.from_iterable(map(texts, records)), listed))
-        split = dsv and _LIST_SEPARATOR in "\n".join(listed)
-        lower = "\n".join(chain.from_iterable(map(lowered, records)))
-        whole = "\n".join(column)
-        if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower() \
-                and not _SURROGATE.search(whole):
-            continue
-        for record in records:
-            bad = [
-                text for text in texts(record) + members(record)
-                if not text or text != text.strip() or _SURROGATE.search(text)
-            ]
-            bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
-            bad += [text for text in lowered(record) if text != text.lower()]
-            if bad:
-                raise CorpusError(
-                    f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
-                    f" strips every text cell, lowercases the language and splits DSV id lists on"
-                    f" {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
-                )
+        records = iter(records)
+        while chunk := list(islice(records, _CHUNK_ROWS)):
+            listed = list(chain.from_iterable(map(members, chunk)))
+            column = list(chain(chain.from_iterable(map(texts, chunk)), listed))
+            split = dsv and _LIST_SEPARATOR in "\n".join(listed)
+            lower = "\n".join(chain.from_iterable(map(lowered, chunk)))
+            whole = "\n".join(column)
+            if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower() \
+                    and (whole.isascii() or not _SURROGATE.search(whole)):  # isascii() is O(1)
+                continue
+            for record in chunk:
+                bad = [
+                    text for text in texts(record) + members(record)
+                    if not text or text != text.strip() or not text.isascii() and _SURROGATE.search(text)
+                ]
+                bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
+                bad += [text for text in lowered(record) if text != text.lower()]
+                if bad:
+                    raise CorpusError(
+                        f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
+                        f" strips every text cell, lowercases the language and splits DSV id lists on"
+                        f" {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
+                    )
 
 
 def save_corpus(

@@ -27,7 +27,9 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, YearWindow, _iter_records, finite_float, required_text, write_table
+from .corpus import (
+    Corpus, YearWindow, _iter_records, finite_float, required_string, required_text, write_table,
+)
 from .counting import (
     CountingMethod,
     CountingSettings,
@@ -362,24 +364,25 @@ def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingM
     table: dict[tuple[str, IndicatorKind, CountingMethod], float] = {}
     row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
     violations = []
-    for i, (discipline, kind, method, apv) in _iter_records(Path(path), APV_FIELDS, str(path), violations):
+    for rows, columns in _iter_records(Path(path), APV_FIELDS, str(path), violations):
         if violations:
             break
-        try:
-            key = (
-                required_text(discipline, "discipline"),
-                IndicatorKind(required_text(kind, "kind")),
-                CountingMethod(required_text(method, "method")),
-            )
-            table[key] = finite_float(required_text(apv, "apv"))
-        except ValueError as exc:
-            raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
-        if key in row_of:
-            raise RecalibrationError(
-                f"{path}:{i}: repeats row {row_of[key]}, the APV of "
-                f"({key[0]}, {key[1].value}, {key[2].value})"
-            )
-        row_of[key] = i
+        for i, (discipline, kind, method, apv) in zip(rows, zip(*columns)):
+            try:
+                key = (
+                    required_string(discipline, "discipline"),
+                    IndicatorKind(required_text(kind, "kind")),
+                    CountingMethod(required_text(method, "method")),
+                )
+                table[key] = finite_float(required_text(apv, "apv"))
+            except ValueError as exc:
+                raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
+            if key in row_of:
+                raise RecalibrationError(
+                    f"{path}:{i}: repeats row {row_of[key]}, the APV of "
+                    f"({key[0]}, {key[1].value}, {key[2].value})"
+                )
+            row_of[key] = i
     if violations:
         raise RecalibrationError(str(violations[0]))
     return table

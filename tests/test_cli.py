@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from recal.cli import main
+from recal.config import default_config
 from recal.corpus import load_corpus, save_corpus
-from recal.recalibration import DisciplinePerformance, read_apv_table, write_apv_table
-from recal.synthgen import SynthDisciplineParams, SynthSpec, save_synth_spec
+from recal.recalibration import DisciplinePerformance, discipline_performance, read_apv_table, write_apv_table
+from recal.synthgen import SynthDisciplineParams, SynthSpec, default_spec, generate_corpus, save_synth_spec
 
 from conftest import PUB_WINDOW, CITATION_WINDOW, social_geography_dossier
 
@@ -287,6 +288,37 @@ def test_derive_writes_thresholds_and_report(tmp_path, capsys):
     assert ",derived," in geology_first
     assert geology_first.endswith(",18,+3")
     assert any(",non_derivable," in line for line in report)
+
+
+def test_derive_floors_a_rounded_minimum_below_one(tmp_path):
+    # Halving social geography's fractional publication APV takes its derived
+    # books minimum from 0.967 to under 0.5, which rounds to 0.
+    table = tmp_path / "apv.csv"
+    table.write_text(APV_TABLE.read_text(encoding="utf-8").replace(
+        "social_geography,publications,fractional,26.053", "social_geography,publications,fractional,12.0"
+    ), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run("derive", "--apv-table", table, "--method", "fractional", "--out-dir", out_dir) == 0
+    assert "social_geography,books_and_monographs,1" in (out_dir / "thresholds_recalibrated.csv").read_text()
+    report = (out_dir / "derive_report.csv").read_text().splitlines()
+    assert [line for line in report if ",floored," in line] == [
+        "social_geography,books_and_monographs,floored,0.445,1,-1",
+    ]
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_fractional_derive_from_corpus_apvs_succeeds(tmp_path, seed):
+    config = default_config()
+    performance = discipline_performance(
+        generate_corpus(default_spec(seed)), config.recalibration, config.pub_window, config.citation_window,
+        config.counting_settings(),
+    )
+    write_apv_table(performance, tmp_path / "performance.csv")
+    out_dir = tmp_path / "out"
+    assert run("derive", "--apv-table", tmp_path / "performance.csv", "--method", "fractional",
+               "--out-dir", out_dir) == 0
+    report = (out_dir / "derive_report.csv").read_text().splitlines()
+    assert all(line.split(",")[4] != "0" for line in report[1:])
 
 
 # --------------------------------------------------------------------------

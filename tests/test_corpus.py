@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,10 +11,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recal.corpus import (
+    CITATION_COLUMNS,
+    CITATION_FIELDS,
+    PUBLICATION_COLUMNS,
+    PUBLICATION_FIELDS,
+    RESEARCHER_COLUMNS,
+    CitationLink,
     CorpusError,
     CorpusValidationError,
     DisciplineCoauthorship,
+    PublicationRecord,
     YearWindow,
+    _CONVERSION_FAILURES,
+    _json_cells,
+    _json_columns,
     build_corpus,
     corpus_stats,
     independent_citations,
@@ -416,6 +428,69 @@ def test_save_load_round_trip_for_arbitrary_ids(fmt, corpus):
     assert dict(reloaded.researchers) == dict(corpus.researchers)
     assert dict(reloaded.publications) == dict(corpus.publications)
     assert reloaded.citations == corpus.citations
+
+
+# --------------------------------------------------------------------------
+# Records and the chunked reader
+
+def test_record_fields_are_the_file_columns_in_order():
+    assert PublicationRecord._fields == PUBLICATION_FIELDS
+    assert CitationLink._fields == CITATION_FIELDS
+
+
+@pytest.mark.parametrize("record, field", [
+    (publication("p1", ("r1",)), "year"),
+    (citation("c1", "p1"), "citing_year"),
+    (researcher("r1"), "discipline"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+
+
+#: Cells a DSV or JSONL reader can hand a converter, ordinary and odd.
+_CELLS = st.one_of(
+    st.sampled_from([
+        "", " ", "true", "false", " true", "True", "0", "1", "2015", " 2015 ", "1_000", "\u0662\u0660",
+        "abc", "2015.5", "2.5", "-0.0", "0.0", "nan", "inf", "1e999", "r1", " r1", "r1;r2", "r1; r2", "r1;;r2",
+        ";r1", "r1;", "r1\nr2", "r1 r2", "r1\u3000", "r1\x85;r2", "r1\u200b", "book", " book", "journal_article",
+        "EN", "en", "geology",
+    ]),
+    st.sampled_from([None, True, False, 0, 1, 2015, 0.0, -0.0, 2.5, math.nan, math.inf, 10**400]),
+    st.lists(st.sampled_from(["r1", "r2", " r1", "", "r1;r2", "r1\nr2", "r1\xa0", None, 1]), max_size=3),
+    st.just({"id": "r1"}),
+)
+_ALL_COLUMNS = RESEARCHER_COLUMNS + PUBLICATION_COLUMNS + CITATION_COLUMNS
+
+
+def test_every_blank_that_strip_removes_is_a_space_or_not_printable():
+    # what the id-list column converter relies on to find padded ids
+    assert [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c.isprintable()] == [" "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(column=st.sampled_from(_ALL_COLUMNS), cells=st.lists(_CELLS, min_size=1, max_size=6), homogeneous=st.booleans())
+def test_column_converters_agree_with_cell_converters(column, cells, homogeneous):
+    name, convert, convert_column = column
+    if homogeneous:  # the usual case: one kind of cell per column
+        cells = [cell for cell in cells if type(cell) is type(cells[0])]
+    try:
+        values = convert_column(tuple(cells), name)
+    except _CONVERSION_FAILURES:
+        return  # the chunk goes cell by cell
+    assert list(map(repr, values)) == [repr(convert(cell, name)) for cell in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.sampled_from([
+    '{"a": 1}', ' {"b": "x"} ', "{}", "[1]", "null", '"a"', "", "  ", '{"a": [{}', "{}]}", "{}, {}", '{"a": 1} x',
+    '{"a": NaN}', '{"a": 1e999}', '{"a": 1, "a": 2}', "\ufeff{}", '{"a": ' + "1" * 5000 + "}",
+]), min_size=1, max_size=5))
+def test_json_chunk_reads_as_its_lines_do(lines):
+    columns = _json_columns(lines, ("a", "b"))
+    if columns is None:
+        return  # the chunk goes line by line
+    assert list(zip(*columns)) == [_json_cells(line, ("a", "b")) for line in lines]
 
 
 # --------------------------------------------------------------------------

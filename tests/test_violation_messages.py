@@ -5,7 +5,8 @@ the one ``RecalibrationError`` of an APV table), in order. The expected texts
 were recorded from the readers as they stood before the column tables
 replaced the per-cell helpers, except the cases of a JSON value other than a
 string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
-``*_as_cited``), which were written when those columns began refusing one. A
+``*_as_cited``), which were written when those columns began refusing one, and
+the rows around the reader's 1024-row chunk boundary. A
 change to any of them is a change to what users read on stderr and should be
 made on purpose.
 """
@@ -336,6 +337,12 @@ APV_CASES = {
     "json_10_400": (jsonl("apv", apv=BIG), f"APV:1: bad APV row: '{BIG}' is not a finite number"),
     "json_number_kind": (jsonl("apv", kind="5"), "APV:1: bad APV row: '5' is not a valid IndicatorKind"),
     "json_not_object": (("apv.jsonl", "[1]\n"), "APV:1: JSON line is not an object"),
+    "json_list_as_discipline": (jsonl("apv", discipline='["geology"]'),
+                                "APV:1: bad APV row: column 'discipline': ['geology'] is not a string"),
+    "json_number_as_discipline": (jsonl("apv", discipline="5"),
+                                  "APV:1: bad APV row: column 'discipline': 5 is not a string"),
+    "json_true_as_discipline": (jsonl("apv", discipline="true"),
+                                "APV:1: bad APV row: column 'discipline': True is not a string"),
 }
 
 
@@ -346,3 +353,63 @@ def test_apv_table_messages_are_pinned(tmp_path, case):
     with pytest.raises(RecalibrationError) as caught:
         read_apv_table(path)
     assert str(caught.value).replace(str(path), "APV") == expected
+
+
+#: A publications file longer than one 1024-row chunk; p1 is the article c1 cites.
+LONG_FILE_ROWS = 1030
+DSV_FAULTS = {"bad_year": lambda i: f"p{i},abc,book,hu,false,false,,r1,geology", "short": lambda i: f"p{i},2015,book"}
+JSON_FAULTS = {
+    "bad_year": lambda i: jsonl("publications", pub_id=f'"p{i}"', year='"abc"')[1].rstrip("\n"),
+    "short": lambda i: f'{{"pub_id": "p{i}"',
+}
+FAULT_TEXTS = {
+    ("dsv", "bad_year"): "column 'year': 'abc' is not an integer",
+    ("dsv", "short"): "expected 9 cells, found 3",
+    ("jsonl", "bad_year"): "column 'year': 'abc' is not an integer",
+    ("jsonl", "short"): "invalid JSON: Expecting ',' delimiter: line 1 column 19 (char 18)",
+}
+CHUNK_BOUNDARY_CASES = {
+    "1024": {1024: "bad_year"},
+    "1025": {1025: "bad_year"},
+    "1024_then_short_1025": {1024: "bad_year", 1025: "short"},
+    "short_1024_then_1025": {1024: "short", 1025: "bad_year"},
+    "1023_then_short_1024": {1023: "bad_year", 1024: "short"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("case", sorted(CHUNK_BOUNDARY_CASES))
+def test_violations_around_the_chunk_boundary_are_pinned(clean_corpus_files, tmp_path, fmt, case):
+    faults = CHUNK_BOUNDARY_CASES[case]
+    if fmt == "dsv":
+        good = "p1,2015,journal_article,en,true,true,2.5,r1,geology"
+        lines = [good] + [f"p{i},2015,book,hu,false,false,,r1,geology" for i in range(2, LONG_FILE_ROWS + 1)]
+        make = DSV_FAULTS
+    else:
+        good = jsonl("publications")[1].rstrip("\n")
+        lines = [good] + [jsonl("publications", pub_id=f'"p{i}"')[1].rstrip("\n") for i in range(2, LONG_FILE_ROWS + 1)]
+        make = JSON_FAULTS
+    for row, fault in faults.items():
+        lines[row - 1] = make[fault](row)
+    name = "publications.csv" if fmt == "dsv" else "publications.jsonl"
+    text = (HEADERS["publications"] if fmt == "dsv" else "") + "".join(line + "\n" for line in lines)
+    bad = write_corpus_files(tmp_path / "bad", {name: text})[name]
+    _, violations = scan_corpus(
+        clean_corpus_files["researchers.csv"], bad, clean_corpus_files["citations.csv"], DISCIPLINES
+    )
+    assert [str(v) for v in violations] == [
+        f"publications:{row}: {FAULT_TEXTS[(fmt, fault)]}" for row, fault in sorted(faults.items())
+    ]
+
+
+def test_jsonl_lines_that_only_parse_joined_are_each_invalid(clean_corpus_files, tmp_path):
+    # As one array, "[" + ",".join(lines) + "]", these three lines hold three objects.
+    bad = write_corpus_files(tmp_path / "bad", {"researchers.jsonl": '{"a": [{}\n{}]}\n{}, {}\n'})["researchers.jsonl"]
+    _, violations = scan_corpus(
+        bad, clean_corpus_files["publications.csv"], clean_corpus_files["citations.csv"], DISCIPLINES
+    )
+    assert [str(v) for v in violations][:3] == [
+        "researchers:1: invalid JSON: Expecting ',' delimiter: line 1 column 10 (char 9)",
+        "researchers:2: invalid JSON: Extra data: line 1 column 3 (char 2)",
+        "researchers:3: invalid JSON: Extra data: line 1 column 3 (char 2)",
+    ]
