@@ -115,7 +115,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     with Path(path).open(encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as exc:  # invalid JSON or bytes that are not UTF-8
+        except (RecursionError, ValueError) as exc:  # invalid JSON, nested too deep, or bytes that are not UTF-8
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: expected schema_version {SCHEMA_VERSION}")
@@ -138,7 +138,6 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         t = dict(base.recalibration.t)
         if "t_years" in recal_doc:
             t = {IndicatorKind(k): finite_float(v) for k, v in recal_doc["t_years"].items()}
-        ym_decimals = recal_doc.get("ym_decimals", base.recalibration.ym_decimals)
         recalibration = RecalibrationConfig(
             disciplines=tuple(disciplines),
             cmv=minimums,
@@ -148,8 +147,12 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
                 recal_doc.get("ym_source_method", base.recalibration.ym_source_method.value)
             ),
             rounding=RoundingMode(recal_doc.get("rounding", base.recalibration.rounding.value)),
-            ym_decimals=None if ym_decimals is None else int(ym_decimals),
+            ym_decimals=recal_doc.get("ym_decimals", base.recalibration.ym_decimals),
         )
+
+        domestic_language = doc.get("domestic_language", base.domestic_language)
+        if not isinstance(domestic_language, str):
+            raise ConfigError(f"domestic_language must be a string, got {domestic_language!r}")
 
         counted_types = None
         if doc.get("counted_publication_types") is not None:
@@ -157,7 +160,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
         return PipelineConfig(
             disciplines=disciplines,
-            domestic_language=doc.get("domestic_language", base.domestic_language),
+            domestic_language=domestic_language,
             pub_window=(
                 _parse_window(doc["pub_window"], "pub_window")
                 if "pub_window" in doc

@@ -62,6 +62,8 @@ class YearWindow:
     end: int
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.end) is not int:
+            raise TypeError(f"year window bounds must be integers, got {self.start!r} and {self.end!r}")
         if self.start > self.end:
             raise ValueError(f"empty year window {self.start}-{self.end}")
 
@@ -215,23 +217,14 @@ def independent_citations(
 def corpus_stats(
     corpus: Corpus,
     year_window: YearWindow,
-    disciplines: Sequence[str] | None = None,
+    disciplines: Sequence[str],
 ) -> CoauthorshipStats:
-    """Per-discipline publication and co-authorship counts over a window.
+    """Per-discipline publication and co-authorship counts over a window,
+    one row per discipline in ``disciplines``, in that order.
 
     ``coauthor_total`` sums the author counts of multi-authored publications,
-    so the derived average is authors per multi-authored publication. When
-    ``disciplines`` is omitted, every discipline seen on a researcher or a
-    publication gets a row, in first-seen order.
+    so the derived average is authors per multi-authored publication.
     """
-    if disciplines is None:
-        seen: dict[str, None] = {}
-        for r in corpus.researchers.values():
-            seen.setdefault(r.discipline)
-        for p in corpus.publications.values():
-            seen.setdefault(p.discipline)
-        disciplines = list(seen)
-
     counts = {d: [0, 0, 0] for d in disciplines}  # pubs, multi, coauthors
     for pub in corpus.publications.values():
         if pub.year not in year_window or pub.discipline not in counts:
@@ -546,19 +539,7 @@ CITATION_COLUMNS = (
 RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (
     tuple(column[0] for column in columns) for columns in (RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS)
 )
-_CONVERSION_FAILURES = (ArithmeticError, LookupError, TypeError, ValueError)
-
-
-def _json_value(line: str) -> object:
-    """The JSON value of one stripped line, read by the C scanner, which must
-    end at the end of the line; ``json.loads`` words the failure."""
-    try:
-        value, end = _scan_json(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)  # raises, as the scanner did
+_CONVERSION_FAILURES = (ArithmeticError, LookupError, RecursionError, TypeError, ValueError)
 
 
 def _json_cells(line: str, fields: Sequence[str]) -> tuple | None:
@@ -566,39 +547,31 @@ def _json_cells(line: str, fields: Sequence[str]) -> tuple | None:
     if not (line := line.strip()):
         return None
     try:
-        record = _json_value(line)
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+        record = json.loads(line)
+    except (RecursionError, ValueError) as exc:  # bad JSON, nested too deep, or an integer too long to convert
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError("JSON line is not an object")
     return tuple(map(record.get, fields))  # a missing key is an empty cell
 
 
-def _json_columns(lines: list[str], fields: Sequence[str]) -> list | None:
-    """The columns of a chunk of JSONL lines that are all JSON objects, or
-    None."""
+def _json_columns(lines: list[str], fields: Sequence[str]) -> list:
+    """The columns of a chunk of JSONL lines that are all JSON objects;
+    raises for any other chunk."""
     lines = list(map(str.strip, lines))
-    if not all(lines):
-        return None
-    try:
-        # the scanner's StopIteration at a bad line ends the map early
-        values = list(map(_scan_json, lines, repeat(0)))
-    except ValueError:
-        return None
-    if len(values) != len(lines):
-        return None
-    records, ends = zip(*values)
+    # the scanner's StopIteration at a bad or blank line ends the map early
+    records, ends = zip(*map(_scan_json, lines, repeat(0)))
     if ends != tuple(map(len, lines)) or set(map(type, records)) != {dict}:
-        return None
+        raise ValueError
     return [list(map(dict.get, records, repeat(field))) for field in fields]
 
 
-def _dsv_columns(rows: list[list[str]], width: int, in_field_order) -> list | None:
+def _dsv_columns(rows: list[list[str]], width: int, in_field_order) -> list:
     """The columns, in field order, of a chunk of DSV rows that all have
-    ``width`` cells and none of them blank, or None."""
-    if set(map(len, rows)) == {width} and all(map(str.strip, map("".join, rows))):
-        return list(zip(*map(in_field_order, rows)))
-    return None
+    ``width`` cells and none of them blank; raises for any other chunk."""
+    if set(map(len, rows)) != {width} or not all(map(str.strip, map("".join, rows))):
+        raise ValueError
+    return list(zip(*map(in_field_order, rows)))
 
 
 def _dsv_cells(cells: list[str], width: int, in_field_order) -> tuple | None:
@@ -612,7 +585,8 @@ def _dsv_cells(cells: list[str], width: int, in_field_order) -> tuple | None:
 
 def _chunks(rows: Iterable) -> Iterable[list]:
     """Lists of at most ``_CHUNK_ROWS`` items of ``rows``. When bytes that are
-    not UTF-8 stop the reading, the items read before them come first."""
+    not UTF-8 or a DSV cell too long to read stop the reading, the items read
+    before them come first."""
     try:
         while True:
             chunk = []
@@ -621,19 +595,29 @@ def _chunks(rows: Iterable) -> Iterable[list]:
             if not chunk:
                 return
             yield chunk
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, csv.Error):
         if chunk:
             yield chunk
         raise
 
 
-def _iter_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation]):
-    """Yield the rows of a DSV or line-delimited JSON file in chunks of at
-    most ``_CHUNK_ROWS``, each ``(row_numbers, columns)`` with one column per
-    field, in ``fields`` order. A row that is not a record (bad JSON, a wrong
-    cell count) is a violation, appended once the rows before it are yielded,
-    so that violations come in row order. Bytes that are not UTF-8 end the
-    file with a violation naming it."""
+def read_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation],
+                 from_columns, from_cells) -> list:
+    """The records of a DSV or line-delimited JSON file, read in chunks of at
+    most ``_CHUNK_ROWS`` rows.
+
+    A chunk is built whole by ``from_columns(rows, columns)``, with the
+    chunk's row numbers and one column per field, in ``fields`` order; it must
+    have converted every cell before it returns. When that raises, or a row of
+    the chunk is not a record (bad JSON, a wrong cell count), the chunk is
+    read again row by row: each row's cells become a record through
+    ``from_cells(row, cells)``, and each ``ValueError`` on the way is a
+    violation naming the row, so violations come in row order. Blank rows are
+    skipped. Bytes that are not UTF-8 end the file with a violation naming
+    it, and a DSV cell past the ``csv`` module's size limit (a quote left
+    open) with one naming its row."""
+    records: list = []
+    first = 1
     is_json = path.suffix.lower() in _JSON_SUFFIXES
     try:
         with path.open(encoding="utf-8", newline=None if is_json else "") as handle:
@@ -646,40 +630,33 @@ def _iter_records(path: Path, fields: Sequence[str], source: str, violations: li
                 header = next(rows, None)
                 if header is None:
                     violations.append(Violation(source, None, "file is empty (missing header)"))
-                    return
+                    return records
                 header = [cell.strip() for cell in header]
                 missing = [f for f in fields if f not in header]
                 if missing:
                     violations.append(Violation(source, None, f"header is missing column(s) {missing}"))
-                    return
+                    return records
                 in_field_order = itemgetter(*map(header.index, fields))
                 columns_of = partial(_dsv_columns, width=len(header), in_field_order=in_field_order)
                 cells_of = partial(_dsv_cells, width=len(header), in_field_order=in_field_order)
 
-            first = 1
             for chunk in _chunks(rows):
-                columns = columns_of(chunk)
-                if columns is not None:
-                    yield range(first, first + len(chunk)), columns
-                else:  # row by row
-                    numbers, kept = [], []
-                    for row, item in enumerate(chunk, start=first):
-                        try:
-                            cells = cells_of(item)
-                        except ValueError as exc:
-                            if numbers:
-                                yield numbers, list(zip(*kept))
-                                numbers, kept = [], []
-                            violations.append(Violation(source, row, str(exc)))
-                            continue
-                        if cells is not None:
-                            numbers.append(row)
-                            kept.append(cells)
-                    if numbers:
-                        yield numbers, list(zip(*kept))
+                numbers = range(first, first + len(chunk))
                 first += len(chunk)
+                try:
+                    records.extend(from_columns(numbers, columns_of(chunk)))
+                except _CONVERSION_FAILURES:
+                    for row, item in zip(numbers, chunk):
+                        try:
+                            if (cells := cells_of(item)) is not None:
+                                records.append(from_cells(row, cells))
+                        except ValueError as exc:
+                            violations.append(Violation(source, row, str(exc)))
     except UnicodeDecodeError as exc:
         violations.append(Violation(str(path), None, f"not UTF-8 text: {exc}"))
+    except csv.Error as exc:
+        violations.append(Violation(source, first, f"unreadable from here on: {exc}"))
+    return records
 
 
 def scan_corpus(
@@ -701,34 +678,28 @@ def scan_corpus(
         (publication_file, "publications", PUBLICATION_COLUMNS, PublicationRecord),
         (citation_file, "citations", CITATION_COLUMNS, CitationLink),
     ):
-        parsed = records[record_type] = []
         discipline_of = {r.researcher_id: r.discipline for r in records.get(ResearcherProfile, ())}
+
+        def from_columns(rows, cells_by_field):
+            return map(record_type, *[
+                convert_column(cells, name) for (name, _, convert_column), cells in zip(columns, cells_by_field)
+            ])
+
+        def from_cells(row, cells):
+            if record_type is PublicationRecord and not _text(cells[-1], "discipline"):
+                # Inherit the first corpus researcher's discipline. This runs before the other cells
+                # are converted, so a row with no owner reports that whatever else is wrong.
+                owner = next((a for a in _id_list(cells[-2], "author_ids") if a in discipline_of), None)
+                if owner is None:
+                    raise ValueError("column 'discipline' is empty and no author is a corpus researcher")
+                cells = (*cells[:-1], discipline_of[owner])
+            values = []  # a loop, not a comprehension: one function object fewer per row
+            for (name, convert, _), cell in zip(columns, cells):
+                values.append(convert(cell, name))
+            return record_type(*values)
+
         fields = [name for name, _, _ in columns]
-        for rows, cells_by_field in _iter_records(Path(path), fields, source, violations):
-            try:
-                values = [
-                    convert_column(cells, name) for (name, _, convert_column), cells in zip(columns, cells_by_field)
-                ]
-            except _CONVERSION_FAILURES:
-                pass
-            else:
-                parsed.extend(map(record_type, *values))
-                continue
-            for row, cells in zip(rows, zip(*cells_by_field)):
-                try:
-                    if record_type is PublicationRecord and not _text(cells[-1], "discipline"):
-                        # Inherit the first corpus researcher's discipline. This runs before the other
-                        # cells are converted, so a row with no owner reports that whatever else is wrong.
-                        owner = next((a for a in _id_list(cells[-2], "author_ids") if a in discipline_of), None)
-                        if owner is None:
-                            raise ValueError("column 'discipline' is empty and no author is a corpus researcher")
-                        cells = (*cells[:-1], discipline_of[owner])
-                    values = []  # a loop, not a comprehension: one function object fewer per row
-                    for (name, convert, _), cell in zip(columns, cells):
-                        values.append(convert(cell, name))
-                    parsed.append(record_type(*values))
-                except ValueError as exc:
-                    violations.append(Violation(source, row, str(exc)))
+        records[record_type] = read_records(Path(path), fields, source, violations, from_columns, from_cells)
 
     try:
         corpus = build_corpus(*records.values(), disciplines)

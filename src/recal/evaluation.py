@@ -162,17 +162,25 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
             rows = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
     except UnicodeDecodeError as exc:
         raise EvaluationError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # a cell past the csv module's size limit: a quote left open
+        raise EvaluationError(f"{path}:{reader.line_num}: unreadable: {exc}") from None
     if len(rows) < 2 or len(rows[0][1]) != 2 or rows[0][1][0] != "label":
         raise EvaluationError(f"{path}: expected a 'label,<text>' first line")
     label = rows[0][1][1]
     if rows[1][1] != ["discipline", "kind", "minimum"]:
         raise EvaluationError(f"{path}: expected header discipline,kind,minimum")
     minimums: dict[tuple[str, IndicatorKind], float] = {}
+    line_of: dict[tuple[str, IndicatorKind], int] = {}
     for i, cells in rows[2:]:
         if len(cells) != 3:
             raise EvaluationError(f"{path}:{i}: expected 3 cells")
         try:
-            minimums[(cells[0], IndicatorKind(cells[1]))] = finite_float(cells[2])
+            cell, minimum = (cells[0], IndicatorKind(cells[1])), finite_float(cells[2])
         except ValueError as exc:
             raise EvaluationError(f"{path}:{i}: {exc}") from exc
+        if cell in line_of:
+            raise EvaluationError(
+                f"{path}:{i}: repeats line {line_of[cell]}, the minimum of ({cell[0]}, {cell[1].value})"
+            )
+        minimums[cell], line_of[cell] = minimum, i
     return ThresholdTable(label=label, minimums=minimums)

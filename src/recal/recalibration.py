@@ -20,6 +20,7 @@ None for exact-mean algebra (then raw RMVs are invariant under rescaling t).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
@@ -28,7 +29,7 @@ from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import (
-    Corpus, YearWindow, _iter_records, finite_float, required_string, required_text, write_table,
+    Corpus, Violation, YearWindow, finite_float, read_records, required_string, required_text, write_table,
 )
 from .counting import (
     CountingMethod,
@@ -90,6 +91,8 @@ class RecalibrationConfig:
     def __post_init__(self) -> None:
         if not self.disciplines:
             raise RecalibrationError("no disciplines configured")
+        if self.ym_decimals is not None and (type(self.ym_decimals) is not int or self.ym_decimals < 0):
+            raise RecalibrationError(f"ym_decimals must be a non-negative integer or None, got {self.ym_decimals!r}")
         if not 0.0 < self.top_fraction <= 1.0:
             raise RecalibrationError(f"top_fraction {self.top_fraction} outside (0, 1]")
         if IndicatorKind.H_INDEX in self.t:
@@ -360,32 +363,34 @@ RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_
 
 def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingMethod], float]:
     """Read a ``discipline,kind,method,apv`` table, DSV or JSONL as the corpus
-    files are (``write_apv_table`` output reads back); a cell may appear once."""
-    table: dict[tuple[str, IndicatorKind, CountingMethod], float] = {}
+    files are (``write_apv_table`` output reads back); a cell may appear once.
+    The first problem in row order raises ``RecalibrationError``."""
+    def apv_row(row: int, cells: tuple) -> tuple:
+        discipline, kind, method, apv = cells
+        try:
+            key = (
+                required_string(discipline, "discipline"),
+                IndicatorKind(required_text(kind, "kind")),
+                CountingMethod(required_text(method, "method")),
+            )
+            return row, key, finite_float(required_text(apv, "apv"))
+        except ValueError as exc:
+            raise ValueError(f"bad APV row: {exc}") from None
+
+    violations: list[Violation] = []
+    records = read_records(
+        Path(path), APV_FIELDS, str(path), violations,
+        lambda rows, columns: list(map(apv_row, rows, zip(*columns))), apv_row,
+    )
     row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
-    violations = []
-    for rows, columns in _iter_records(Path(path), APV_FIELDS, str(path), violations):
-        if violations:
+    for row, key, _ in records:
+        if row_of.setdefault(key, row) != row:
+            message = f"repeats row {row_of[key]}, the APV of ({key[0]}, {key[1].value}, {key[2].value})"
+            violations.append(Violation(str(path), row, message))
             break
-        for i, (discipline, kind, method, apv) in zip(rows, zip(*columns)):
-            try:
-                key = (
-                    required_string(discipline, "discipline"),
-                    IndicatorKind(required_text(kind, "kind")),
-                    CountingMethod(required_text(method, "method")),
-                )
-                table[key] = finite_float(required_text(apv, "apv"))
-            except ValueError as exc:
-                raise RecalibrationError(f"{path}:{i}: bad APV row: {exc}") from exc
-            if key in row_of:
-                raise RecalibrationError(
-                    f"{path}:{i}: repeats row {row_of[key]}, the APV of "
-                    f"({key[0]}, {key[1].value}, {key[2].value})"
-                )
-            row_of[key] = i
-    if violations:
-        raise RecalibrationError(str(violations[0]))
-    return table
+    if violations:  # a file-wide problem has no row and comes after every row read
+        raise RecalibrationError(str(min(violations, key=lambda v: v.row or math.inf)))
+    return {key: apv for _, key, apv in records}
 
 
 def write_apv_table(

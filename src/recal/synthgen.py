@@ -53,6 +53,9 @@ class SynthDisciplineParams:
     domestic_language_ratio: float
 
     def __post_init__(self) -> None:
+        for name in ("researcher_count", "pub_count"):
+            if type(getattr(self, name)) is not int:
+                raise SynthError(f"{self.discipline}: {name} must be an integer, got {getattr(self, name)!r}")
         if self.researcher_count < 0 or self.pub_count < 0:
             raise SynthError(f"{self.discipline}: counts must be non-negative")
         if self.pub_count > 0 and self.researcher_count == 0:
@@ -79,6 +82,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise SynthError("seed must fit in 64 unsigned bits")
+        if not isinstance(self.domestic_language, str):
+            raise SynthError(f"domestic_language must be a string, got {self.domestic_language!r}")
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +307,7 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             citation_window=YearWindow(*doc["citation_window"]),
             domestic_language=doc.get("domestic_language", defaults.DEFAULT_DOMESTIC_LANGUAGE),
         )
-    except (AttributeError, KeyError, TypeError, ValueError, SynthError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, SynthError) as exc:
         raise SynthError(f"{path}: bad generator spec: {exc}") from exc
 
 

@@ -451,6 +451,11 @@ def test_stats_out_dir(clean_corpus_files, tmp_path):
     assert text.startswith("discipline,pub_count,")
 
 
+def _with_geology_param(doc: dict, name: str, value: object) -> dict:
+    doc["disciplines"]["geology"][name] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -458,8 +463,13 @@ def test_stats_out_dir(clean_corpus_files, tmp_path):
         lambda doc: "[1, 2]",
         lambda doc: json.dumps({**doc, "pub_window": [2018, 2014]}),
         lambda doc: json.dumps({**doc, "seed": "abc"}),
+        lambda doc: json.dumps({**doc, "pub_window": ["2014", "2018"]}),
+        lambda doc: json.dumps(_with_geology_param(doc, "pub_count", 100.5)),
+        lambda doc: json.dumps(_with_geology_param(doc, "researcher_count", 10.0)),
+        lambda doc: json.dumps({**doc, "domestic_language": 5}),
     ],
-    ids=["non_json", "array", "reversed_window", "seed_not_a_number"],
+    ids=["non_json", "array", "reversed_window", "seed_not_a_number", "text_window", "fractional_pub_count",
+         "float_researcher_count", "number_language"],
 )
 def test_synth_bad_spec_is_a_typed_failure(tmp_path, capsys, edit):
     spec_path = tmp_path / "spec.json"
@@ -467,7 +477,7 @@ def test_synth_bad_spec_is_a_typed_failure(tmp_path, capsys, edit):
     spec_path.write_text(edit(json.loads(spec_path.read_text())), encoding="utf-8")
     assert run("synth", "--spec", spec_path, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(spec_path) in err
+    assert err.startswith(f"error: {spec_path}: bad generator spec: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -509,9 +519,14 @@ def _with_h_index_t() -> dict:
         {**_two_discipline_config(), "pub_windw": [2010, 2011]},
         {**_two_discipline_config(), "recalibration": {"top_fracton": 0.5}},
         _with_h_index_t(),
+        {**_two_discipline_config(), "recalibration": {"ym_decimals": -400}},
+        {**_two_discipline_config(), "recalibration": {"ym_decimals": 2.7}},
+        {**_two_discipline_config(), "recalibration": {"ym_decimals": True}},
+        {**_two_discipline_config(), "domestic_language": 5},
     ],
     ids=["top_fraction_2", "negative_t", "no_disciplines", "negative_derived_minimum",
-         "zero_derived_minimum", "unknown_key", "unknown_recalibration_key", "h_index_t"],
+         "zero_derived_minimum", "unknown_key", "unknown_recalibration_key", "h_index_t",
+         "negative_ym_decimals", "fractional_ym_decimals", "boolean_ym_decimals", "number_domestic_language"],
 )
 def test_bad_config_is_refused_at_load_naming_the_file(tmp_path, capsys, command, config):
     config_path = tmp_path / "config.json"
@@ -519,7 +534,7 @@ def test_bad_config_is_refused_at_load_naming_the_file(tmp_path, capsys, command
     code = run(command, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out")
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: {config_path}: ")
+    assert err.startswith(f"error: {config_path}: bad config: ")
     assert "Traceback" not in err
 
 
@@ -613,6 +628,10 @@ def _fuzz_input(name: str, tmp_path: Path, clean_corpus_files) -> tuple[Path, li
         path = tmp_path / "thresholds.csv"
         path.write_text("label,tiny\ndiscipline,kind,minimum\nsocial_geography,publications,39\n", encoding="utf-8")
         return path, ["evaluate", *dossier_files(tmp_path), "--researcher", "cand", "--thresholds", path], "39"
+    if name == "spec":
+        path = tmp_path / "spec.json"
+        save_synth_spec(_small_section_spec(seed=3), path)
+        return path, ["synth", "--spec", path, *out], "1.5"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_two_discipline_config()), encoding="utf-8")
     return path, ["stats", *corpus, "--config", path], "30"
@@ -635,11 +654,16 @@ def _corrupt(corruption: str, data: bytes, number: str, is_json: bool) -> bytes:
         return text.replace(number, bad, 1).encode("utf-8")
     if corruption == "corrupt_json":
         return text.replace("{", "[", 1).encode("utf-8")
+    if corruption == "deep_nesting":  # past the recursion limit of Python's JSON parser
+        return text.replace("{", "[" * 100_000, 1).encode("utf-8")
+    if corruption == "open_quote":  # one DSV cell from the second line on, past the csv module's size limit
+        return (text.replace("\n", '\n"', 1) + "x" * 140_000).encode("utf-8")
     return data[: len(data) // 2] + b"\xff\xfe" + data[len(data) // 2:]  # not_utf8
 
 
 FUZZ_INPUTS = ("corpus_dsv", "corpus_jsonl", "apv_dsv", "apv_jsonl", "thresholds", "config")
 FUZZ_CORRUPTIONS = ("truncate_mid_row", "drop_column", "nan", "inf", "corrupt_json", "not_utf8")
+JSON_INPUTS = ("corpus_jsonl", "apv_jsonl", "config")
 
 
 @pytest.mark.parametrize(
@@ -648,8 +672,9 @@ FUZZ_CORRUPTIONS = ("truncate_mid_row", "drop_column", "nan", "inf", "corrupt_js
         (name, corruption)
         for name in FUZZ_INPUTS
         for corruption in FUZZ_CORRUPTIONS
-        if corruption != "corrupt_json" or name in ("corpus_jsonl", "apv_jsonl", "config")
-    ],
+        if corruption != "corrupt_json" or name in JSON_INPUTS
+    ] + [(name, "deep_nesting") for name in (*JSON_INPUTS, "spec")]
+    + [(name, "open_quote") for name in ("corpus_dsv", "apv_dsv", "thresholds")],
 )
 def test_corrupted_input_is_a_typed_failure(tmp_path, clean_corpus_files, capsys, name, corruption):
     path, argv, number = _fuzz_input(name, tmp_path, clean_corpus_files)

@@ -149,3 +149,15 @@ def test_threshold_table_round_trip(tmp_path):
         loaded = load_threshold_table(path)
         assert loaded.label == table.label
         assert loaded.minimums == dict(table.minimums)
+
+
+def test_threshold_table_refuses_a_repeated_cell(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text(
+        "label,twice\ndiscipline,kind,minimum\ngeology,publications,30\nmining,publications,20\n"
+        "geology,publications,1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(EvaluationError) as caught:
+        load_threshold_table(path)
+    assert str(caught.value) == f"{path}:5: repeats line 3, the minimum of (geology, publications)"

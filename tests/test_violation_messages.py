@@ -40,6 +40,7 @@ JSON_RECORDS = {
     "apv": {"discipline": '"geology"', "kind": '"publications"', "method": '"integer"', "apv": '"1.5"'},
 }
 BIG = "1" + "0" * 400  # overflows a float
+DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 
 def dsv(file: str, *rows: str) -> tuple[str, str]:
@@ -287,6 +288,15 @@ CORPUS_CASES = {
     "cj_missing_cited": (jsonl("citations", cited_pub_id=None), [
         "citations:1: column 'cited_pub_id' is empty",
     ]),
+    "rj_deep_nesting": (("researchers.jsonl", "[" * 100_000 + "\n"), [
+        f"researchers:1: invalid JSON: {DEEP_JSON}",
+    ]),
+    "p_open_quote_after_a_bad_row": (dsv("publications", "p1,abc,book,hu,false,false,,r1,geology",
+                                          '"p2' + "x" * 140_000), [
+        "publications:1: column 'year': 'abc' is not an integer",
+        "publications:2: unreadable from here on: field larger than field limit (131072)",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
 }
 
 
@@ -343,6 +353,19 @@ APV_CASES = {
                                   "APV:1: bad APV row: column 'discipline': 5 is not a string"),
     "json_true_as_discipline": (jsonl("apv", discipline="true"),
                                 "APV:1: bad APV row: column 'discipline': True is not a string"),
+    "json_deep_nesting": (("apv.jsonl", "[" * 100_000 + "\n"), f"APV:1: invalid JSON: {DEEP_JSON}"),
+    # the first problem in row order, whatever its kind
+    "bad_cell_before_repeat": (dsv("apv", "geology,publications,integer,1.5", "geology,pubs,integer,1",
+                                   "geology,publications,integer,2"),
+                               "APV:2: bad APV row: 'pubs' is not a valid IndicatorKind"),
+    "repeat_before_bad_cell": (dsv("apv", "geology,publications,integer,1.5", "geology,publications,integer,2",
+                                   "geology,pubs,integer,1"),
+                               "APV:2: repeats row 1, the APV of (geology, publications, integer)"),
+    "repeat_before_long_row": (dsv("apv", "geology,publications,integer,1.5", "geology,publications,integer,2",
+                                   "geology,publications,integer,1.5,9"),
+                               "APV:2: repeats row 1, the APV of (geology, publications, integer)"),
+    "repeat_after_blank_row": (dsv("apv", "geology,publications,integer,1.5", "", "geology,publications,integer,2"),
+                               "APV:3: repeats row 1, the APV of (geology, publications, integer)"),
 }
 
 
@@ -400,6 +423,35 @@ def test_violations_around_the_chunk_boundary_are_pinned(clean_corpus_files, tmp
     assert [str(v) for v in violations] == [
         f"publications:{row}: {FAULT_TEXTS[(fmt, fault)]}" for row, fault in sorted(faults.items())
     ]
+
+
+#: Rows of an APV table longer than one 1024-row chunk, each a distinct cell
+#: but the ones that repeat row 1 or have a bad kind.
+APV_BOUNDARY_CASES = {
+    "repeat_1024_then_bad_1025": ({1024: "repeat", 1025: "bad"},
+                                  "APV:1024: repeats row 1, the APV of (d1, publications, integer)"),
+    "bad_1024_then_repeat_1025": ({1024: "bad", 1025: "repeat"},
+                                  "APV:1024: bad APV row: 'pubs' is not a valid IndicatorKind"),
+    "repeat_1030": ({1030: "repeat"}, "APV:1030: repeats row 1, the APV of (d1, publications, integer)"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("case", sorted(APV_BOUNDARY_CASES))
+def test_apv_problems_around_the_chunk_boundary_are_pinned(tmp_path, fmt, case):
+    faults, expected = APV_BOUNDARY_CASES[case]
+    cells = {row: (f"d{row}", "publications") for row in range(1, LONG_FILE_ROWS + 1)}
+    for row, fault in faults.items():
+        cells[row] = ("d1", "publications") if fault == "repeat" else (f"d{row}", "pubs")
+    if fmt == "dsv":
+        name, text = dsv("apv", *(f"{d},{kind},integer,1.5" for d, kind in cells.values()))
+    else:
+        name = "apv.jsonl"
+        text = "".join(jsonl("apv", discipline=f'"{d}"', kind=f'"{kind}"')[1] for d, kind in cells.values())
+    path = write_corpus_files(tmp_path, {name: text})[name]
+    with pytest.raises(RecalibrationError) as caught:
+        read_apv_table(path)
+    assert str(caught.value).replace(str(path), "APV") == expected
 
 
 def test_jsonl_lines_that_only_parse_joined_are_each_invalid(clean_corpus_files, tmp_path):
