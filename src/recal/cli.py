@@ -270,9 +270,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"evaluation_{args.researcher}.json").write_text(
-            document + "\n", encoding="utf-8"
-        )
+        name = args.researcher.replace("%", "%25").replace("/", "%2F")  # one file per id, inside out_dir
+        (out_dir / f"evaluation_{name}.json").write_text(document + "\n", encoding="utf-8")
     return EXIT_OK if result.overall_fulfilled else EXIT_VALIDATION
 
 

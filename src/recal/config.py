@@ -3,15 +3,18 @@ recalibration knobs, loadable from a versioned JSON document.
 
 Every key except ``schema_version`` is optional; omitted keys fall back to
 the shipped defaults (the nine-discipline section, 2014-2018 publications,
-2014-2019 citations, top quarter, t=5 years). Unknown keys are refused, and
-every error names the file.
+2014-2019 citations, top quarter, t=5 years). ``read_document`` checks it,
+and the generator spec, against a schema table; every error names the file
+and the key path.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from . import defaults
 from .corpus import PubType, YearWindow, finite_float
@@ -20,11 +23,6 @@ from .evaluation import EvaluationError, ThresholdTable
 from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RecalibrationError, RoundingMode
 
 SCHEMA_VERSION = 1
-CONFIG_KEYS = frozenset({
-    "schema_version", "disciplines", "domestic_language", "pub_window", "citation_window",
-    "current_minimums", "recalibration", "counted_publication_types",
-})
-RECALIBRATION_KEYS = frozenset({"top_fraction", "t_years", "ym_source_method", "ym_decimals", "rounding"})
 
 
 class ConfigError(Exception):
@@ -80,103 +78,168 @@ def default_config() -> PipelineConfig:
     )
 
 
-def _parse_window(doc: object, name: str) -> YearWindow:
-    if (
-        not isinstance(doc, (list, tuple))
-        or len(doc) != 2
-        or not all(isinstance(x, int) for x in doc)
-    ):
-        raise ConfigError(f"{name} must be a [start, end] pair of years")
-    return YearWindow(doc[0], doc[1])
+# --------------------------------------------------------------------------
+# Document schemas: one walk checks a JSON document against a table of rules
+
+class SchemaError(Exception):
+    """A value that breaks its rule; ``args`` are its key path and the problem."""
 
 
-def _parse_minimums(doc: Mapping) -> dict[tuple[str, IndicatorKind], float]:
-    table: dict[tuple[str, IndicatorKind], float] = {}
-    for discipline, kinds in doc.items():
-        for kind_name, value in kinds.items():
-            try:
-                kind = IndicatorKind(kind_name)
-            except ValueError:
-                raise ConfigError(f"unknown indicator kind {kind_name!r}") from None
-            table[(discipline, kind)] = finite_float(value)
-    return table
+@dataclass(frozen=True)
+class Rule:
+    """One node of a document schema. A value that fails ``test`` is not
+    ``noun``; ``convert`` makes what the loader keeps, and a ``ValueError`` it
+    raises refuses the value. An array's elements pass ``item``; an object's
+    keys pass ``key`` and its values ``item``, or, for a table, ``fields``
+    names its keys: the ``required`` ones must be there, others are refused."""
+
+    noun: str
+    test: Callable[[object], bool]
+    convert: Callable[[Any], Any] = lambda value: value
+    item: Rule | None = None
+    key: Rule | None = None
+    fields: Mapping[str, Rule] | None = None
+    required: tuple[str, ...] = ()
+    nullable: bool = False  # JSON null passes, as None
+    note: str = ""  # appended to the error for an unknown key
 
 
-def _refuse_unknown_keys(doc: Mapping, known: frozenset[str], where: str) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
-            f"known keys: {', '.join(sorted(known))}"
-        )
+INTEGER = Rule("an integer", lambda value: type(value) is int)  # a boolean is not an integer
+NUMBER = Rule("a number", lambda value: type(value) in (int, float), finite_float)
+STRING = Rule("a string", lambda value: type(value) is str)
+VERSION = Rule(f"the supported version {SCHEMA_VERSION}", lambda value: type(value) is int and value == SCHEMA_VERSION)
+WINDOW = Rule("a [start, end] pair of years", lambda value: type(value) is list and len(value) == 2,
+              lambda pair: YearWindow(*pair), item=INTEGER)
+
+
+def enum(kind: type[Enum]) -> Rule:
+    names = [member.value for member in kind]
+    return Rule(f"one of {', '.join(names)}", lambda value: type(value) is str and value in names, kind)
+
+
+def array(item: Rule, convert: Callable[[list], Any] = list) -> Rule:
+    return Rule("an array", lambda value: type(value) is list, convert, item=item)
+
+
+def mapping(item: Rule, key: Rule = STRING, convert: Callable[[dict], Any] = dict) -> Rule:
+    return Rule("an object", lambda value: type(value) is dict, convert, item=item, key=key)
+
+
+def table(required: Mapping[str, Rule], optional: Mapping[str, Rule], note: str = "") -> Rule:
+    """An object whose keys are those of ``required`` and, if present, of ``optional``."""
+    fields = {**required, **optional}
+    return Rule("an object", lambda value: type(value) is dict, fields=fields, required=tuple(required), note=note)
+
+
+class _RepeatedKey(dict):
+    """A JSON object that names its key ``repeated`` twice."""
+
+    repeated: str
+
+
+def _json_object(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _RepeatedKey(obj)
+        obj.repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    return obj
+
+
+def _walk(rule: Rule, value: Any, where: str) -> Any:
+    """``value`` checked and converted by ``rule``; ``where`` is its key path
+    with a leading dot."""
+    if type(value) is _RepeatedKey:
+        raise SchemaError(f"{where}.{value.repeated}", "repeated key")
+    if value is None and rule.nullable:
+        return None
+    if not rule.test(value):
+        raise SchemaError(where, f"{json.dumps(value)} is not {rule.noun}")
+    if rule.fields is not None:
+        for name in rule.required:
+            if name not in value:
+                raise SchemaError(f"{where}.{name}", "missing key")
+        for name in value:
+            if name not in rule.fields:
+                note = f" ({rule.note})" if rule.note else ""
+                raise SchemaError(f"{where}.{name}", f"unknown key{note}; known keys: {', '.join(sorted(rule.fields))}")
+        value = {name: _walk(rule.fields[name], item, f"{where}.{name}") for name, item in value.items()}
+    elif rule.key is not None:
+        value = {_walk(rule.key, name, f"{where}.{name}"): _walk(rule.item, item, f"{where}.{name}")
+                 for name, item in value.items()}
+    elif rule.item is not None:
+        value = [_walk(rule.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
+    try:
+        return rule.convert(value)
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from None
+
+
+def read_document(path: str | Path, schema: Rule, error: type[Exception], what: str) -> Any:
+    """The JSON document at ``path`` as ``schema`` converts it. A defect raises
+    ``error`` naming the file, ``what`` the document is and the key path; a
+    file that cannot be read raises ``OSError``."""
+    with Path(path).open(encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle, object_pairs_hook=_json_object)
+        except (RecursionError, ValueError) as exc:  # invalid JSON, nested too deep, or bytes that are not UTF-8
+            raise error(f"{path}: bad {what}: invalid JSON: {exc}") from exc
+    try:
+        return _walk(schema, doc, "")
+    except SchemaError as exc:
+        where, problem = exc.args
+        raise error(f"{path}: bad {what}: {where[1:] + ': ' if where else ''}{problem}") from None
+
+
+def _registry(entries: list[dict[str, str]]) -> dict[str, str]:
+    """``{key: name}`` of the ``disciplines`` entries, in order; a key listed
+    twice is refused, as a key named twice in one JSON object is."""
+    registry = _json_object([(entry["key"], entry.get("name", entry["key"])) for entry in entries])
+    if type(registry) is _RepeatedKey:
+        raise ValueError(f"{json.dumps(registry.repeated)} is registered twice")
+    return registry
+
+
+KIND = enum(IndicatorKind)
+CONFIG_SCHEMA = table(
+    {"schema_version": VERSION},
+    {
+        "disciplines": array(table({"key": STRING}, {"name": STRING}), _registry),
+        "domestic_language": STRING,
+        "pub_window": WINDOW,
+        "citation_window": WINDOW,
+        "current_minimums": mapping(
+            mapping(NUMBER, KIND),
+            convert=lambda doc: {(key, kind): value for key, kinds in doc.items() for kind, value in kinds.items()},
+        ),
+        "recalibration": table({}, {
+            "top_fraction": NUMBER,
+            "t_years": mapping(NUMBER, KIND),
+            "ym_source_method": enum(CountingMethod),
+            "ym_decimals": replace(INTEGER, nullable=True),
+            "rounding": enum(RoundingMode),
+        }),
+        "counted_publication_types": replace(array(enum(PubType), frozenset), nullable=True),
+    },
+    note="the --format option sets the output format",
+)
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    with Path(path).open(encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except (RecursionError, ValueError) as exc:  # invalid JSON, nested too deep, or bytes that are not UTF-8
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: expected schema_version {SCHEMA_VERSION}")
-
+    doc = read_document(path, CONFIG_SCHEMA, ConfigError, "config")
+    del doc["schema_version"]
     base = default_config()
+    knobs = doc.pop("recalibration", {})  # RecalibrationConfig fields, with t named t_years
+    t = knobs.pop("t_years", base.recalibration.t)
     try:
-        _refuse_unknown_keys(doc, CONFIG_KEYS, "the config (the --format option sets the output format)")
-        disciplines = dict(base.disciplines)
-        if "disciplines" in doc:
-            disciplines = {}
-            for entry in doc["disciplines"]:
-                disciplines[entry["key"]] = entry.get("name", entry["key"])
-
-        minimums = dict(base.current_minimums)
-        if "current_minimums" in doc:
-            minimums = _parse_minimums(doc["current_minimums"])
-
-        recal_doc = doc.get("recalibration", {})
-        _refuse_unknown_keys(recal_doc, RECALIBRATION_KEYS, "'recalibration'")
-        t = dict(base.recalibration.t)
-        if "t_years" in recal_doc:
-            t = {IndicatorKind(k): finite_float(v) for k, v in recal_doc["t_years"].items()}
-        recalibration = RecalibrationConfig(
-            disciplines=tuple(disciplines),
-            cmv=minimums,
+        recalibration = replace(
+            base.recalibration,
+            disciplines=tuple(doc.get("disciplines", base.disciplines)),
+            cmv=doc.get("current_minimums", base.current_minimums),
             t=t,
-            top_fraction=float(recal_doc.get("top_fraction", base.recalibration.top_fraction)),
-            ym_source_method=CountingMethod(
-                recal_doc.get("ym_source_method", base.recalibration.ym_source_method.value)
-            ),
-            rounding=RoundingMode(recal_doc.get("rounding", base.recalibration.rounding.value)),
-            ym_decimals=recal_doc.get("ym_decimals", base.recalibration.ym_decimals),
+            **knobs,
         )
-
-        domestic_language = doc.get("domestic_language", base.domestic_language)
-        if not isinstance(domestic_language, str):
-            raise ConfigError(f"domestic_language must be a string, got {domestic_language!r}")
-
-        counted_types = None
-        if doc.get("counted_publication_types") is not None:
-            counted_types = frozenset(PubType(t) for t in doc["counted_publication_types"])
-
-        return PipelineConfig(
-            disciplines=disciplines,
-            domestic_language=domestic_language,
-            pub_window=(
-                _parse_window(doc["pub_window"], "pub_window")
-                if "pub_window" in doc
-                else base.pub_window
-            ),
-            citation_window=(
-                _parse_window(doc["citation_window"], "citation_window")
-                if "citation_window" in doc
-                else base.citation_window
-            ),
-            current_minimums=minimums,
-            recalibration=recalibration,
-            counted_publication_types=counted_types,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError,
-            ConfigError, EvaluationError, RecalibrationError) as exc:
+        return replace(base, **doc, recalibration=recalibration)
+    except (ConfigError, EvaluationError, RecalibrationError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
 
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from random import Random
 
 from . import defaults
+from .config import INTEGER, NUMBER, STRING, VERSION, WINDOW, mapping, read_document, table
 from .corpus import (
     CitationLink,
     Corpus,
@@ -53,9 +54,6 @@ class SynthDisciplineParams:
     domestic_language_ratio: float
 
     def __post_init__(self) -> None:
-        for name in ("researcher_count", "pub_count"):
-            if type(getattr(self, name)) is not int:
-                raise SynthError(f"{self.discipline}: {name} must be an integer, got {getattr(self, name)!r}")
         if self.researcher_count < 0 or self.pub_count < 0:
             raise SynthError(f"{self.discipline}: counts must be non-negative")
         if self.pub_count > 0 and self.researcher_count == 0:
@@ -80,10 +78,10 @@ class SynthSpec:
     domestic_language: str = "hu"
 
     def __post_init__(self) -> None:
+        if not self.params:
+            raise SynthError("no disciplines: a spec needs at least one")
         if not 0 <= self.seed < 2**64:
             raise SynthError("seed must fit in 64 unsigned bits")
-        if not isinstance(self.domestic_language, str):
-            raise SynthError(f"domestic_language must be a string, got {self.domestic_language!r}")
 
 
 # --------------------------------------------------------------------------
@@ -288,26 +286,32 @@ def default_spec(seed: int = 1) -> SynthSpec:
 # --------------------------------------------------------------------------
 # Spec file format
 
+SPEC_SCHEMA = table(
+    {
+        "schema_version": VERSION,
+        "seed": INTEGER,
+        "pub_window": WINDOW,
+        "citation_window": WINDOW,
+        "disciplines": mapping(table(  # each SynthDisciplineParams field after the discipline, which is the key
+            {field.name: INTEGER if field.type == "int" else NUMBER for field in fields(SynthDisciplineParams)[1:]}, {},
+        )),
+    },
+    {"domestic_language": STRING},
+)
+
+
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Read a generator spec from a JSON document; any defect in it raises
     ``SynthError`` naming the file."""
+    doc = read_document(path, SPEC_SCHEMA, SynthError, "generator spec")
+    del doc["schema_version"]
+    disciplines = doc.pop("disciplines")
     try:
-        with Path(path).open(encoding="utf-8") as handle:
-            doc = json.load(handle)
-        if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-            raise SynthError("expected a JSON object with schema_version 1")
-        params = tuple(
-            SynthDisciplineParams(discipline=discipline, **fields)
-            for discipline, fields in doc["disciplines"].items()
-        )
         return SynthSpec(
-            seed=int(doc["seed"]),
-            params=params,
-            pub_window=YearWindow(*doc["pub_window"]),
-            citation_window=YearWindow(*doc["citation_window"]),
-            domestic_language=doc.get("domestic_language", defaults.DEFAULT_DOMESTIC_LANGUAGE),
+            params=tuple(SynthDisciplineParams(discipline, **targets) for discipline, targets in disciplines.items()),
+            **doc,
         )
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, SynthError) as exc:
+    except SynthError as exc:
         raise SynthError(f"{path}: bad generator spec: {exc}") from exc
 
 

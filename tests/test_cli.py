@@ -336,6 +336,20 @@ def test_evaluate_exact_dossier_exits_zero(tmp_path, capsys):
     assert written == document
 
 
+def test_evaluate_out_dir_gives_every_id_its_own_file_inside_it(tmp_path, capsys):
+    paths = dossier_files(tmp_path)
+    ids = {"a/b": "a%2Fb", "a%2Fb": "a%252Fb", "a%b": "a%25b", "../up": "..%2Fup", "cand": "cand"}
+    with paths[0].open("a", encoding="utf-8") as handle:
+        handle.writelines(f"{rid},social_geography,false,2010\n" for rid in ids if rid != "cand")
+    out_dir = tmp_path / "out"
+    for rid in ids:
+        assert run("evaluate", *paths, "--researcher", rid, "--out-dir", out_dir) in (0, 1)
+        document = capsys.readouterr().out
+        assert (out_dir / f"evaluation_{ids[rid]}.json").read_text(encoding="utf-8") == document
+        assert json.loads(document)["researcher_id"] == rid
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(f"evaluation_{name}.json" for name in ids.values())
+
+
 def test_evaluate_degraded_dossier_exits_nonzero(tmp_path, capsys):
     paths = dossier_files(tmp_path)
     citation_lines = paths[2].read_text().splitlines()

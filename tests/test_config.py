@@ -24,6 +24,7 @@ def test_default_config_round_trips_through_file(tmp_path):
     assert loaded.pub_window == config.pub_window
     assert loaded.recalibration.t == config.recalibration.t
     assert loaded.recalibration.ym_decimals == 3
+    assert loaded == config
 
 
 def test_partial_override_keeps_other_defaults(tmp_path):

@@ -133,10 +133,10 @@ def test_default_spec_covers_all_disciplines():
 
 
 def test_spec_file_round_trip(tmp_path):
-    spec = one_discipline_spec(seed=17)
     path = tmp_path / "spec.json"
-    save_synth_spec(spec, path)
-    assert load_synth_spec(path) == spec
+    for spec in (one_discipline_spec(seed=17), default_spec(3)):
+        save_synth_spec(spec, path)
+        assert load_synth_spec(path) == spec
 
 
 def test_spec_file_rejects_unknown_schema(tmp_path):
