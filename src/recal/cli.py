@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .config import ConfigError, PipelineConfig, default_config, load_pipeline_config
 from .corpus import (
-    Corpus, CorpusError, corpus_stats, load_corpus, save_corpus, scan_corpus, write_table,
+    Corpus, CorpusError, collector_paused, corpus_stats, load_corpus, save_corpus, scan_corpus, write_table,
 )
 from .counting import CountingError, CountingMethod, indicator_matrix
 from .evaluation import (
@@ -355,7 +355,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with collector_paused():  # no collector pass walks the command's records while it runs
+            return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -44,6 +44,8 @@ class PipelineConfig:
             if key not in self.disciplines:
                 raise ConfigError(f"minimum for unregistered discipline {key!r}")
         self.current_threshold_table()  # every minimum is positive
+        if self.recalibration.disciplines != tuple(self.disciplines) or self.recalibration.cmv != self.current_minimums:
+            raise ConfigError("recalibration.disciplines and recalibration.cmv must equal disciplines and current_minimums")
 
     def counting_settings(self) -> CountingSettings:
         return CountingSettings(

@@ -95,6 +95,8 @@ class RecalibrationConfig:
             raise RecalibrationError(f"ym_decimals must be a non-negative integer or None, got {self.ym_decimals!r}")
         if not 0.0 < self.top_fraction <= 1.0:
             raise RecalibrationError(f"top_fraction {self.top_fraction} outside (0, 1]")
+        if not self.t:
+            raise RecalibrationError("t_years is empty: it names no kind to recalibrate")
         if IndicatorKind.H_INDEX in self.t:
             raise RecalibrationError("h_index cannot be recalibrated: it is a rank statistic, not a sum over years")
         for kind, years in self.t.items():

@@ -552,6 +552,18 @@ def test_bad_config_is_refused_at_load_naming_the_file(tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["recalibrate", "derive"])
+def test_empty_t_years_is_refused_at_load(tmp_path, capsys, command):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"schema_version": 1, "recalibration": {"t_years": {}}}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = run(command, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", out_dir)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {config_path}: bad config: t_years is empty: it names no kind to recalibrate\n"
+    assert not out_dir.exists()
+
+
 # --------------------------------------------------------------------------
 # golden report bytes: exit code, stdout and every output file of the report
 # commands, recorded before the table writers were merged into one

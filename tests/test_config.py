@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -126,3 +127,26 @@ def test_derived_cmv_excludes_core_and_unscalable_kinds():
     assert IndicatorKind.WOS_INDEPENDENT_CITATIONS not in kinds
     assert IndicatorKind.FIRST_AUTHOR_PUBLICATIONS in kinds
     assert ("social_geography", IndicatorKind.BOOKS_AND_MONOGRAPHS) in derived
+
+
+def _changed_minimums(config):
+    cell = next(iter(config.current_minimums))
+    return {"current_minimums": {**config.current_minimums, cell: config.current_minimums[cell] + 1}}
+
+
+def _reordered_disciplines(config):
+    return {"disciplines": dict(reversed(config.disciplines.items()))}
+
+
+@pytest.mark.parametrize("change", [_changed_minimums, _reordered_disciplines],
+                         ids=["current_minimums", "disciplines"])
+def test_pipeline_config_refuses_copies_that_disagree(change):
+    config = default_config()
+    with pytest.raises(ConfigError, match="must equal disciplines and current_minimums"):
+        replace(config, **change(config))
+    # changing both copies together is fine, and display names are not copied
+    change = change(config)
+    recalibration = replace(config.recalibration, cmv=change.get("current_minimums", config.current_minimums),
+                            disciplines=tuple(change.get("disciplines", config.disciplines)))
+    assert replace(config, **change, recalibration=recalibration).recalibration is recalibration
+    assert replace(config, disciplines={key: key.upper() for key in config.disciplines}).disciplines["geology"] == "GEOLOGY"
