@@ -29,7 +29,6 @@ from .evaluation import (
     save_threshold_table,
 )
 from .recalibration import (
-    DEFAULT_BASE_KINDS,
     DisciplinePerformance,
     RecalibrationError,
     RecalibrationRow,
@@ -130,7 +129,11 @@ def _recalibration_rows(
     if bool(args.apv_table) == corpus_given:
         raise ConfigError("provide exactly one input: the three corpus files or --apv-table")
     if args.apv_table:
-        return recalibrate_all(read_apv_table(args.apv_table), config.recalibration), None
+        apv_table = read_apv_table(args.apv_table)
+        try:
+            return recalibrate_all(apv_table, config.recalibration), None
+        except RecalibrationError as exc:  # a cell the table lacks
+            raise RecalibrationError(f"{args.apv_table}: {exc}") from None
     if args.publications is None or args.citations is None:
         raise ConfigError("corpus mode needs all three files: researchers publications citations")
     corpus = _corpus_from_args(args, config)
@@ -200,14 +203,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
     current = config.current_threshold_table()
     deltas = diff_tables(current, table)
-    non_derivable = sorted(
-        {
-            kind.value
-            for (_, kind) in config.current_minimums
-            if kind not in DEFAULT_BASE_KINDS
-            and kind not in config.recalibration.kinds
-        }
-    )
+    # every current-minimum kind that is neither recalibrated nor derived
+    non_derivable = sorted({kind.value for _, kind in config.current_minimums} - {kind.value for _, kind in cells})
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,12 +215,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     for cell in sorted(minimums, key=lambda c: (c[0], c[1].value)):
         status = "floored" if cell in floored else "derived" if cell in derived else "recalibrated"
         raw = None if status == "recalibrated" else cells[cell][0]
-        delta = deltas.get(cell)
-        delta_text = ""
-        if delta is not None and delta.delta is not None:
-            delta_text = f"{delta.delta:+.0f}"
-        elif delta is not None and delta.added:
-            delta_text = "newly introduced"
+        delta = deltas[cell]  # in the new table, so in both or added
+        delta_text = "newly introduced" if delta.added else f"{delta.delta:+.0f}"
         report.append(
             (
                 cell[0],

@@ -57,11 +57,12 @@ class PipelineConfig:
         return ThresholdTable(label="current minimums", minimums=dict(self.current_minimums))
 
     def derived_cmv(self) -> dict[tuple[str, IndicatorKind], float]:
-        """Current minimums of the indicators that scale off a base kind."""
+        """Current minimums of the indicators that scale off a recalibrated
+        base kind."""
         return {
             cell: value
             for cell, value in self.current_minimums.items()
-            if cell[1] in DEFAULT_BASE_KINDS
+            if DEFAULT_BASE_KINDS.get(cell[1]) in self.recalibration.t
         }
 
 

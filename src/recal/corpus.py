@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -450,10 +450,26 @@ def _language(cell: object, column: str) -> str:
     return required_string(cell, column).lower()
 
 
-# A column converter turns one column of a chunk at once, with C-level bulk
-# operations, into the values its cell converter would give. Where that cannot
-# be shown for every cell it raises, and the chunk is converted cell by cell,
-# so only the cell converters ever word a violation.
+# A column converter turns one column of a chunk at once into the values its
+# cell converter would give. Where that cannot be shown for every cell it
+# raises, and the chunk is converted cell by cell, so only the cell converters
+# ever word a violation. A column whose cells repeat goes through
+# ``_distinct``; the three bulk converters below serve the columns whose cells
+# are mostly distinct.
+
+
+def _distinct(convert):
+    """The column converter that runs the cell converter ``convert`` once per
+    distinct cell. ``convert`` must refuse every float, as ``-0.0 == 0.0``; a
+    column of two cell types besides null is refused, as JSON ``true == 1``."""
+    def convert_column(column: Sequence, column_name: str) -> Sequence:
+        if len(set(map(type, column)) - {type(None)}) > 1:
+            raise ValueError
+        value_of = {cell: convert(cell, column_name) for cell in set(column)}
+        if all(map(is_, value_of, value_of.values())):  # JSON cells that are already the values
+            return column
+        return list(map(value_of.__getitem__, column))
+    return convert_column
 
 
 def _strings(column: Sequence, column_name: str) -> list[str]:
@@ -462,29 +478,6 @@ def _strings(column: Sequence, column_name: str) -> list[str]:
     if not all(stripped):
         raise ValueError
     return stripped
-
-
-def _ints(column: Sequence, column_name: str) -> Sequence[int]:
-    """JSON integers as they are, or integer text."""
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return column
-    if kinds == {str}:
-        return list(map(int, column))  # int() ignores the blanks str.strip() removes
-    raise ValueError
-
-
-def _opt_ints(column: Sequence, column_name: str) -> list[int | None]:
-    return list(map(_opt_int, column, repeat(column_name)))  # researchers only: few rows
-
-
-def _bools(column: Sequence, column_name: str) -> Sequence[bool]:
-    """The literals ``true``/``false``, or JSON booleans as they are."""
-    if column.count("true") + column.count("false") == len(column):
-        return list(map("true".__eq__, column))
-    if set(map(type, column)) == {bool}:
-        return column
-    raise ValueError
 
 
 def _opt_floats(column: Sequence, column_name: str) -> Sequence[float | None]:
@@ -526,31 +519,23 @@ def _id_lists(column: Sequence, column_name: str) -> list[tuple[str, ...]]:
     return list(map(tuple, lists))
 
 
-def _pub_types(column: Sequence, column_name: str) -> list[PubType]:
-    return list(map(_PUB_TYPES.__getitem__, column))
-
-
-def _languages(column: Sequence, column_name: str) -> list[str]:
-    return list(map(str.lower, _strings(column, column_name)))
-
-
 #: Each file's columns in record-field order, with a cell and a column
 #: converter each.
 RESEARCHER_COLUMNS = (
-    ("researcher_id", required_string, _strings), ("discipline", required_string, _strings),
-    ("has_dsc", _bool, _bools), ("last_degree_year", _opt_int, _opt_ints),
+    ("researcher_id", required_string, _strings), ("discipline", required_string, _distinct(required_string)),
+    ("has_dsc", _bool, _distinct(_bool)), ("last_degree_year", _opt_int, _distinct(_opt_int)),
 )
 PUBLICATION_COLUMNS = (
-    ("pub_id", required_string, _strings), ("year", _int, _ints), ("pub_type", _pub_type, _pub_types),
-    ("language", _language, _languages), ("wos_indexed", _bool, _bools),
-    ("scopus_indexed", _bool, _bools), ("impact_factor", _opt_float, _opt_floats),
-    ("author_ids", _id_list, _id_lists),
-    ("discipline", _string, _strings),  # an empty one, to inherit, is left to the cell converters
+    ("pub_id", required_string, _strings), ("year", _int, _distinct(_int)),
+    ("pub_type", _pub_type, _distinct(_pub_type)), ("language", _language, _distinct(_language)),
+    ("wos_indexed", _bool, _distinct(_bool)), ("scopus_indexed", _bool, _distinct(_bool)),
+    ("impact_factor", _opt_float, _opt_floats), ("author_ids", _id_list, _id_lists),
+    ("discipline", _string, _distinct(required_string)),  # an empty one, to inherit, is left to the cell converters
 )
 CITATION_COLUMNS = (
     ("citation_id", required_string, _strings), ("cited_pub_id", required_string, _strings),
-    ("citing_year", _int, _ints), ("citing_author_ids", _id_list, _id_lists),
-    ("citing_wos_indexed", _bool, _bools),
+    ("citing_year", _int, _distinct(_int)), ("citing_author_ids", _id_list, _id_lists),
+    ("citing_wos_indexed", _bool, _distinct(_bool)),
 )
 RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (
     tuple(column[0] for column in columns) for columns in (RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS)

@@ -176,6 +176,8 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
             raise EvaluationError(f"{path}:{i}: expected 3 cells")
         try:
             cell, minimum = (cells[0], IndicatorKind(cells[1])), finite_float(cells[2])
+            if minimum <= 0:
+                raise ValueError(f"minimum for ({cell[0]}, {cell[1].value}) must be positive, got {minimum}")
         except ValueError as exc:
             raise EvaluationError(f"{path}:{i}: {exc}") from exc
         if cell in line_of:

@@ -365,8 +365,9 @@ RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_
 
 def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingMethod], float]:
     """Read a ``discipline,kind,method,apv`` table, DSV or JSONL as the corpus
-    files are (``write_apv_table`` output reads back); a cell may appear once.
-    The first problem in row order raises ``RecalibrationError``."""
+    files are (``write_apv_table`` output reads back); a cell may appear once
+    and its APV must be positive. The first problem in row order raises
+    ``RecalibrationError``."""
     def apv_row(row: int, cells: tuple) -> tuple:
         discipline, kind, method, apv = cells
         try:
@@ -375,7 +376,10 @@ def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingM
                 IndicatorKind(required_text(kind, "kind")),
                 CountingMethod(required_text(method, "method")),
             )
-            return row, key, finite_float(required_text(apv, "apv"))
+            text = required_text(apv, "apv")
+            if (value := finite_float(text)) <= 0:
+                raise ValueError(f"column 'apv': {text!r} is not positive")
+            return row, key, value
         except ValueError as exc:
             raise ValueError(f"bad APV row: {exc}") from None
 

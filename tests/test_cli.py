@@ -9,7 +9,10 @@ import pytest
 from recal.cli import main
 from recal.config import default_config
 from recal.corpus import load_corpus, save_corpus
-from recal.recalibration import DisciplinePerformance, discipline_performance, read_apv_table, write_apv_table
+from recal.counting import IndicatorKind
+from recal.recalibration import (
+    DEFAULT_BASE_KINDS, DisciplinePerformance, discipline_performance, read_apv_table, write_apv_table,
+)
 from recal.synthgen import SynthDisciplineParams, SynthSpec, default_spec, generate_corpus, save_synth_spec
 
 from conftest import PUB_WINDOW, CITATION_WINDOW, social_geography_dossier
@@ -304,6 +307,20 @@ def test_derive_floors_a_rounded_minimum_below_one(tmp_path):
     assert [line for line in report if ",floored," in line] == [
         "social_geography,books_and_monographs,floored,0.445,1,-1",
     ]
+
+
+def test_derive_reports_a_kind_whose_base_is_not_recalibrated_as_non_derivable(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"schema_version": 1, "recalibration": {"t_years": {"wos_articles": 5}}}),
+                           encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run("derive", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", out_dir) == 0
+    report = (out_dir / "derive_report.csv").read_text().splitlines()
+    publication_based = [kind.value for kind, base in DEFAULT_BASE_KINDS.items() if base is IndicatorKind.PUBLICATIONS]
+    assert len(publication_based) == 4
+    for kind in publication_based:
+        assert f"*,{kind},non_derivable,,," in report
+    assert any(",wos_articles_since_degree,derived," in line for line in report)
 
 
 @pytest.mark.parametrize("seed", range(1, 11))

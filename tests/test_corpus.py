@@ -470,6 +470,11 @@ def test_every_blank_that_strip_removes_is_a_space_or_not_printable():
 
 @settings(max_examples=400, deadline=None)
 @given(column=st.sampled_from(_ALL_COLUMNS), cells=st.lists(_CELLS, min_size=1, max_size=6), homogeneous=st.booleans())
+# JSON true == 1 and 0 == false: one value per distinct cell must not merge them
+@example(column=RESEARCHER_COLUMNS[2], cells=[True, 1], homogeneous=False)
+@example(column=RESEARCHER_COLUMNS[2], cells=[1, True], homogeneous=False)
+@example(column=PUBLICATION_COLUMNS[1], cells=[0, False], homogeneous=False)
+@example(column=RESEARCHER_COLUMNS[3], cells=[None, 2009, None], homogeneous=False)  # null beside integers
 def test_column_converters_agree_with_cell_converters(column, cells, homogeneous):
     name, convert, convert_column = column
     if homogeneous:  # the usual case: one kind of cell per column

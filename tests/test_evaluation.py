@@ -161,3 +161,12 @@ def test_threshold_table_refuses_a_repeated_cell(tmp_path):
     with pytest.raises(EvaluationError) as caught:
         load_threshold_table(path)
     assert str(caught.value) == f"{path}:5: repeats line 3, the minimum of (geology, publications)"
+
+
+def test_threshold_table_refuses_a_non_positive_minimum_naming_the_line(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("label,zero\ndiscipline,kind,minimum\ngeology,publications,30\n\ngeochemistry,publications,0\n",
+                    encoding="utf-8")
+    with pytest.raises(EvaluationError) as caught:
+        load_threshold_table(path)
+    assert str(caught.value) == f"{path}:5: minimum for (geochemistry, publications) must be positive, got 0.0"

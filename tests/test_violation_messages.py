@@ -6,7 +6,9 @@ were recorded from the readers as they stood before the column tables
 replaced the per-cell helpers, except the cases of a JSON value other than a
 string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
 ``*_as_cited``), which were written when those columns began refusing one, and
-the rows around the reader's 1024-row chunk boundary. A
+the rows around the reader's 1024-row chunk boundary, a JSON ``1`` under a
+``true`` and the non-positive APVs, which were written with the checks that
+refuse them. A
 change to any of them is a change to what users read on stderr and should be
 made on purpose.
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from recal.cli import main
 from recal.corpus import scan_corpus
 from recal.recalibration import RecalibrationError, read_apv_table
 
@@ -154,6 +157,11 @@ CORPUS_CASES = {
     # researchers, JSONL
     "rj_int_as_bool": (jsonl("researchers", has_dsc="1"), [
         "researchers:1: column 'has_dsc': '1' is not 'true'/'false'",
+    ]),
+    # JSON true == 1, so a column converter that reads distinct cells must not let row 1 stand for row 2
+    "rj_int_as_bool_after_true": (("researchers.jsonl", jsonl("researchers")[1]
+                                   + jsonl("researchers", researcher_id='"r2"', has_dsc="1")[1]), [
+        "researchers:2: column 'has_dsc': '1' is not 'true'/'false'",
     ]),
     "rj_null_bool": (jsonl("researchers", has_dsc="null"), [
         "researchers:1: column 'has_dsc' is empty",
@@ -335,6 +343,9 @@ APV_CASES = {
     "nan": (dsv("apv", "geology,publications,integer,nan"), "APV:1: bad APV row: 'nan' is not a finite number"),
     "overflow": (dsv("apv", f"geology,publications,integer,{BIG}"),
                  f"APV:1: bad APV row: '{BIG}' is not a finite number"),
+    "zero": (dsv("apv", "geology,publications,integer,0"), "APV:1: bad APV row: column 'apv': '0' is not positive"),
+    "negative": (dsv("apv", "geology,publications,integer,-1"),
+                 "APV:1: bad APV row: column 'apv': '-1' is not positive"),
     "long_row": (dsv("apv", "geology,publications,integer,1.5,9"), "APV:1: expected 4 cells, found 5"),
     "missing_column": (("apv.csv", "discipline,kind,method\ngeology,publications,integer\n"),
                        "APV: header is missing column(s) ['apv']"),
@@ -345,6 +356,7 @@ APV_CASES = {
     "json_missing": (jsonl("apv", apv=None), "APV:1: bad APV row: column 'apv' is empty"),
     "json_1e999": (jsonl("apv", apv="1e999"), "APV:1: bad APV row: 'inf' is not a finite number"),
     "json_10_400": (jsonl("apv", apv=BIG), f"APV:1: bad APV row: '{BIG}' is not a finite number"),
+    "json_negative": (jsonl("apv", apv="-0.5"), "APV:1: bad APV row: column 'apv': '-0.5' is not positive"),
     "json_number_kind": (jsonl("apv", kind="5"), "APV:1: bad APV row: '5' is not a valid IndicatorKind"),
     "json_not_object": (("apv.jsonl", "[1]\n"), "APV:1: JSON line is not an object"),
     "json_list_as_discipline": (jsonl("apv", discipline='["geology"]'),
@@ -376,6 +388,23 @@ def test_apv_table_messages_are_pinned(tmp_path, case):
     with pytest.raises(RecalibrationError) as caught:
         read_apv_table(path)
     assert str(caught.value).replace(str(path), "APV") == expected
+
+
+#: The published APV table with one row edited: ``--apv-table`` refusals name the file.
+APV_TABLE_EDITS = {
+    "missing_cell": ("", "error: APV: no APV for (geology, publications, integer)"),
+    "negative_apv": ("geology,publications,integer,-1\n", "error: APV:48: bad APV row: column 'apv': '-1' is not positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APV_TABLE_EDITS))
+def test_apv_table_refusals_in_recalibrate_name_the_file(tmp_path, capsys, case):
+    replacement, expected = APV_TABLE_EDITS[case]
+    text = (Path(__file__).parent / "data" / "section_apv.csv").read_text(encoding="utf-8")
+    path = tmp_path / "apv.csv"
+    path.write_text(text.replace("geology,publications,integer,48.769\n", replacement), encoding="utf-8")
+    assert main(["recalibrate", "--apv-table", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.replace(str(path), "APV") == expected + "\n"
 
 
 #: A publications file longer than one 1024-row chunk; p1 is the article c1 cites.
