@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import defaults
-from .corpus import PubType, YearWindow, finite_float
+from .corpus import PubType, YearWindow, finite_float, has_lone_surrogate
 from .counting import CountingMethod, CountingSettings, IndicatorKind
 from .evaluation import EvaluationError, ThresholdTable
 from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RecalibrationError, RoundingMode
@@ -107,9 +107,15 @@ class Rule:
     note: str = ""  # appended to the error for an unknown key
 
 
+def _encodable(text: str) -> str:
+    if has_lone_surrogate(text):
+        raise ValueError(f"{json.dumps(text)} holds a lone surrogate, which UTF-8 cannot encode")
+    return text
+
+
 INTEGER = Rule("an integer", lambda value: type(value) is int)  # a boolean is not an integer
 NUMBER = Rule("a number", lambda value: type(value) in (int, float), finite_float)
-STRING = Rule("a string", lambda value: type(value) is str)
+STRING = Rule("a string", lambda value: type(value) is str, _encodable)
 VERSION = Rule(f"the supported version {SCHEMA_VERSION}", lambda value: type(value) is int and value == SCHEMA_VERSION)
 WINDOW = Rule("a [start, end] pair of years", lambda value: type(value) is list and len(value) == 2,
               lambda pair: YearWindow(*pair), item=INTEGER)

@@ -24,7 +24,9 @@ for every table the program writes. ``save_corpus`` refuses, with a
 ``CorpusError`` naming the record, a text cell the reader would change: an
 empty or whitespace-padded one (every text cell is stripped on load), a
 ``language`` with upper-case letters (it is lowercased on load) or, in DSV, an
-id-list member holding ``;``.
+id-list member holding ``;``. A text cell holding a lone surrogate is refused
+by the writer and the reader alike: JSON can escape one, but UTF-8 cannot
+encode one.
 
 A loaded corpus is immutable and safe to share across threads.
 """
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -344,12 +347,23 @@ def build_corpus(
 _DELIMITER = ","
 _LIST_SEPARATOR = ";"
 _JSON_SUFFIXES = {".jsonl", ".ndjson", ".json"}
-_CHUNK_ROWS = 1024  # rows read and converted at a time; a file is never held whole
+_CHUNK_ROWS = 1024  # rows read or written, and converted, at a time; a file is never held whole
 _scan_json = json.JSONDecoder().scan_once
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 # A converter turns one cell into a record field, or raises ValueError naming
 # its column. A cell is DSV text or, in JSONL, the key's JSON value (None when
 # the key is missing), so one converter serves both formats.
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate (U+D800-U+DFFF): JSON can
+    escape one, but UTF-8 cannot encode one, so no file can hold it."""
+    return not text.isascii() and _SURROGATE.search(text) is not None  # isascii() is O(1)
+
+
+def _surrogate_error(column: str, text: str) -> ValueError:
+    return ValueError(f"column {column!r}: {text!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
 def _text(cell: object, column: str) -> str:  # what a number, boolean or type converter parses
@@ -366,6 +380,8 @@ def _string(cell: object, column: str) -> str:
     """A text column's cell, stripped: DSV text or a JSON string; a missing
     key or ``null`` is empty, and any other JSON value is refused."""
     if isinstance(cell, str):
+        if has_lone_surrogate(cell):
+            raise _surrogate_error(column, cell)
         return cell.strip()
     if cell is None:
         return ""
@@ -430,10 +446,13 @@ def _id_list(cell: object, column: str) -> tuple[str, ...]:
     or from a JSON array, whose members must be strings."""
     members = cell if isinstance(cell, list) else _text(cell, column).split(_LIST_SEPARATOR)
     try:
-        return tuple(filter(None, map(str.strip, members)))
+        ids = tuple(filter(None, map(str.strip, members)))
     except TypeError:  # str.strip of a member that is not a string
         bad = next(member for member in members if not isinstance(member, str))
         raise ValueError(f"column {column!r}: member {bad!r} is not a string") from None
+    if bad := next(filter(has_lone_surrogate, ids), None):
+        raise _surrogate_error(column, bad)
+    return ids
 
 
 _PUB_TYPES = {t.value: t for t in PubType}
@@ -473,9 +492,9 @@ def _distinct(convert):
 
 
 def _strings(column: Sequence, column_name: str) -> list[str]:
-    """Strings, stripped, none of them empty."""
+    """Strings, stripped, none of them empty or holding a lone surrogate."""
     stripped = list(map(str.strip, column))  # TypeError for a cell that is not a string
-    if not all(stripped):
+    if not all(stripped) or has_lone_surrogate("".join(stripped)):
         raise ValueError
     return stripped
 
@@ -514,7 +533,7 @@ def _id_lists(column: Sequence, column_name: str) -> list[tuple[str, ...]]:
     # blanks allowed are the line breaks, all inside ids. Every blank that
     # str.strip() removes is a space, a line break or not printable.
     if not ids or "\n\n" in ids or ids[0] == "\n" or ids[-1] == "\n" or " " in ids \
-            or not ids.replace("\n", "").isprintable():
+            or not ids.replace("\n", "").isprintable():  # nor a lone surrogate, which is not printable
         raise ValueError
     return list(map(tuple, lists))
 
@@ -728,18 +747,57 @@ def load_corpus(
 # Serialization
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-_SURROGATE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
+_NONE = type(None)
+_DSV_FLAGS = {None: "", True: "true", False: "false"}
+_JSON_FLAGS = {None: "null", True: "true", False: "false"}
 
 
 def _dsv_cell(value: object) -> str:
     """The DSV text of one corpus value: None is empty, booleans are
-    ``true``/``false`` and id lists are ``;``-joined."""
+    ``true``/``false``, id lists are ``;``-joined and text, an enum that is
+    also a ``str`` included, is itself."""
     if value is None:
         return ""
     if value is True or value is False:
         return "true" if value else "false"
+    if isinstance(value, str):
+        return value
     return _LIST_SEPARATOR.join(value) if isinstance(value, tuple) else str(value)
+
+
+# A writer's column converter turns one column of a chunk into the texts its
+# cell converter (``_dsv_cell`` or ``_encode_json``) gives, with bulk calls
+# for the columns of one cell type; any other column goes cell by cell.
+# ``True == 1`` and ``0.0 == False``, so no table of texts is looked up with a
+# number.
+
+
+def _dsv_column(column: Sequence) -> Sequence[str]:
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return column
+    if kinds <= {bool, _NONE}:
+        return list(map(_DSV_FLAGS.__getitem__, column))
+    if kinds <= {int, _NONE} or kinds <= {float, _NONE}:
+        return list(map({None: ""}.get, column, map(repr, column)))
+    if kinds == {tuple}:
+        return list(map(_LIST_SEPARATOR.join, column))
+    return list(map(_dsv_cell, column))
+
+
+def _json_column(column: Sequence) -> Sequence[str]:
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return list(map(encode_basestring, column))
+    if kinds <= {bool, _NONE}:
+        return list(map(_JSON_FLAGS.__getitem__, column))
+    # json writes NaN and the infinities as NaN, Infinity and -Infinity
+    if kinds <= {int, _NONE} or kinds <= {float, _NONE} and all(map(math.isfinite, filter(None, column))):
+        return list(map({None: "null"}.get, column, map(repr, column)))
+    if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {str}:
+        return list(map("[%s]".__mod__, map(", ".join, map(partial(map, encode_basestring), column))))
+    return list(map(_encode_json, column))
 
 
 def _quoted(cell: str) -> str:
@@ -754,27 +812,63 @@ def _dsv_line(cells: Sequence[str]) -> str:
     return line + "\n"
 
 
+def _dsv_text(chunk: list[Sequence], width: int) -> str:
+    """The DSV lines of a chunk of rows. A chunk of text is joined as it is,
+    and any other chunk is converted a column at a time first. ``_dsv_line``'s
+    test is made once over the chunk, and only a chunk with a cell to quote is
+    written row by row."""
+    try:
+        text = "\n".join(map(_DELIMITER.join, chunk)) + "\n"
+    except TypeError:  # a cell that is not text
+        return _dsv_text(list(zip(*map(_dsv_column, zip(*chunk)))), width)
+    if text.count(_DELIMITER) == len(chunk) * (width - 1) and text.count("\n") == len(chunk) \
+            and '"' not in text and "\r" not in text:
+        return text
+    return "".join(map(_dsv_line, chunk))
+
+
+def _json_text(chunk: list[Sequence], line: str) -> str:
+    """The JSONL lines of a chunk of rows, converted a column at a time and
+    put into ``line``, a ``%`` template with one ``%s`` per field."""
+    return "".join(map(line.__mod__, zip(*map(_json_column, zip(*chunk)))))
+
+
 def write_table(
     out: str | os.PathLike | TextIO, fields: Sequence[str], rows: Iterable[Sequence], fmt: str = "dsv"
 ) -> None:
-    """Write a table to a file path or an open text stream, one line per row,
-    streaming the rows in bounded batches.
+    """Write a table to a file path or an open text stream, one line per row.
 
-    In ``dsv`` the first line holds ``fields`` and each row is a sequence of
-    text cells; a cell holding ``,``, ``"``, CR or LF is quoted as
-    ``csv.writer`` quotes it (wrapped in ``"``, inner quotes doubled; by hand,
-    because Python 3.11's ``csv.writer`` leaves a CR unquoted, which its own
-    reader then splits). In ``jsonl`` each row becomes one object mapping
-    ``fields`` to its values, with non-ASCII text kept as UTF-8.
+    The rows are taken ``_CHUNK_ROWS`` at a time, and a chunk is converted a
+    column at a time unless every cell is text. ``fields`` names at least one
+    column, each once, and each row must have one cell per field, or
+    ``ValueError`` names the row.
+
+    In ``dsv`` the first line holds ``fields``. A cell is written as
+    ``_dsv_cell`` gives it (None is empty, booleans are ``true``/``false``, id
+    tuples are ``;``-joined, text is itself); a cell holding ``,``, ``"``, CR
+    or LF is quoted as ``csv.writer`` quotes it (wrapped in ``"``, inner quotes
+    doubled; by hand, because Python 3.11's ``csv.writer`` leaves a CR
+    unquoted, which its own reader then splits). In ``jsonl`` each row becomes
+    the line ``json.dumps(dict(zip(fields, row)), ensure_ascii=False)`` writes,
+    with non-ASCII text kept as UTF-8.
     """
     if fmt == "jsonl":
-        lines = (_encode_json(dict(zip(fields, row))) + "\n" for row in rows)
+        head = ""
+        line = "{" + ", ".join(encode_basestring(field).replace("%", "%%") + ": %s" for field in fields) + "}\n"
+        text_of = partial(_json_text, line=line)
     else:
-        lines = map(_dsv_line, chain((fields,), rows))
+        head, text_of = _dsv_line(fields), partial(_dsv_text, width=len(fields))
+    rows = iter(rows)
+    first = 1
     is_path = isinstance(out, (str, os.PathLike))
     with Path(out).open("w", encoding="utf-8", newline="") if is_path else nullcontext(out) as handle:
-        while chunk := "".join(islice(lines, 1024)):  # fewer write calls, never a whole file's text
-            handle.write(chunk)
+        handle.write(head)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {len(fields)}:  # zip(*chunk) would cut every row to the shortest
+                row, cells = next((row, cells) for row, cells in enumerate(chunk, first) if len(cells) != len(fields))
+                raise ValueError(f"row {row}: expected {len(fields)} cells, found {len(cells)}")
+            handle.write(text_of(chunk))
+            first += len(chunk)
 
 
 def _check_writable(corpus: Corpus, dsv: bool) -> None:
@@ -798,12 +892,12 @@ def _check_writable(corpus: Corpus, dsv: bool) -> None:
             lower = "\n".join(chain.from_iterable(map(lowered, chunk)))
             whole = "\n".join(column)
             if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower() \
-                    and (whole.isascii() or not _SURROGATE.search(whole)):  # isascii() is O(1)
+                    and not has_lone_surrogate(whole):
                 continue
             for record in chunk:
                 bad = [
                     text for text in texts(record) + members(record)
-                    if not text or text != text.strip() or not text.isascii() and _SURROGATE.search(text)
+                    if not text or text != text.strip() or has_lone_surrogate(text)
                 ]
                 bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
                 bad += [text for text in lowered(record) if text != text.lower()]
@@ -828,15 +922,13 @@ def save_corpus(
     before any file is opened."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    dsv = fmt == "dsv"
-    _check_writable(corpus, dsv)
+    _check_writable(corpus, fmt == "dsv")
     for path, fields, records in (
         (researcher_file, RESEARCHER_FIELDS, map(attrgetter(*RESEARCHER_FIELDS), corpus.researchers.values())),
-        (publication_file, PUBLICATION_FIELDS, (
-            (p.pub_id, p.year, p.pub_type.value, p.language, p.wos_indexed, p.scopus_indexed,
-             p.impact_factor, p.author_ids, p.discipline)
-            for p in corpus.publications.values()
-        )),
-        (citation_file, CITATION_FIELDS, map(attrgetter(*CITATION_FIELDS), corpus.citations)),
+        (publication_file, PUBLICATION_FIELDS, map(attrgetter(
+            "pub_id", "year", "pub_type._value_", "language", "wos_indexed", "scopus_indexed",
+            "impact_factor", "author_ids", "discipline",
+        ), corpus.publications.values())),
+        (citation_file, CITATION_FIELDS, corpus.citations),  # a CitationLink is a tuple in field order
     ):
-        write_table(path, fields, (tuple(map(_dsv_cell, r)) for r in records) if dsv else records, fmt)
+        write_table(path, fields, records, fmt)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -148,10 +147,13 @@ def _format_minimum(value: float) -> str:
 
 
 def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
-    """Write the table; its ``label,<text>`` line is the first DSV row."""
+    """Write the table: its ``label,<text>`` line, as a table with no rows,
+    then the ``discipline,kind,minimum`` table."""
     cells = ((discipline, kind.value, _format_minimum(minimum))
              for (discipline, kind), minimum in table.minimums.items())
-    write_table(path, ("label", table.label), chain([("discipline", "kind", "minimum")], cells))
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        write_table(handle, ("label", table.label), ())
+        write_table(handle, ("discipline", "kind", "minimum"), cells)
 
 
 def load_threshold_table(path: str | Path) -> ThresholdTable:

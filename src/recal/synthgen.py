@@ -34,6 +34,7 @@ from .corpus import (
     ResearcherProfile,
     YearWindow,
     build_corpus,
+    collector_paused,
 )
 
 
@@ -163,6 +164,7 @@ def _non_wos_type(rng: Random) -> PubType:
 
 # --------------------------------------------------------------------------
 
+@collector_paused()
 def generate_corpus(spec: SynthSpec) -> Corpus:
     """Generate a valid corpus; a pure function of (seed, spec)."""
     rng = Random(spec.seed)

@@ -498,9 +498,10 @@ def _with_geology_param(doc: dict, name: str, value: object) -> dict:
         lambda doc: json.dumps(_with_geology_param(doc, "pub_count", 100.5)),
         lambda doc: json.dumps(_with_geology_param(doc, "researcher_count", 10.0)),
         lambda doc: json.dumps({**doc, "domestic_language": 5}),
+        lambda doc: json.dumps({**doc, "domestic_language": "h\ud800u"}),
     ],
     ids=["non_json", "array", "reversed_window", "seed_not_a_number", "text_window", "fractional_pub_count",
-         "float_researcher_count", "number_language"],
+         "float_researcher_count", "number_language", "surrogate_language"],
 )
 def test_synth_bad_spec_is_a_typed_failure(tmp_path, capsys, edit):
     spec_path = tmp_path / "spec.json"
@@ -511,6 +512,31 @@ def test_synth_bad_spec_is_a_typed_failure(tmp_path, capsys, edit):
     assert err.startswith(f"error: {spec_path}: bad generator spec: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "recalibrate"])
+@pytest.mark.parametrize("registered", [False, True], ids=["default_config", "config_registers_it"])
+def test_lone_surrogate_in_a_jsonl_discipline_is_refused_where_it_enters(tmp_path, capsys, command, registered):
+    files = [tmp_path / f"{name}.jsonl" for name in ("researchers", "publications", "citations")]
+    save_corpus(generate_corpus(_small_section_spec(seed=3)), *files, fmt="jsonl")
+    files[0].write_text(files[0].read_text(encoding="utf-8").replace('"geology"', '"geo\\ud800"'), encoding="utf-8")
+    config = _two_discipline_config()
+    config["disciplines"][0]["key"] = "geo\ud800"
+    config["current_minimums"]["geo\ud800"] = config["current_minimums"].pop("geology")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = [command, *files, *(["--config", config_path] if registered else [])]
+    assert run(*argv, *(["--out-dir", out_dir] if command == "recalibrate" else [])) == 1
+    captured = capsys.readouterr()
+    if registered:
+        assert captured.err == (f'error: {config_path}: bad config: disciplines[0].key: "geo\\ud800" holds a lone'
+                                " surrogate, which UTF-8 cannot encode\n")
+    else:
+        refusal = "researchers:1: column 'discipline': 'geo\\ud800' holds a lone surrogate, which UTF-8 cannot encode"
+        assert refusal in (captured.out if command == "validate" else captured.err)
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
 
 
 def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):

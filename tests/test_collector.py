@@ -1,9 +1,10 @@
 """The cyclic garbage collector is paused while recal builds records.
 
 ``corpus.collector_paused`` pauses it around every CLI command, every
-``scan_corpus`` call and the ``Corpus.citations_of`` index, and gives the
-caller back the state it found, whatever the call ends in. Pausing is safe
-only if no command leaves cyclic garbage that grows with its input.
+``scan_corpus`` and ``generate_corpus`` call and the ``Corpus.citations_of``
+index, and gives the caller back the state it found, whatever the call ends
+in. Pausing is safe only if no command leaves cyclic garbage that grows with
+its input.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import pytest
 
 import recal.cli
 import recal.corpus
+import recal.synthgen
 from recal.cli import main
 from recal.config import default_config
-from recal.corpus import Corpus, collector_paused, save_corpus, scan_corpus
+from recal.corpus import Corpus, CorpusValidationError, collector_paused, save_corpus, scan_corpus
 from recal.synthgen import default_spec, generate_corpus, save_synth_spec
 
 DISCIPLINES = tuple(default_config().disciplines)
@@ -76,6 +78,27 @@ def test_a_command_restores_the_collector(clean_corpus_files, monkeypatch, capsy
     monkeypatch.setattr(recal.cli, "scan_corpus", lambda *a: states.append(gc.isenabled()) or scan(*a))
     assert main(["validate", *map(str, corpus_paths(clean_corpus_files, outcome))]) == code
     assert states == [False]  # paused while the command runs
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("outcome", ["ok", "raises"])
+def test_generate_corpus_restores_the_collector(monkeypatch, collector, outcome):
+    states = []
+
+    def build_corpus(*args, **kwargs):
+        states.append(gc.isenabled())
+        if outcome == "raises":
+            raise CorpusValidationError([])
+        return recal.corpus.build_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(recal.synthgen, "build_corpus", build_corpus)
+    spec = replace(default_spec(1), params=default_spec(1).params[:1])
+    if outcome == "raises":
+        with pytest.raises(CorpusValidationError):
+            generate_corpus(spec)
+    else:
+        assert generate_corpus(spec).researchers
+    assert states == [False]
     assert gc.isenabled() is collector
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -117,6 +118,21 @@ def test_malformed_discipline_entry_rejected(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_pipeline_config(path)
+
+
+@pytest.mark.parametrize("override, where", [
+    ({"disciplines": [{"key": "geo\ud800"}]}, "disciplines[0].key"),
+    ({"disciplines": [{"key": "geology", "name": "Geo\udfffogy"}]}, "disciplines[0].name"),
+    ({"current_minimums": {"geo\ud800": {"publications": 1}}}, "current_minimums.geo\ud800"),
+    ({"domestic_language": "h\udc00u"}, "domestic_language"),
+])
+def test_lone_surrogate_is_refused_naming_the_key_path(tmp_path, override, where):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, **override}), encoding="utf-8")
+    text = re.search(r'"[^"]*\\u[dD][89a-fA-F]\w\w[^"]*"', path.read_text(encoding="utf-8"))[0]
+    with pytest.raises(ConfigError) as caught:
+        load_pipeline_config(path)
+    assert str(caught.value) == f"{path}: bad config: {where}: {text} holds a lone surrogate, which UTF-8 cannot encode"
 
 
 def test_derived_cmv_excludes_core_and_unscalable_kinds():

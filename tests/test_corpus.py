@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -23,6 +24,8 @@ from recal.corpus import (
     PublicationRecord,
     YearWindow,
     _CONVERSION_FAILURES,
+    _dsv_cell,
+    _dsv_line,
     _json_cells,
     _json_columns,
     build_corpus,
@@ -31,7 +34,9 @@ from recal.corpus import (
     load_corpus,
     save_corpus,
     scan_corpus,
+    write_table,
 )
+from recal.counting import IndicatorKind
 
 from conftest import (
     CITATION_WINDOW,
@@ -498,6 +503,83 @@ def test_json_chunk_reads_as_its_lines_do(lines):
     except _CONVERSION_FAILURES:
         return  # the chunk goes line by line
     assert list(zip(*columns)) == [_json_cells(line, ("a", "b")) for line in lines]
+
+
+# --------------------------------------------------------------------------
+# The table writer
+
+
+def _table_oracle(fields, rows, fmt: str) -> str:
+    """What ``write_table`` writes, one row at a time."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(fields, row)), ensure_ascii=False) + "\n" for row in rows)
+    return _dsv_line(fields) + "".join(_dsv_line(tuple(map(_dsv_cell, row))) for row in rows)
+
+
+_TABLE_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n%{\u00e9\u2028'), st.characters(blacklist_categories=("Cs",))),
+                      max_size=4)
+#: One strategy per kind of column the writers are given, the last one mixing them all.
+_TABLE_CELLS = [
+    st.one_of(st.none(), st.booleans(), st.integers()),
+    st.one_of(st.none(), st.booleans()),
+    st.one_of(st.none(), st.integers()),
+    st.one_of(st.none(), st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _TABLE_TEXT,
+    st.sampled_from(IndicatorKind),
+    st.lists(_TABLE_TEXT, max_size=3).map(tuple),
+]
+_TABLE_CELLS.append(st.one_of(*_TABLE_CELLS))
+
+
+@st.composite
+def tables(draw):
+    """Fields holding ``%`` and the like, and 0, 1 or 1023-1025 rows: copies
+    of one row with a few others, any of them with cells to quote, placed
+    about the writer's 1024-row chunk boundary."""
+    fields = draw(st.lists(st.text(st.sampled_from('ab%{",\u00e9'), min_size=1, max_size=3),
+                           min_size=1, max_size=4, unique=True))
+    row = st.tuples(*[draw(st.sampled_from(_TABLE_CELLS)) for _ in fields])
+    rows = [draw(row)] * draw(st.sampled_from([0, 1, 1023, 1024, 1025]))
+    for other in draw(st.lists(row, max_size=3)) if rows else ():
+        rows[draw(st.sampled_from([0, *range(1022, len(rows))]))] = other
+    return fields, rows
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@settings(max_examples=150, deadline=None)
+@given(table=tables())
+@example(table=(["f"], [(1.5,), (math.nan,), (None,), (-math.inf,), (-0.0,)]))  # json writes NaN and -Infinity
+# a cell whose only character to quote is a CR or an LF, on either side of the chunk boundary
+@example(table=(["a%s", "b"], [(True, 1)] * 1023 + [(1, "x\ry"), (None, "z")]))
+@example(table=(["a%s", "b"], [(True, 1)] * 1024 + [(1, "x\ny")]))
+def test_write_table_writes_what_the_row_oracle_writes(tmp_path_factory, fmt, table):
+    fields, rows = table
+    path = tmp_path_factory.mktemp("table") / "table"
+    write_table(path, fields, rows, fmt)
+    stream = io.StringIO()
+    write_table(stream, fields, iter(rows), fmt)
+    lines = _table_oracle(fields, rows, fmt).split("\n")  # line by line: a diff of two whole texts is slow
+    assert path.read_bytes().decode("utf-8").split("\n") == lines
+    assert stream.getvalue().split("\n") == lines
+
+
+def test_write_table_writes_a_jsonl_tuple_of_other_values_as_json_does():
+    stream = io.StringIO()
+    rows = [(("a", 1, None, 2.5),), (("b",),)]
+    write_table(stream, ("ids",), rows, "jsonl")
+    assert stream.getvalue() == _table_oracle(("ids",), rows, "jsonl")
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("rows, message", [
+    ([("a", "b"), ("c",)], "row 2: expected 2 cells, found 1"),
+    ([("a", "b", "c")], "row 1: expected 2 cells, found 3"),
+    ([("a", "b")] * 1024 + [()], "row 1025: expected 2 cells, found 0"),
+])
+def test_write_table_refuses_a_row_not_as_wide_as_its_header(fmt, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_table(io.StringIO(), ("x", "y"), rows, fmt)
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,8 @@ replaced the per-cell helpers, except the cases of a JSON value other than a
 string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
 ``*_as_cited``), which were written when those columns began refusing one, and
 the rows around the reader's 1024-row chunk boundary, a JSON ``1`` under a
-``true`` and the non-positive APVs, which were written with the checks that
-refuse them. A
+``true``, the non-positive APVs and the lone surrogates, which were written
+with the checks that refuse them. A
 change to any of them is a change to what users read on stderr and should be
 made on purpose.
 """
@@ -296,6 +296,21 @@ CORPUS_CASES = {
     "cj_missing_cited": (jsonl("citations", cited_pub_id=None), [
         "citations:1: column 'cited_pub_id' is empty",
     ]),
+    # a lone surrogate: JSON can escape one, but the UTF-8 files the program writes cannot hold one
+    "rj_surrogate_discipline": (jsonl("researchers", discipline='"geo\\ud800"'), [
+        "researchers:1: column 'discipline': 'geo\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+    ]),
+    "pj_surrogate_id": (jsonl("publications", pub_id='"p\\udc00"'), [
+        "publications:1: column 'pub_id': 'p\\udc00' holds a lone surrogate, which UTF-8 cannot encode",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "pj_surrogate_author": (jsonl("publications", author_ids='["r1", "x\\udfff"]'), [
+        "publications:1: column 'author_ids': 'x\\udfff' holds a lone surrogate, which UTF-8 cannot encode",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    "cj_surrogate_citing": (jsonl("citations", citing_author_ids='["\\udfff\\ud800", "ext_b"]'), [  # a pair reversed
+        "citations:1: column 'citing_author_ids': '\\udfff\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+    ]),
     "rj_deep_nesting": (("researchers.jsonl", "[" * 100_000 + "\n"), [
         f"researchers:1: invalid JSON: {DEEP_JSON}",
     ]),
@@ -365,6 +380,9 @@ APV_CASES = {
                                   "APV:1: bad APV row: column 'discipline': 5 is not a string"),
     "json_true_as_discipline": (jsonl("apv", discipline="true"),
                                 "APV:1: bad APV row: column 'discipline': True is not a string"),
+    "json_surrogate_discipline": (jsonl("apv", discipline='"geo\\ud800"'),
+                                  "APV:1: bad APV row: column 'discipline': 'geo\\ud800' holds a lone surrogate,"
+                                  " which UTF-8 cannot encode"),
     "json_deep_nesting": (("apv.jsonl", "[" * 100_000 + "\n"), f"APV:1: invalid JSON: {DEEP_JSON}"),
     # the first problem in row order, whatever its kind
     "bad_cell_before_repeat": (dsv("apv", "geology,publications,integer,1.5", "geology,pubs,integer,1",
