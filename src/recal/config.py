@@ -195,8 +195,8 @@ def read_document(path: str | Path, schema: Rule, error: type[Exception], what: 
     try:
         return _walk(schema, doc, "")
     except SchemaError as exc:
-        where, problem = exc.args
-        raise error(f"{path}: bad {what}: {where[1:] + ': ' if where else ''}{problem}") from None
+        where = exc.args[0][1:].encode("utf-8", "backslashreplace").decode("utf-8")  # a lone surrogate as its \u escape
+        raise error(f"{path}: bad {what}: {where + ': ' if where else ''}{exc.args[1]}") from None
 
 
 def _registry(entries: list[dict[str, str]]) -> dict[str, str]:

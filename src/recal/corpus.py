@@ -18,15 +18,17 @@ Booleans are the literals ``true``/``false``. Author lists may contain ids of
 people who are not corpus researchers (external co-authors); they carry credit
 shares but no indicators are computed for them.
 
-A DSV cell holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes
-it: wrapped in ``"``, inner quotes doubled. ``write_table`` writes these lines
-for every table the program writes. ``save_corpus`` refuses, with a
-``CorpusError`` naming the record, a text cell the reader would change: an
-empty or whitespace-padded one (every text cell is stripped on load), a
-``language`` with upper-case letters (it is lowercased on load) or, in DSV, an
-id-list member holding ``;``. A text cell holding a lone surrogate is refused
-by the writer and the reader alike: JSON can escape one, but UTF-8 cannot
-encode one.
+Each record is a named tuple whose fields are its file's columns in order,
+so ``save_corpus`` hands the records to ``write_table`` as rows. A DSV cell
+holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes it: wrapped
+in ``"``, inner quotes doubled. ``write_table`` writes these lines for every
+table the program writes. ``save_corpus`` refuses, with a ``CorpusError``
+naming the record, a field not of the type its record class declares, and a
+text cell the reader would change: an empty or whitespace-padded one (every
+text cell is stripped on load), a ``language`` with upper-case letters (it is
+lowercased on load) or, in DSV, an id-list member holding ``;``. A text cell
+holding a lone surrogate is refused by the writer and the reader alike: JSON
+can escape one, but UTF-8 cannot encode one.
 
 A loaded corpus is immutable and safe to share across threads.
 """
@@ -44,9 +46,9 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, is_, itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 
 class PubType(str, Enum):
@@ -78,8 +80,7 @@ class YearWindow:
         return f"{self.start}-{self.end}"
 
 
-@dataclass(frozen=True, slots=True)
-class ResearcherProfile:
+class ResearcherProfile(NamedTuple):
     researcher_id: str
     discipline: str
     has_dsc: bool = False
@@ -594,7 +595,7 @@ def _dsv_columns(rows: list[list[str]], width: int, in_field_order) -> list:
     return list(zip(*map(in_field_order, rows)))
 
 
-def _dsv_cells(cells: list[str], width: int, in_field_order) -> tuple | None:
+def _dsv_row(cells: list[str], width: int, in_field_order) -> tuple | None:
     """One DSV row's cells in field order, None for a blank row."""
     if not "".join(cells).strip():
         return None
@@ -658,7 +659,7 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
                     return records
                 in_field_order = itemgetter(*map(header.index, fields))
                 columns_of = partial(_dsv_columns, width=len(header), in_field_order=in_field_order)
-                cells_of = partial(_dsv_cells, width=len(header), in_field_order=in_field_order)
+                cells_of = partial(_dsv_row, width=len(header), in_field_order=in_field_order)
 
             for chunk in _chunks(rows):
                 numbers = range(first, first + len(chunk))
@@ -747,57 +748,34 @@ def load_corpus(
 # Serialization
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 _NONE = type(None)
-_DSV_FLAGS = {None: "", True: "true", False: "false"}
-_JSON_FLAGS = {None: "null", True: "true", False: "false"}
 
 
-def _dsv_cell(value: object) -> str:
-    """The DSV text of one corpus value: None is empty, booleans are
-    ``true``/``false``, id lists are ``;``-joined and text, an enum that is
-    also a ``str`` included, is itself."""
-    if value is None:
-        return ""
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return _LIST_SEPARATOR.join(value) if isinstance(value, tuple) else str(value)
-
-
-# A writer's column converter turns one column of a chunk into the texts its
-# cell converter (``_dsv_cell`` or ``_encode_json``) gives, with bulk calls
-# for the columns of one cell type; any other column goes cell by cell.
-# ``True == 1`` and ``0.0 == False``, so no table of texts is looked up with a
-# number.
-
-
-def _dsv_column(column: Sequence) -> Sequence[str]:
+def _column_texts(column: Sequence, field: str, null: str, texts, id_lists) -> Iterable[str]:
+    """One column of a chunk as a format writes it: ``texts`` writes a column
+    of text (an enum that is also a ``str`` included), ``null`` is None,
+    booleans are ``true``/``false``, numbers their ``repr`` and ``id_lists``
+    writes a column of tuples of text. Any other column is refused, naming
+    it. ``True == 1`` and ``0.0 == False``, so no table of texts is looked up
+    with a number."""
     kinds = set(map(type, column))
-    if kinds == {str}:
-        return column
+    if all(issubclass(kind, str) for kind in kinds):
+        return texts(column)
     if kinds <= {bool, _NONE}:
-        return list(map(_DSV_FLAGS.__getitem__, column))
-    if kinds <= {int, _NONE} or kinds <= {float, _NONE}:
-        return list(map({None: ""}.get, column, map(repr, column)))
-    if kinds == {tuple}:
-        return list(map(_LIST_SEPARATOR.join, column))
-    return list(map(_dsv_cell, column))
-
-
-def _json_column(column: Sequence) -> Sequence[str]:
-    kinds = set(map(type, column))
-    if kinds == {str}:
-        return list(map(encode_basestring, column))
-    if kinds <= {bool, _NONE}:
-        return list(map(_JSON_FLAGS.__getitem__, column))
-    # json writes NaN and the infinities as NaN, Infinity and -Infinity
+        return map({None: null, True: "true", False: "false"}.__getitem__, column)
     if kinds <= {int, _NONE} or kinds <= {float, _NONE} and all(map(math.isfinite, filter(None, column))):
-        return list(map({None: "null"}.get, column, map(repr, column)))
-    if kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {str}:
-        return list(map("[%s]".__mod__, map(", ".join, map(partial(map, encode_basestring), column))))
-    return list(map(_encode_json, column))
+        return map({None: null}.get, column, map(repr, column))
+    if kinds == {tuple} and all(issubclass(kind, str) for kind in set(map(type, chain.from_iterable(column)))):
+        return id_lists(column)
+    raise ValueError(f"column {field!r} is not a column of text, of booleans, of integers or of finite floats"
+                     f" (each may hold None) or of tuples of text")
+
+
+_dsv_column = partial(_column_texts, null="", texts=iter, id_lists=partial(map, _LIST_SEPARATOR.join))
+_json_column = partial(
+    _column_texts, null="null", texts=partial(map, encode_basestring),
+    id_lists=lambda column: map("[%s]".__mod__, map(", ".join, map(partial(map, encode_basestring), column))),
+)
 
 
 def _quoted(cell: str) -> str:
@@ -812,7 +790,7 @@ def _dsv_line(cells: Sequence[str]) -> str:
     return line + "\n"
 
 
-def _dsv_text(chunk: list[Sequence], width: int) -> str:
+def _dsv_text(chunk: list[Sequence], fields: Sequence[str]) -> str:
     """The DSV lines of a chunk of rows. A chunk of text is joined as it is,
     and any other chunk is converted a column at a time first. ``_dsv_line``'s
     test is made once over the chunk, and only a chunk with a cell to quote is
@@ -820,17 +798,17 @@ def _dsv_text(chunk: list[Sequence], width: int) -> str:
     try:
         text = "\n".join(map(_DELIMITER.join, chunk)) + "\n"
     except TypeError:  # a cell that is not text
-        return _dsv_text(list(zip(*map(_dsv_column, zip(*chunk)))), width)
-    if text.count(_DELIMITER) == len(chunk) * (width - 1) and text.count("\n") == len(chunk) \
+        return _dsv_text(list(zip(*map(_dsv_column, zip(*chunk), fields))), fields)
+    if text.count(_DELIMITER) == len(chunk) * (len(fields) - 1) and text.count("\n") == len(chunk) \
             and '"' not in text and "\r" not in text:
         return text
     return "".join(map(_dsv_line, chunk))
 
 
-def _json_text(chunk: list[Sequence], line: str) -> str:
+def _json_text(chunk: list[Sequence], fields: Sequence[str], line: str) -> str:
     """The JSONL lines of a chunk of rows, converted a column at a time and
     put into ``line``, a ``%`` template with one ``%s`` per field."""
-    return "".join(map(line.__mod__, zip(*map(_json_column, zip(*chunk)))))
+    return "".join(map(line.__mod__, zip(*map(_json_column, zip(*chunk), fields))))
 
 
 def write_table(
@@ -841,23 +819,26 @@ def write_table(
     The rows are taken ``_CHUNK_ROWS`` at a time, and a chunk is converted a
     column at a time unless every cell is text. ``fields`` names at least one
     column, each once, and each row must have one cell per field, or
-    ``ValueError`` names the row.
+    ``ValueError`` names the row. A column of a chunk holds text (an enum that
+    is also a ``str`` included), booleans, integers or finite floats (each
+    may hold None), or tuples of text; any other column is a ``ValueError``
+    naming it.
 
-    In ``dsv`` the first line holds ``fields``. A cell is written as
-    ``_dsv_cell`` gives it (None is empty, booleans are ``true``/``false``, id
-    tuples are ``;``-joined, text is itself); a cell holding ``,``, ``"``, CR
-    or LF is quoted as ``csv.writer`` quotes it (wrapped in ``"``, inner quotes
-    doubled; by hand, because Python 3.11's ``csv.writer`` leaves a CR
-    unquoted, which its own reader then splits). In ``jsonl`` each row becomes
-    the line ``json.dumps(dict(zip(fields, row)), ensure_ascii=False)`` writes,
-    with non-ASCII text kept as UTF-8.
+    In ``dsv`` the first line holds ``fields``. None is empty, booleans are
+    ``true``/``false``, numbers their ``repr``, tuples are ``;``-joined and
+    text is itself; a cell holding ``,``, ``"``, CR or LF is quoted as
+    ``csv.writer`` quotes it (wrapped in ``"``, inner quotes doubled; by hand,
+    because Python 3.11's ``csv.writer`` leaves a CR unquoted, which its own
+    reader then splits). In ``jsonl`` each row becomes the line
+    ``json.dumps(dict(zip(fields, row)), ensure_ascii=False)`` writes, with
+    non-ASCII text kept as UTF-8.
     """
     if fmt == "jsonl":
         head = ""
         line = "{" + ", ".join(encode_basestring(field).replace("%", "%%") + ": %s" for field in fields) + "}\n"
-        text_of = partial(_json_text, line=line)
+        text_of = partial(_json_text, fields=fields, line=line)
     else:
-        head, text_of = _dsv_line(fields), partial(_dsv_text, width=len(fields))
+        head, text_of = _dsv_line(fields), partial(_dsv_text, fields=fields)
     rows = iter(rows)
     first = 1
     is_path = isinstance(out, (str, os.PathLike))
@@ -871,42 +852,59 @@ def write_table(
             first += len(chunk)
 
 
+def _unwritable(columns: Sequence[Sequence], hints: Mapping[str, object], dsv: bool) -> str | None:
+    """Why a cell of ``columns`` would not load back as written, worded for
+    a one-record column, or None. ``hints`` holds the type hint of each
+    column's record field, in field order. A cell must be of the type its
+    field declares, exactly, so neither ``1`` for a ``bool`` nor ``True`` for
+    an ``int`` passes, and a text cell must be one the reader keeps as it
+    is."""
+    for (name, hint), column in zip(hints.items(), columns):
+        kinds = set(map(type, column))
+        if get_origin(hint) is tuple:
+            typed = kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {get_args(hint)[0]}
+        else:
+            typed = kinds <= set(get_args(hint) or (hint,))  # a union with None, or a class
+        if not typed:
+            return f"{name} {column[0]!r} is not {hint.__name__ if isinstance(hint, type) else hint}"
+    listed = list(chain.from_iterable(chain.from_iterable(
+        column for column, hint in zip(columns, hints.values()) if get_origin(hint) is tuple
+    )))
+    texts = [*chain.from_iterable(column for column, hint in zip(columns, hints.values()) if hint is str), *listed]
+    languages = list(chain.from_iterable(column for column, name in zip(columns, hints) if name == "language"))
+    split = dsv and _LIST_SEPARATOR in "\n".join(listed)
+    lowered = "\n".join(languages)
+    if all(texts) and list(map(str.strip, texts)) == texts and not split and lowered == lowered.lower() \
+            and not has_lone_surrogate("\n".join(texts)):
+        return None
+    bad = next(chain(
+        (text for text in texts if not text or text != text.strip() or has_lone_surrogate(text)),
+        (text for text in listed if split and _LIST_SEPARATOR in text),
+        (text for text in languages if text != text.lower()),
+    ), None)
+    return None if bad is None else (
+        f"{bad!r} would not load back as written: the reader strips every text cell, lowercases the language and"
+        f" splits DSV id lists on {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
+    )
+
+
 def _check_writable(corpus: Corpus, dsv: bool) -> None:
-    """Refuse a text cell that would not load back as written, naming its
-    record. The text of each chunk of records is tested as one column first,
+    """Refuse a cell that would not load back as written, naming its record.
+    Each chunk of records is transposed once and tested a column at a time,
     and only a failing chunk is searched record by record, so no test holds
     more than a chunk's text."""
-    for source, records, texts, members, lowered in (
-        ("researcher", corpus.researchers.values(), attrgetter("researcher_id", "discipline"),
-         lambda r: (), lambda r: ()),
-        ("publication", corpus.publications.values(), attrgetter("pub_id", "language", "discipline"),
-         attrgetter("author_ids"), lambda p: (p.language,)),
-        ("citation", corpus.citations, attrgetter("citation_id", "cited_pub_id"),
-         attrgetter("citing_author_ids"), lambda c: ()),
+    for source, record_type, records in (
+        ("researcher", ResearcherProfile, corpus.researchers.values()),
+        ("publication", PublicationRecord, corpus.publications.values()),
+        ("citation", CitationLink, corpus.citations),
     ):
-        records = iter(records)
+        records, hints = iter(records), get_type_hints(record_type)
         while chunk := list(islice(records, _CHUNK_ROWS)):
-            listed = list(chain.from_iterable(map(members, chunk)))
-            column = list(chain(chain.from_iterable(map(texts, chunk)), listed))
-            split = dsv and _LIST_SEPARATOR in "\n".join(listed)
-            lower = "\n".join(chain.from_iterable(map(lowered, chunk)))
-            whole = "\n".join(column)
-            if all(column) and list(map(str.strip, column)) == column and not split and lower == lower.lower() \
-                    and not has_lone_surrogate(whole):
+            if _unwritable(list(zip(*chunk)), hints, dsv) is None:
                 continue
             for record in chunk:
-                bad = [
-                    text for text in texts(record) + members(record)
-                    if not text or text != text.strip() or has_lone_surrogate(text)
-                ]
-                bad += [text for text in members(record) if split and _LIST_SEPARATOR in text]
-                bad += [text for text in lowered(record) if text != text.lower()]
-                if bad:
-                    raise CorpusError(
-                        f"{source} {texts(record)[0]!r}: {bad[0]!r} would not load back as written: the reader"
-                        f" strips every text cell, lowercases the language and splits DSV id lists on"
-                        f" {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
-                    )
+                if reason := _unwritable(list(zip(record)), hints, dsv):
+                    raise CorpusError(f"{source} {record[0]!r}: {reason}")
 
 
 def save_corpus(
@@ -917,18 +915,16 @@ def save_corpus(
     fmt: str = "dsv",
 ) -> None:
     """Write the three corpus files in ``dsv`` or ``jsonl`` format, streaming
-    one record per line. Loading them yields a record-wise identical corpus;
-    a text cell that would not load back as written raises ``CorpusError``
-    before any file is opened."""
+    one record per line; each record is a row in column order. Loading them
+    yields a record-wise identical corpus. A field not of the type its record
+    class declares, or a text cell that would not load back as written,
+    raises ``CorpusError`` naming the record before any file is opened."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
     _check_writable(corpus, fmt == "dsv")
     for path, fields, records in (
-        (researcher_file, RESEARCHER_FIELDS, map(attrgetter(*RESEARCHER_FIELDS), corpus.researchers.values())),
-        (publication_file, PUBLICATION_FIELDS, map(attrgetter(
-            "pub_id", "year", "pub_type._value_", "language", "wos_indexed", "scopus_indexed",
-            "impact_factor", "author_ids", "discipline",
-        ), corpus.publications.values())),
-        (citation_file, CITATION_FIELDS, corpus.citations),  # a CitationLink is a tuple in field order
+        (researcher_file, RESEARCHER_FIELDS, corpus.researchers.values()),
+        (publication_file, PUBLICATION_FIELDS, corpus.publications.values()),
+        (citation_file, CITATION_FIELDS, corpus.citations),
     ):
         write_table(path, fields, records, fmt)

@@ -539,6 +539,29 @@ def test_lone_surrogate_in_a_jsonl_discipline_is_refused_where_it_enters(tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("document", ["config", "spec"])
+def test_lone_surrogate_in_a_document_key_is_named_escaped(tmp_path, capsys, document):
+    # capsys's stderr is strict UTF-8: a raw surrogate in the message would fail the print
+    path = tmp_path / f"{document}.json"
+    out_dir = tmp_path / "out"
+    if document == "config":
+        doc = _two_discipline_config()
+        doc["current_minimums"]["geo\ud800"] = doc["current_minimums"].pop("geology")
+        argv = ["recalibrate", "--apv-table", APV_TABLE, "--config", path, "--out-dir", out_dir]
+        where, key = "bad config: current_minimums.", "geo\\ud800"
+    else:
+        save_synth_spec(_small_section_spec(seed=3), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["disciplines"]["geo\udfff"] = doc["disciplines"].pop("geology")
+        argv = ["synth", "--spec", path, "--out-dir", out_dir]
+        where, key = "bad generator spec: disciplines.", "geo\\udfff"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f'error: {path}: {where}{key}: "{key}" holds a lone surrogate, which UTF-8 cannot encode\n'
+    assert not out_dir.exists()
+
+
 def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):
     config = _two_discipline_config()
     config["current_minimums"] = [1, 2]

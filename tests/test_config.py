@@ -123,7 +123,7 @@ def test_malformed_discipline_entry_rejected(tmp_path):
 @pytest.mark.parametrize("override, where", [
     ({"disciplines": [{"key": "geo\ud800"}]}, "disciplines[0].key"),
     ({"disciplines": [{"key": "geology", "name": "Geo\udfffogy"}]}, "disciplines[0].name"),
-    ({"current_minimums": {"geo\ud800": {"publications": 1}}}, "current_minimums.geo\ud800"),
+    ({"current_minimums": {"geo\ud800": {"publications": 1}}}, "current_minimums.geo\\ud800"),  # the key escaped
     ({"domestic_language": "h\udc00u"}, "domestic_language"),
 ])
 def test_lone_surrogate_is_refused_naming_the_key_path(tmp_path, override, where):

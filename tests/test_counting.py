@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -421,7 +419,7 @@ def test_since_degree_kinds_match_oracle_when_defined():
 def _with_degree_years(corpus):
     """The corpus with a degree year for every researcher, so every kind is defined."""
     researchers = {
-        rid: replace(profile, last_degree_year=profile.last_degree_year or 2015)
+        rid: profile._replace(last_degree_year=profile.last_degree_year or 2015)
         for rid, profile in corpus.researchers.items()
     }
     return Corpus(researchers, corpus.publications, corpus.citations)
