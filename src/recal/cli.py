@@ -125,26 +125,21 @@ def _recalibration_rows(
     args: argparse.Namespace, config: PipelineConfig
 ) -> tuple[list[RecalibrationRow], list[DisciplinePerformance] | None]:
     """Rows plus, in corpus mode, the computed per-discipline performance."""
-    corpus_given = args.researchers is not None
-    if bool(args.apv_table) == corpus_given:
+    if bool(args.apv_table) == (args.researchers is not None):
         raise ConfigError("provide exactly one input: the three corpus files or --apv-table")
     if args.apv_table:
         apv_table = read_apv_table(args.apv_table)
         try:
-            return recalibrate_all(apv_table, config.recalibration), None
-        except RecalibrationError as exc:  # a cell the table lacks
+            return recalibrate_all(apv_table, config.disciplines, config.current_minimums, config.recalibration), None
+        except RecalibrationError as exc:  # a cell the table lacks, or one the algebra cannot carry
             raise RecalibrationError(f"{args.apv_table}: {exc}") from None
     if args.publications is None or args.citations is None:
         raise ConfigError("corpus mode needs all three files: researchers publications citations")
-    corpus = _corpus_from_args(args, config)
-    performance = discipline_performance(
-        corpus,
-        config.recalibration,
-        pub_window=config.pub_window,
-        citation_window=config.citation_window,
-        settings=config.counting_settings(),
-    )
-    return recalibrate_all(performance_as_table(performance), config.recalibration), performance
+    performance = discipline_performance(_corpus_from_args(args, config), config.disciplines, config.recalibration,
+                                         config.pub_window, config.citation_window, config.counting_settings())
+    rows = recalibrate_all(performance_as_table(performance), config.disciplines, config.current_minimums,
+                           config.recalibration)
+    return rows, performance
 
 
 def _write_figure_data(
@@ -180,7 +175,7 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
         # corpus mode: keep the computed APVs reusable as an --apv-table input
         write_apv_table(performance, out_dir / f"performance{_table_suffix(fmt)}", fmt)
     write_recalibration_rows(rows, out_dir / f"recalibration{_table_suffix(fmt)}", fmt)
-    _write_figure_data(rows, out_dir, fmt, list(config.recalibration.disciplines))
+    _write_figure_data(rows, out_dir, fmt, list(config.disciplines))
     print(f"wrote {len(rows)} recalibration rows to {out_dir}")
     return EXIT_OK
 

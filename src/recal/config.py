@@ -40,12 +40,16 @@ class PipelineConfig:
     counted_publication_types: frozenset[PubType] | None = None
 
     def __post_init__(self) -> None:
+        if not self.disciplines:
+            raise ConfigError("no disciplines configured")
+        for kind in self.recalibration.t:
+            for discipline in self.disciplines:
+                if (discipline, kind) not in self.current_minimums:
+                    raise ConfigError(f"no CMV for ({discipline}, {kind.value})")
         for (key, _kind) in self.current_minimums:
             if key not in self.disciplines:
                 raise ConfigError(f"minimum for unregistered discipline {key!r}")
         self.current_threshold_table()  # every minimum is positive
-        if self.recalibration.disciplines != tuple(self.disciplines) or self.recalibration.cmv != self.current_minimums:
-            raise ConfigError("recalibration.disciplines and recalibration.cmv must equal disciplines and current_minimums")
 
     def counting_settings(self) -> CountingSettings:
         return CountingSettings(
@@ -73,11 +77,7 @@ def default_config() -> PipelineConfig:
         pub_window=defaults.DEFAULT_PUB_WINDOW,
         citation_window=defaults.DEFAULT_CITATION_WINDOW,
         current_minimums=dict(defaults.CURRENT_MINIMUMS),
-        recalibration=RecalibrationConfig(
-            disciplines=tuple(defaults.DISCIPLINES),
-            cmv=dict(defaults.CURRENT_MINIMUMS),
-            t=dict(defaults.DEFAULT_T),
-        ),
+        recalibration=RecalibrationConfig(t=dict(defaults.DEFAULT_T)),
     )
 
 
@@ -240,14 +240,7 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     knobs = doc.pop("recalibration", {})  # RecalibrationConfig fields, with t named t_years
     t = knobs.pop("t_years", base.recalibration.t)
     try:
-        recalibration = replace(
-            base.recalibration,
-            disciplines=tuple(doc.get("disciplines", base.disciplines)),
-            cmv=doc.get("current_minimums", base.current_minimums),
-            t=t,
-            **knobs,
-        )
-        return replace(base, **doc, recalibration=recalibration)
+        return replace(base, **doc, recalibration=replace(base.recalibration, t=t, **knobs))
     except (ConfigError, EvaluationError, RecalibrationError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
 

@@ -20,13 +20,14 @@ None for exact-mean algebra (then raw RMVs are invariant under rescaling t).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import (
     Corpus, Violation, YearWindow, finite_float, read_records, required_string, required_text, write_table,
@@ -46,10 +47,6 @@ class RecalibrationError(Exception):
 
 class DegenerateDisciplineError(RecalibrationError):
     """A discipline whose population or APV makes the ratios undefined."""
-
-
-class MissingCmvError(RecalibrationError):
-    pass
 
 
 class MissingBaseRowError(RecalibrationError):
@@ -73,15 +70,13 @@ DEFAULT_BASE_KINDS: Mapping[IndicatorKind, IndicatorKind] = {
 
 @dataclass(frozen=True)
 class RecalibrationConfig:
-    """Inputs of the recalibration pipeline.
+    """Knobs of the recalibration algebra. The disciplines and their current
+    minimums are the pipeline config's, passed alongside.
 
-    ``cmv`` must cover every configured discipline for every kind in ``t``.
     ``ym_source_method`` names the counting method whose Y_i mean defines Y_m
     for BOTH methods (the reference tables derive it from integer counting).
     """
 
-    disciplines: tuple[str, ...]
-    cmv: Mapping[tuple[str, IndicatorKind], float]
     t: Mapping[IndicatorKind, float]
     top_fraction: float = 0.25
     ym_source_method: CountingMethod = CountingMethod.INTEGER
@@ -89,8 +84,6 @@ class RecalibrationConfig:
     ym_decimals: int | None = 3
 
     def __post_init__(self) -> None:
-        if not self.disciplines:
-            raise RecalibrationError("no disciplines configured")
         if self.ym_decimals is not None and (type(self.ym_decimals) is not int or self.ym_decimals < 0):
             raise RecalibrationError(f"ym_decimals must be a non-negative integer or None, got {self.ym_decimals!r}")
         if not 0.0 < self.top_fraction <= 1.0:
@@ -102,11 +95,6 @@ class RecalibrationConfig:
         for kind, years in self.t.items():
             if years <= 0:
                 raise RecalibrationError(f"t for {kind.value} must be positive, got {years}")
-            for discipline in self.disciplines:
-                if (discipline, kind) not in self.cmv:
-                    raise MissingCmvError(f"no CMV for ({discipline}, {kind.value})")
-                if self.cmv[(discipline, kind)] <= 0:
-                    raise MissingCmvError(f"CMV for ({discipline}, {kind.value}) must be positive")
 
     @property
     def kinds(self) -> tuple[IndicatorKind, ...]:
@@ -144,8 +132,9 @@ class RecalibrationRow:
 #: Both counting methods, in output order.
 METHODS = (CountingMethod.INTEGER, CountingMethod.FRACTIONAL)
 
-#: APV lookup: (discipline, kind, method) -> value.
-ApvTable = Mapping[tuple[str, IndicatorKind, CountingMethod], float]
+#: One (discipline, kind, method) cell, and the APV lookup over cells.
+Cell = tuple[str, IndicatorKind, CountingMethod]
+ApvTable = Mapping[Cell, float]
 
 
 def top_quartile_apv(
@@ -167,15 +156,15 @@ def top_quartile_apv(
 
 def years_to_fulfill(cmv: float, apv: float, t: float) -> float:
     """Years a discipline's top performers need to reach the minimum:
-    ``cmv / apv * t``. All three are positive, as ``RecalibrationConfig`` and
-    ``recalibrate_all`` guarantee."""
+    ``cmv / apv * t``. All three are positive: ``RecalibrationConfig`` checks
+    t, ``PipelineConfig`` the minimums and ``recalibrate_all`` the APVs."""
     return cmv / apv * t
 
 
 def dsdr(values: Mapping[str, float]) -> dict[str, float]:
     """Each discipline's share of the total; shares sum to one. The values
-    are positive CMVs or APVs, as ``RecalibrationConfig`` and
-    ``recalibrate_all`` guarantee."""
+    are positive CMVs or APVs, as ``PipelineConfig`` and ``recalibrate_all``
+    guarantee."""
     total = 0.0
     for value in values.values():
         total += value
@@ -189,7 +178,7 @@ def mean_years(years: Mapping[str, float]) -> float:
 
 def recalibrated_minimum(cmv: float, y_m: float, y_i: float) -> float:
     """Minimum rescaled so fulfilling it takes y_m years: ``cmv * y_m / y_i``.
-    ``y_i`` is positive, as ``years_to_fulfill`` of positive inputs is."""
+    ``y_i`` is positive, as ``recalibrate_all`` checks."""
     return cmv * y_m / y_i
 
 
@@ -207,9 +196,9 @@ def round_minimum(
 
     Count kinds (and the integer-method cumulative impact factor) round half
     away from zero; the fractional cumulative impact factor stays unrounded,
-    as do all values under mode ``none``. ``raw`` is positive, as the
-    positive minimums that ``RecalibrationConfig`` and the config load
-    guarantee make it.
+    as do all values under mode ``none``. ``raw`` is finite and positive, as
+    ``recalibrate_all`` and ``derived_scaled_minimums`` check; one with more
+    digits than the ``Decimal`` context keeps raises ``InvalidOperation``.
     """
     if mode is RoundingMode.NONE:
         return None
@@ -227,15 +216,16 @@ def _quantize(value: float, decimals: int | None) -> float:
 
 def discipline_performance(
     corpus: Corpus,
+    disciplines: Collection[str],
     config: RecalibrationConfig,
     pub_window: YearWindow,
     citation_window: YearWindow,
     settings: CountingSettings = DEFAULT_SETTINGS,
 ) -> list[DisciplinePerformance]:
-    """Compute APVs from a corpus: per configured discipline, kind and
-    counting method, the top-quartile mean over all of the discipline's
-    researchers (researchers with zero output included)."""
-    members: dict[str, list[str]] = {d: [] for d in config.disciplines}
+    """Compute APVs from a corpus: per discipline, kind and counting method,
+    the top-quartile mean over all of the discipline's researchers
+    (researchers with zero output included)."""
+    members: dict[str, list[str]] = {d: [] for d in disciplines}
     for researcher in corpus.researchers.values():
         if researcher.discipline in members:
             members[researcher.discipline].append(researcher.researcher_id)
@@ -250,14 +240,9 @@ def discipline_performance(
     values = {(v.researcher_id, v.method): v.values for v in vectors}
     performance: list[DisciplinePerformance] = []
     for discipline, ids in members.items():
-        for kind in config.kinds:
-            for method in METHODS:
-                apv, selected = top_quartile_apv(
-                    {rid: values[(rid, method)][kind] for rid in ids}, config.top_fraction
-                )
-                performance.append(
-                    DisciplinePerformance(discipline, kind, method, apv, len(ids), selected)
-                )
+        for kind, method in itertools.product(config.kinds, METHODS):
+            apv, selected = top_quartile_apv({rid: values[(rid, method)][kind] for rid in ids}, config.top_fraction)
+            performance.append(DisciplinePerformance(discipline, kind, method, apv, len(ids), selected))
     return performance
 
 
@@ -265,45 +250,72 @@ def performance_as_table(performance: Iterable[DisciplinePerformance]) -> dict:
     return {(p.discipline, p.kind, p.method): p.apv for p in performance}
 
 
-def recalibrate_all(apv_table: ApvTable, config: RecalibrationConfig) -> list[RecalibrationRow]:
-    """Run the full recalibration over every configured (kind, method,
-    discipline) cell of an APV table.
+def _cell_text(cell: Cell) -> str:
+    return f"({cell[0]}, {cell[1].value}, {cell[2].value})"
+
+
+def _carried(values: dict[str, float], name: str, kind: IndicatorKind, method: CountingMethod) -> dict[str, float]:
+    """``values``, refused naming the first discipline whose value is not finite and positive."""
+    for discipline, value in values.items():
+        if not 0.0 < value < math.inf:  # NaN fails too
+            cell = _cell_text((discipline, kind, method))
+            raise RecalibrationError(f"{cell}: {name} is {value!r}, not a finite positive number")
+    return values
+
+
+def _rounded(raw: float, cell: Cell, mode: RoundingMode) -> int | None:
+    """``round_minimum`` of a raw minimum, refused if it has too many digits."""
+    try:
+        return round_minimum(raw, cell[1], cell[2], mode)
+    except ArithmeticError:  # more digits than the Decimal context keeps
+        raise RecalibrationError(f"{_cell_text(cell)}: rmv_raw is {raw!r}, too large to round") from None
+
+
+def recalibrate_all(
+    apv_table: ApvTable,
+    disciplines: Collection[str],
+    cmv: Mapping[tuple[str, IndicatorKind], float],
+    config: RecalibrationConfig,
+) -> list[RecalibrationRow]:
+    """Run the full recalibration over every (kind, method, discipline) cell
+    of an APV table; ``cmv`` has a positive minimum per discipline and kind
+    in ``config.t``, as ``PipelineConfig`` checks.
 
     Per kind, Y_m comes from the ``ym_source_method`` Y_i values and applies
     to both methods. Rows come out grouped by kind, then method, then
-    configured discipline order.
+    discipline. A missing or non-positive APV, or a Y_i, Y_m, r_y, DSDR or raw
+    minimum that is not a finite positive number that rounds, is refused.
     """
-    for discipline in config.disciplines:
-        for kind in config.kinds:
-            for method in METHODS:
-                apv = apv_table.get((discipline, kind, method))
-                if apv is None:
-                    raise RecalibrationError(
-                        f"no APV for ({discipline}, {kind.value}, {method.value})"
-                    )
-                if apv <= 0:
-                    raise DegenerateDisciplineError(
-                        f"apv for ({discipline}, {kind.value}, {method.value}) is {apv}"
-                    )
+    for cell in itertools.product(disciplines, config.kinds, METHODS):
+        apv = apv_table.get(cell)
+        if apv is None:
+            raise RecalibrationError(f"no APV for {_cell_text(cell)}")
+        if apv <= 0:
+            raise DegenerateDisciplineError(f"apv for {_cell_text(cell)} is {apv}")
 
     rows: list[RecalibrationRow] = []
+    source = config.ym_source_method
     for kind in config.kinds:
         t = config.t[kind]
-        cmvs = {d: config.cmv[(d, kind)] for d in config.disciplines}
+        cmvs = {d: cmv[(d, kind)] for d in disciplines}
         dsdr_current = dsdr(cmvs)
 
-        source_years = {
-            d: years_to_fulfill(cmvs[d], apv_table[(d, kind, config.ym_source_method)], t)
-            for d in config.disciplines
-        }
-        y_m = _quantize(mean_years(source_years), config.ym_decimals)
+        source_years = {d: years_to_fulfill(cmvs[d], apv_table[(d, kind, source)], t) for d in disciplines}
+        try:
+            y_m = _quantize(mean_years(_carried(source_years, "y_i", kind, source)), config.ym_decimals)
+        except ArithmeticError:  # a sum past the float range, or more digits than the Decimal context keeps
+            raise RecalibrationError(f"(*, {kind.value}, {source.value}): y_m, the y_i mean, is too large") from None
+        _carried({"*": y_m}, "y_m", kind, source)
 
         for method in METHODS:
-            apvs = {d: apv_table[(d, kind, method)] for d in config.disciplines}
-            dsdr_actual = dsdr(apvs)
-            for discipline in config.disciplines:
-                y_i = years_to_fulfill(cmvs[discipline], apvs[discipline], t)
-                rmv_raw = recalibrated_minimum(cmvs[discipline], y_m, y_i)
+            apvs = {d: apv_table[(d, kind, method)] for d in disciplines}
+            years = _carried({d: years_to_fulfill(cmvs[d], apvs[d], t) for d in disciplines}, "y_i", kind, method)
+            r_y = _carried({d: y_m / years[d] for d in disciplines}, "r_y", kind, method)
+            rmv_raw = _carried({d: recalibrated_minimum(cmvs[d], y_m, years[d]) for d in disciplines},
+                               "rmv_raw", kind, method)
+            _carried(dsdr_current, "dsdr_current", kind, method)
+            dsdr_actual = _carried(dsdr(apvs), "dsdr_actual", kind, method)
+            for discipline in disciplines:
                 rows.append(
                     RecalibrationRow(
                         discipline=discipline,
@@ -311,13 +323,13 @@ def recalibrate_all(apv_table: ApvTable, config: RecalibrationConfig) -> list[Re
                         method=method,
                         cmv=cmvs[discipline],
                         apv=apvs[discipline],
-                        y_i=y_i,
+                        y_i=years[discipline],
                         y_m=y_m,
-                        r_y=y_m / y_i,
+                        r_y=r_y[discipline],
                         dsdr_current=dsdr_current[discipline],
                         dsdr_actual=dsdr_actual[discipline],
-                        rmv_raw=rmv_raw,
-                        rmv_rounded=round_minimum(rmv_raw, kind, method, config.rounding),
+                        rmv_raw=rmv_raw[discipline],
+                        rmv_rounded=_rounded(rmv_raw[discipline], (discipline, kind, method), config.rounding),
                     )
                 )
     return rows
@@ -335,7 +347,7 @@ def derived_scaled_minimums(
     ``raw = base_rmv_raw * derived_cmv / base_cmv``, then presentation
     rounding. Returns ``(discipline, kind) -> (raw, rounded)``. A kind
     outside ``DEFAULT_BASE_KINDS``, or whose base row is absent, raises
-    ``MissingBaseRowError``.
+    ``MissingBaseRowError``; a raw minimum is checked as in ``recalibrate_all``.
     """
     base_by_cell = {
         (row.discipline, row.kind): row for row in base_rows if row.method is method
@@ -350,8 +362,8 @@ def derived_scaled_minimums(
             raise MissingBaseRowError(
                 f"no {method.value} base row ({discipline}, {base_kind.value}) for {kind.value}"
             )
-        raw = base.rmv_raw * cmv / base.cmv
-        out[(discipline, kind)] = (raw, round_minimum(raw, kind, method, rounding))
+        raw = _carried({discipline: base.rmv_raw * cmv / base.cmv}, "rmv_raw", kind, method)[discipline]
+        out[(discipline, kind)] = (raw, _rounded(raw, (discipline, kind, method), rounding))
     return out
 
 
@@ -363,7 +375,7 @@ RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_
                         "dsdr_current", "dsdr_actual", "rmv_raw", "rmv_rounded")
 
 
-def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingMethod], float]:
+def read_apv_table(path: str | Path) -> dict[Cell, float]:
     """Read a ``discipline,kind,method,apv`` table, DSV or JSONL as the corpus
     files are (``write_apv_table`` output reads back); a cell may appear once
     and its APV must be positive. The first problem in row order raises
@@ -388,11 +400,10 @@ def read_apv_table(path: str | Path) -> dict[tuple[str, IndicatorKind, CountingM
         Path(path), APV_FIELDS, str(path), violations,
         lambda rows, columns: list(map(apv_row, rows, zip(*columns))), apv_row,
     )
-    row_of: dict[tuple[str, IndicatorKind, CountingMethod], int] = {}
+    row_of: dict[Cell, int] = {}
     for row, key, _ in records:
         if row_of.setdefault(key, row) != row:
-            message = f"repeats row {row_of[key]}, the APV of ({key[0]}, {key[1].value}, {key[2].value})"
-            violations.append(Violation(str(path), row, message))
+            violations.append(Violation(str(path), row, f"repeats row {row_of[key]}, the APV of {_cell_text(key)}"))
             break
     if violations:  # a file-wide problem has no row and comes after every row read
         raise RecalibrationError(str(min(violations, key=lambda v: v.row or math.inf)))

@@ -44,9 +44,7 @@ CORE = (K.PUBLICATIONS, K.WOS_ARTICLES, K.INDEPENDENT_CITATIONS, K.CUMULATIVE_IF
 
 
 def section_config(**overrides) -> RecalibrationConfig:
-    params = dict(disciplines=tuple(DISCIPLINES), cmv=CURRENT_MINIMUMS, t=DEFAULT_T)
-    params.update(overrides)
-    return RecalibrationConfig(**params)
+    return RecalibrationConfig(**{"t": DEFAULT_T, **overrides})
 
 
 def _finish(label: str, failures: list[str]) -> None:
@@ -82,7 +80,7 @@ def _recalibration_invariants(rows, t_by_kind, failures, tag=""):
 
 def test_criterion_1_golden_pipeline_reproduction():
     start = perf_counter()
-    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), section_config())
+    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     elapsed = perf_counter() - start
 
     failures: list[str] = []
@@ -123,7 +121,7 @@ def test_criterion_1_golden_pipeline_reproduction():
 
 
 def test_criterion_2_dsdr_reproduction():
-    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), section_config())
+    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     by_cell = {(r.discipline, r.kind, r.method): r for r in rows}
     failures = []
     checks = [
@@ -140,7 +138,7 @@ def test_criterion_2_dsdr_reproduction():
 
 
 def test_criterion_3_derived_scaling_matches_published_table(capsys):
-    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), section_config())
+    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     derived_cmv = {
         (discipline, kind): CURRENT_MINIMUMS[(discipline, kind)]
         for kind in ref.DERIVED_PUBLISHED
@@ -202,16 +200,16 @@ def test_criterion_4_property_suite():
                     failures.append(f"dominance broken: seed {seed} {rid} {kind.value}")
 
     # recalibration identities on the reference fixture
-    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), section_config())
+    rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     _recalibration_invariants(rows, DEFAULT_T, failures, tag="fixture ")
 
     # t-invariance of raw RMVs (exact mean)
     for c in (0.5, 2.0, 7.25):
         base = recalibrate_all(
-            read_apv_table(APV_TABLE_PATH), section_config(ym_decimals=None)
+            read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config(ym_decimals=None)
         )
         scaled = recalibrate_all(
-            read_apv_table(APV_TABLE_PATH),
+            read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS,
             section_config(ym_decimals=None, t={k: v * c for k, v in DEFAULT_T.items()}),
         )
         for r_base, r_scaled in zip(base, scaled):
@@ -272,8 +270,8 @@ def test_criterion_5_synthetic_end_to_end():
                 failures.append(
                     f"seed {seed} {discipline}: mean co-authors {realized_mean} vs target {mean}"
                 )
-        performance = discipline_performance(corpus, config, spec.pub_window, spec.citation_window)
-        rows = recalibrate_all(performance_as_table(performance), config)
+        performance = discipline_performance(corpus, DISCIPLINES, config, spec.pub_window, spec.citation_window)
+        rows = recalibrate_all(performance_as_table(performance), DISCIPLINES, CURRENT_MINIMUMS, config)
         _recalibration_invariants(rows, DEFAULT_T, failures, tag=f"seed {seed} ")
     _finish("criterion 5 (synthetic corpora, seeds 1-10)", failures)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from recal.cli import main
-from recal.config import default_config
+from recal.config import default_config, save_pipeline_config
 from recal.corpus import load_corpus, save_corpus
 from recal.counting import IndicatorKind
 from recal.recalibration import (
@@ -327,8 +328,8 @@ def test_derive_reports_a_kind_whose_base_is_not_recalibrated_as_non_derivable(t
 def test_fractional_derive_from_corpus_apvs_succeeds(tmp_path, seed):
     config = default_config()
     performance = discipline_performance(
-        generate_corpus(default_spec(seed)), config.recalibration, config.pub_window, config.citation_window,
-        config.counting_settings(),
+        generate_corpus(default_spec(seed)), config.disciplines, config.recalibration, config.pub_window,
+        config.citation_window, config.counting_settings(),
     )
     write_apv_table(performance, tmp_path / "performance.csv")
     out_dir = tmp_path / "out"
@@ -628,6 +629,108 @@ def test_empty_t_years_is_refused_at_load(tmp_path, capsys, command):
     assert code == 1
     assert err == f"error: {config_path}: bad config: t_years is empty: it names no kind to recalibrate\n"
     assert not out_dir.exists()
+
+
+def _without_minimums(*cells: tuple[str, str]) -> dict:
+    config = _two_discipline_config()
+    for discipline, kind in cells:
+        del config["current_minimums"][discipline][kind]
+    return config
+
+
+#: Config refusals of the discipline registry and the current minimums, with
+#: the whole message each prints after ``bad config: ``.
+REGISTRY_REFUSALS = {
+    "no_disciplines": ({**_two_discipline_config(), "disciplines": []}, "no disciplines configured"),
+    # kind before discipline: mining's publications come before geology's wos_articles
+    "missing_t_years_minimum": (_without_minimums(("geology", "wos_articles"), ("mining", "publications")),
+                                "no CMV for (mining, publications)"),
+    "zero_t_years_minimum": (_with_geology_minimum("publications", 0),
+                             "minimum for (geology, publications) must be positive, got 0.0"),
+    "zero_derived_minimum": (_with_geology_minimum("first_author_publications", 0),
+                             "minimum for (geology, first_author_publications) must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("command", ["recalibrate", "derive"])
+@pytest.mark.parametrize("case", sorted(REGISTRY_REFUSALS))
+def test_registry_and_minimum_refusals_are_pinned(tmp_path, capsys, command, case):
+    config, message = REGISTRY_REFUSALS[case]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run(command, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: bad config: {message}\n"
+    assert not out_dir.exists()
+
+
+def _default_config_with(path: Path, leaves: dict) -> Path:
+    """The default config with each leaf, named by its key path, set to its
+    value, saved at ``path``."""
+    save_pipeline_config(default_config(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for (*parents, leaf), value in leaves.items():
+        functools.reduce(dict.__getitem__, parents, doc)[leaf] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+GEOCHEMISTRY_PUBLICATIONS = ("current_minimums", "geochemistry", "publications")
+
+#: Numbers the loaders accept that drive the algebra out of the finite
+#: positive floats, on the published APV fixture: (config leaves, message).
+OUT_OF_RANGE = {
+    "minimum_1e30": ({GEOCHEMISTRY_PUBLICATIONS: 1e30},
+                     "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+    "minimum_1.7e308": ({GEOCHEMISTRY_PUBLICATIONS: 1.7e308},
+                        "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+    "minimum_5e-324": ({GEOCHEMISTRY_PUBLICATIONS: 5e-324},
+                       "APV: (geochemistry, publications, integer): y_i is 0.0, not a finite positive number"),
+    "t_years_1e308": ({("recalibration", "t_years", "publications"): 1e308},
+                      "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+    "t_years_1e-9": ({("recalibration", "t_years", "publications"): 1e-9},
+                     "APV: (*, publications, integer): y_m is 0.0, not a finite positive number"),
+    "minimum_1e30_exact_mean": ({GEOCHEMISTRY_PUBLICATIONS: 1e30, ("recalibration", "ym_decimals"): None},
+                                "APV: (geochemistry, publications, integer): rmv_raw is 1.111111111111111e+29, "
+                                "too large to round"),
+}
+
+
+@pytest.mark.parametrize("argv", [["recalibrate"], ["derive"], ["derive", "--method", "fractional"]],
+                         ids=["recalibrate", "derive_integer", "derive_fractional"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_algebra_is_refused_naming_the_cell(tmp_path, capsys, argv, case):
+    leaves, message = OUT_OF_RANGE[case]
+    config_path = _default_config_with(tmp_path / "config.json", leaves)
+    assert run(*argv, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {message.replace('APV', str(APV_TABLE), 1)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_apv_is_refused_naming_the_cell(tmp_path, capsys):
+    text = APV_TABLE.read_text(encoding="utf-8")
+    path = tmp_path / "apv.csv"
+    path.write_text(text.replace("geology,publications,integer,48.769\n", "geology,publications,integer,5e-324\n"),
+                    encoding="utf-8")
+    assert run("recalibrate", "--apv-table", path, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: (geology, publications, integer): y_i is inf, not a finite positive number\n"
+    )
+
+
+@pytest.mark.parametrize("value, integer, fractional", [
+    (1.7e308, "rmv_raw is inf, not a finite positive number", "rmv_raw is inf, not a finite positive number"),
+    (1e30, "rmv_raw is 1.2065450599999998e+30, too large to round", "rmv_raw is 3.6550876e+29, too large to round"),
+], ids=["infinite", "too_many_digits"])
+def test_out_of_range_derived_minimum_is_refused_naming_the_cell(tmp_path, capsys, value, integer, fractional):
+    config_path = _default_config_with(tmp_path / "config.json",
+                                       {("current_minimums", "geology", "first_author_publications"): value})
+    assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "r") == 0
+    for method, message in (("integer", integer), ("fractional", fractional)):
+        capsys.readouterr()
+        assert run("derive", "--apv-table", APV_TABLE, "--config", config_path, "--method", method,
+                   "--out-dir", tmp_path / method) == 1
+        assert capsys.readouterr().err == f"error: (geology, first_author_publications, {method}): {message}\n"
 
 
 # --------------------------------------------------------------------------

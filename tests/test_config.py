@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from recal.cli import main
 from recal.config import (
     ConfigError,
     default_config,
@@ -14,6 +16,8 @@ from recal.config import (
 )
 from recal.corpus import PubType, YearWindow
 from recal.counting import CountingMethod, IndicatorKind
+
+APV_TABLE = Path(__file__).parent / "data" / "section_apv.csv"
 
 
 def test_default_config_round_trips_through_file(tmp_path):
@@ -145,24 +149,26 @@ def test_derived_cmv_excludes_core_and_unscalable_kinds():
     assert ("social_geography", IndicatorKind.BOOKS_AND_MONOGRAPHS) in derived
 
 
-def _changed_minimums(config):
-    cell = next(iter(config.current_minimums))
-    return {"current_minimums": {**config.current_minimums, cell: config.current_minimums[cell] + 1}}
-
-
-def _reordered_disciplines(config):
-    return {"disciplines": dict(reversed(config.disciplines.items()))}
-
-
-@pytest.mark.parametrize("change", [_changed_minimums, _reordered_disciplines],
-                         ids=["current_minimums", "disciplines"])
-def test_pipeline_config_refuses_copies_that_disagree(change):
+def test_discipline_order_and_display_names_come_from_the_registry(tmp_path):
+    """The ``disciplines`` list orders every recalibration output by itself:
+    reversed, it reverses the rows of each (kind, method) group of
+    ``recalibration.csv`` and of every ``dsdr_*`` file, and nothing else
+    changes. Display names are the registry's own and reach no output."""
     config = default_config()
-    with pytest.raises(ConfigError, match="must equal disciplines and current_minimums"):
-        replace(config, **change(config))
-    # changing both copies together is fine, and display names are not copied
-    change = change(config)
-    recalibration = replace(config.recalibration, cmv=change.get("current_minimums", config.current_minimums),
-                            disciplines=tuple(change.get("disciplines", config.disciplines)))
-    assert replace(config, **change, recalibration=recalibration).recalibration is recalibration
-    assert replace(config, disciplines={key: key.upper() for key in config.disciplines}).disciplines["geology"] == "GEOLOGY"
+    order = list(reversed(config.disciplines))
+    path = tmp_path / "reversed.json"
+    save_pipeline_config(replace(config, disciplines={key: key.upper() for key in order}), path)
+    assert load_pipeline_config(path).disciplines == {key: key.upper() for key in order}
+    assert main(["recalibrate", "--apv-table", str(APV_TABLE), "--out-dir", str(tmp_path / "default")]) == 0
+    assert main(["recalibrate", "--apv-table", str(APV_TABLE), "--config", str(path),
+                 "--out-dir", str(tmp_path / "reversed")]) == 0
+    names = sorted(file.name for file in (tmp_path / "default").iterdir())
+    assert names == ["dsdr_cumulative_if.csv", "dsdr_independent_citations.csv", "dsdr_publications.csv",
+                     "dsdr_wos_articles.csv", "recalibration.csv"]
+    for name in names:
+        default, reversed_ = ((tmp_path / run / name).read_text(encoding="utf-8").splitlines()
+                              for run in ("default", "reversed"))
+        assert reversed_[0] == default[0]
+        assert sorted(reversed_[1:]) == sorted(default[1:])
+        groups = (len(default) - 1) // len(order)
+        assert [line.split(",")[0] for line in reversed_[1:]] == order * groups

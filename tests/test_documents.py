@@ -66,7 +66,6 @@ def test_readme_examples_load(tmp_path):
     spec_path.write_text(json.dumps(README_SPEC), encoding="utf-8")
     config = load_pipeline_config(config_path)
     assert config.disciplines == {"geology": "Geology"}
-    assert config.recalibration.disciplines == ("geology",)
     spec = load_synth_spec(spec_path)
     assert spec.seed == 1 and [p.discipline for p in spec.params] == ["geology"]
     assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "r") == 0

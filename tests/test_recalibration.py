@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recal.config import ConfigError, default_config
 from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
     DegenerateDisciplineError,
     DisciplinePerformance,
     MissingBaseRowError,
-    MissingCmvError,
     RecalibrationConfig,
     RecalibrationError,
     RoundingMode,
@@ -34,13 +35,7 @@ K = IndicatorKind
 
 
 def section_config(**overrides) -> RecalibrationConfig:
-    params = dict(
-        disciplines=tuple(DISCIPLINES),
-        cmv=CURRENT_MINIMUMS,
-        t=DEFAULT_T,
-    )
-    params.update(overrides)
-    return RecalibrationConfig(**params)
+    return RecalibrationConfig(**{"t": DEFAULT_T, **overrides})
 
 
 def rows_by_cell(rows):
@@ -139,7 +134,7 @@ def test_round_minimum_half_away_from_zero_and_none_mode():
 # Full pipeline, fixture mode
 
 def test_recalibrate_published_spot_checks():
-    rows = rows_by_cell(recalibrate_all(ref.apv_table(), section_config()))
+    rows = rows_by_cell(recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config()))
     cell = rows[("geochemistry", K.CUMULATIVE_IF, INTEGER)]
     assert cell.rmv_raw == pytest.approx(14.840, abs=5e-3)
     assert cell.y_m == pytest.approx(1.430, abs=5e-3)
@@ -151,24 +146,21 @@ def test_recalibrate_published_spot_checks():
 
 def test_recalibrate_uniform_table_is_symmetric():
     disciplines = tuple(f"d{i}" for i in range(4))
+    cmv = {(d, K.PUBLICATIONS): 30.0 for d in disciplines}
     config = RecalibrationConfig(
-        disciplines=disciplines,
-        cmv={(d, K.PUBLICATIONS): 30.0 for d in disciplines},
         t={K.PUBLICATIONS: 5.0},
         ym_decimals=None,  # the identity RMV == CMV is exact for the exact mean
     )
     table = {
         (d, K.PUBLICATIONS, m): 45.0 for d in disciplines for m in (INTEGER, FRACTIONAL)
     }
-    for row in recalibrate_all(table, config):
+    for row in recalibrate_all(table, disciplines, cmv, config):
         assert row.rmv_raw == pytest.approx(row.cmv, rel=1e-12)
         assert row.dsdr_current == pytest.approx(0.25)
         assert row.dsdr_actual == pytest.approx(0.25)
     # with presentation quantization of y_m the identity still holds to ~1e-3
-    quantized = RecalibrationConfig(
-        disciplines=disciplines, cmv=config.cmv, t={K.PUBLICATIONS: 5.0}
-    )
-    for row in recalibrate_all(table, quantized):
+    quantized = RecalibrationConfig(t={K.PUBLICATIONS: 5.0})
+    for row in recalibrate_all(table, disciplines, cmv, quantized):
         assert row.rmv_raw == pytest.approx(row.cmv, rel=1e-3)
 
 
@@ -177,19 +169,21 @@ def test_recalibrate_rejects_missing_or_degenerate_apv():
     table = ref.apv_table()
     del table[("mining", K.PUBLICATIONS, INTEGER)]
     with pytest.raises(RecalibrationError, match="mining"):
-        recalibrate_all(table, config)
+        recalibrate_all(table, DISCIPLINES, CURRENT_MINIMUMS, config)
     table = ref.apv_table()
     table[("mining", K.PUBLICATIONS, INTEGER)] = 0.0
     with pytest.raises(DegenerateDisciplineError):
-        recalibrate_all(table, config)
+        recalibrate_all(table, DISCIPLINES, CURRENT_MINIMUMS, config)
 
 
 def test_config_requires_complete_cmv_coverage():
-    with pytest.raises(MissingCmvError):
-        RecalibrationConfig(
-            disciplines=("a", "b"),
-            cmv={("a", K.PUBLICATIONS): 30.0},
-            t={K.PUBLICATIONS: 5.0},
+    config = default_config()
+    with pytest.raises(ConfigError, match=r"^no CMV for \(b, publications\)$"):
+        replace(
+            config,
+            disciplines={"a": "a", "b": "b"},
+            current_minimums={("a", K.PUBLICATIONS): 30.0},
+            recalibration=RecalibrationConfig(t={K.PUBLICATIONS: 5.0}),
         )
 
 
@@ -219,7 +213,7 @@ def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
 # Derived scaling
 
 def test_derived_scaling_published_examples():
-    rows = recalibrate_all(ref.apv_table(), section_config())
+    rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     derived = derived_scaled_minimums(
         rows,
         {
@@ -242,11 +236,11 @@ def test_derived_scaling_published_examples():
 
 
 def test_derived_scaling_requires_base():
-    rows = recalibrate_all(ref.apv_table(), section_config())
+    rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     with pytest.raises(MissingBaseRowError):
         derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0})
     config = section_config(t={K.CUMULATIVE_IF: 5.0})
-    if_only_rows = recalibrate_all(ref.apv_table(), config)
+    if_only_rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, config)
     with pytest.raises(MissingBaseRowError):
         derived_scaled_minimums(if_only_rows, {("geology", K.FIRST_AUTHOR_PUBLICATIONS): 15.0})
 
@@ -266,21 +260,17 @@ def random_apv_tables():
     ).map(lambda table: (disciplines, table))
 
 
-def tiny_config(disciplines, cmv_values, t=5.0, **overrides):
-    return RecalibrationConfig(
-        disciplines=disciplines,
-        cmv={(d, K.PUBLICATIONS): cmv_values[i] for i, d in enumerate(disciplines)},
-        t={K.PUBLICATIONS: t},
-        **overrides,
-    )
+def tiny_inputs(disciplines, cmv_values, t=5.0, **overrides):
+    """The disciplines, minimums and config that ``recalibrate_all`` takes after the APV table."""
+    cmv = {(d, K.PUBLICATIONS): cmv_values[i] for i, d in enumerate(disciplines)}
+    return disciplines, cmv, RecalibrationConfig(t={K.PUBLICATIONS: t}, **overrides)
 
 
 @given(random_apv_tables(), st.lists(st.floats(min_value=1, max_value=200), min_size=4, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_recalibration_identities(table_data, cmv_values):
     disciplines, table = table_data
-    config = tiny_config(disciplines, cmv_values)
-    rows = recalibrate_all(table, config)
+    rows = recalibrate_all(table, *tiny_inputs(disciplines, cmv_values))
     for method in (INTEGER, FRACTIONAL):
         subset = [r for r in rows if r.method is method]
         assert sum(r.dsdr_current for r in subset) == pytest.approx(1.0, abs=1e-9)
@@ -302,10 +292,10 @@ def test_recalibration_identities(table_data, cmv_values):
 @settings(max_examples=60, deadline=None)
 def test_t_invariance_with_exact_mean(table_data, cmv_values, factor):
     disciplines, table = table_data
-    base = tiny_config(disciplines, cmv_values, ym_decimals=None)
-    scaled = tiny_config(disciplines, cmv_values, t=5.0 * factor, ym_decimals=None)
-    rows_base = rows_by_cell(recalibrate_all(table, base))
-    rows_scaled = rows_by_cell(recalibrate_all(table, scaled))
+    base = tiny_inputs(disciplines, cmv_values, ym_decimals=None)
+    scaled = tiny_inputs(disciplines, cmv_values, t=5.0 * factor, ym_decimals=None)
+    rows_base = rows_by_cell(recalibrate_all(table, *base))
+    rows_scaled = rows_by_cell(recalibrate_all(table, *scaled))
     for cell, row in rows_base.items():
         other = rows_scaled[cell]
         assert other.rmv_raw == pytest.approx(row.rmv_raw, rel=1e-9)
@@ -315,11 +305,7 @@ def test_t_invariance_with_exact_mean(table_data, cmv_values, factor):
 
 def test_scale_equivariance_of_one_discipline():
     disciplines = ("alpha", "beta", "gamma")
-    config = RecalibrationConfig(
-        disciplines=disciplines,
-        cmv={(d, K.PUBLICATIONS): 30.0 for d in disciplines},
-        t={K.PUBLICATIONS: 5.0},
-    )
+    inputs = (disciplines, {(d, K.PUBLICATIONS): 30.0 for d in disciplines}, RecalibrationConfig(t={K.PUBLICATIONS: 5.0}))
     table = {
         (d, K.PUBLICATIONS, m): apv
         for d, apv in (("alpha", 20.0), ("beta", 35.0), ("gamma", 50.0))
@@ -328,8 +314,8 @@ def test_scale_equivariance_of_one_discipline():
     boosted = dict(table)
     for m in (INTEGER, FRACTIONAL):
         boosted[("beta", K.PUBLICATIONS, m)] *= 1.6
-    before = rows_by_cell(recalibrate_all(table, config))
-    after = rows_by_cell(recalibrate_all(boosted, config))
+    before = rows_by_cell(recalibrate_all(table, *inputs))
+    after = rows_by_cell(recalibrate_all(boosted, *inputs))
     for m in (INTEGER, FRACTIONAL):
         assert after[("beta", K.PUBLICATIONS, m)].apv > before[("beta", K.PUBLICATIONS, m)].apv
         assert after[("beta", K.PUBLICATIONS, m)].dsdr_actual > before[("beta", K.PUBLICATIONS, m)].dsdr_actual
@@ -339,7 +325,7 @@ def test_scale_equivariance_of_one_discipline():
 
 
 def test_fractional_rows_share_integer_mean_years():
-    rows = rows_by_cell(recalibrate_all(ref.apv_table(), section_config()))
+    rows = rows_by_cell(recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config()))
     for kind in (K.PUBLICATIONS, K.WOS_ARTICLES, K.INDEPENDENT_CITATIONS, K.CUMULATIVE_IF):
         for d in ref.DISCIPLINES:
             assert rows[(d, kind, FRACTIONAL)].y_m == rows[(d, kind, INTEGER)].y_m
