@@ -30,6 +30,7 @@ from .evaluation import (
 )
 from .recalibration import (
     DisciplinePerformance,
+    MissingApvError,
     RecalibrationError,
     RecalibrationRow,
     derived_scaled_minimums,
@@ -131,7 +132,7 @@ def _recalibration_rows(
         apv_table = read_apv_table(args.apv_table)
         try:
             return recalibrate_all(apv_table, config.disciplines, config.current_minimums, config.recalibration), None
-        except RecalibrationError as exc:  # a cell the table lacks, or one the algebra cannot carry
+        except MissingApvError as exc:  # the algebra's refusals name their cell, not the table
             raise RecalibrationError(f"{args.apv_table}: {exc}") from None
     if args.publications is None or args.citations is None:
         raise ConfigError("corpus mode needs all three files: researchers publications citations")

@@ -226,11 +226,16 @@ def independent_citations(
     citations)."""
     if corpus.publications.get(pub.pub_id) is not pub:
         raise CorpusError(f"publication {pub.pub_id!r} does not belong to this corpus")
-    own = set(pub.author_ids)
+    links = corpus.citations_of.get(pub.pub_id)
+    if not links:
+        return []
+    # the window test is YearWindow.__contains__, inlined
+    own, start, end = set(pub.author_ids), year_window.start, year_window.end
     return [
         link
-        for link in corpus.citations_of.get(pub.pub_id, ())
-        if link.citing_year in year_window and own.isdisjoint(link.citing_author_ids)
+        for link in links
+        if isinstance(year := link.citing_year, int) and start <= year <= end
+        and own.isdisjoint(link.citing_author_ids)
     ]
 
 

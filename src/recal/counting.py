@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import product
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, CorpusError, PublicationRecord, PubType, YearWindow, independent_citations
+from .corpus import Corpus, CorpusError, PubType, YearWindow, independent_citations
 
 
 class CountingMethod(str, Enum):
@@ -47,6 +47,9 @@ SINCE_DEGREE_KINDS = frozenset({IndicatorKind.PUBLICATIONS_SINCE_DEGREE, Indicat
 
 _CITATION_KINDS = frozenset({IndicatorKind.INDEPENDENT_CITATIONS, IndicatorKind.WOS_INDEPENDENT_CITATIONS})
 
+#: The summed kinds, in the order of a publication's amounts in ``indicator_matrix``.
+_AMOUNT_ORDER = tuple(kind for kind in IndicatorKind if kind is not IndicatorKind.H_INDEX)
+
 
 class CountingError(CorpusError):
     pass
@@ -69,11 +72,6 @@ class CountingSettings:
 
     domestic_language: str = "hu"
     counted_publication_types: frozenset[PubType] | None = None
-
-    def counts_as_publication(self, pub: PublicationRecord) -> bool:
-        if self.counted_publication_types is None:
-            return True
-        return pub.pub_type in self.counted_publication_types
 
 
 DEFAULT_SETTINGS = CountingSettings()
@@ -118,7 +116,7 @@ def indicator_matrix(
     groups: tuple[list, list, list] = ([], [], [])
     for slot, (method, kind) in enumerate(product(methods, summed)):
         group = 2 if kind in SINCE_DEGREE_KINDS else 1 if kind is IndicatorKind.FIRST_AUTHOR_PUBLICATIONS else 0
-        groups[group].append((slot, kind, method is CountingMethod.FRACTIONAL))
+        groups[group].append((slot, _AMOUNT_ORDER.index(kind), method is CountingMethod.FRACTIONAL))
     # per researcher: degree year, in-window citation counts and the sums by slot;
     # an empty publication sum stays the int 0 of sum(), printed as 0 by evaluate
     zero_sums = [0.0 if kind in _CITATION_KINDS else 0 for _ in methods for kind in summed]
@@ -130,47 +128,40 @@ def indicator_matrix(
                 raise MissingDegreeYearError(researcher_id, kind)
         states[researcher_id] = (degree_year, [], zero_sums.copy())
 
+    wos_cited = IndicatorKind.WOS_INDEPENDENT_CITATIONS in summed
+    domestic, counted_types = settings.domestic_language, settings.counted_publication_types
+    start, end = pub_window.start, pub_window.end
+    is_disjoint, state_of = states.keys().isdisjoint, states.get
+    # the slots a co-author's credit goes to, by [is the first author][has a degree by then]
+    every, first, since_degree = groups
+    entries = ((every, every + since_degree), (every + first, every + first + since_degree))
     for pub in corpus.publications.values():
-        if states.keys().isdisjoint(pub.author_ids) or pub.year not in pub_window:
+        year, author_ids = pub.year, pub.author_ids
+        # the window test is YearWindow.__contains__, inlined
+        if is_disjoint(author_ids) or not (isinstance(year, int) and start <= year <= end):
             continue
         links = independent_citations(corpus, pub, citation_window)
-        cited, first_author = len(links), pub.first_author
-        counted = settings.counts_as_publication(pub)
-        article = pub.pub_type is PubType.JOURNAL_ARTICLE
-        wos_article = article and pub.wos_indexed
-        # what the publication adds to each kind before it is weighted by credit; None where it does not count
-        amounts = {
-            IndicatorKind.PUBLICATIONS: counted or None,
-            IndicatorKind.WOS_ARTICLES: wos_article or None,
-            IndicatorKind.INDEPENDENT_CITATIONS: cited,
-            IndicatorKind.CUMULATIVE_IF: pub.impact_factor if article else None,
-            IndicatorKind.FIRST_AUTHOR_PUBLICATIONS: counted or None,
-            IndicatorKind.PUBLICATIONS_SINCE_DEGREE: counted or None,
-            IndicatorKind.BOOKS_AND_MONOGRAPHS: pub.pub_type is PubType.BOOK or None,
-            IndicatorKind.FOREIGN_LANGUAGE_PUBLICATIONS: (
-                counted and pub.language != settings.domestic_language
-            ) or None,
-            IndicatorKind.WOS_ARTICLES_SINCE_DEGREE: wos_article or None,
-            IndicatorKind.WOS_INDEPENDENT_CITATIONS: sum(1 for link in links if link.citing_wos_indexed),
-        }
-        share = 1.0 / pub.author_count
-        to_every, to_first, to_since_degree = (
-            [(slot, amounts[kind] * (share if fractional else 1.0)) for slot, kind, fractional in group
-             if amounts[kind] is not None]
-            for group in groups
+        cited, first_author, pub_type = len(links), author_ids[0], pub.pub_type
+        counted = counted_types is None or pub_type in counted_types or None
+        article = pub_type is PubType.JOURNAL_ARTICLE
+        wos_article = article and pub.wos_indexed or None
+        # what the publication adds to each summed kind, in IndicatorKind order (_AMOUNT_ORDER),
+        # before it is weighted by credit; None where it does not count
+        amounts = (
+            counted, wos_article, cited, pub.impact_factor if article else None, counted, counted,
+            pub_type is PubType.BOOK or None, counted and pub.language != domestic or None, wos_article,
+            sum(1 for link in links if link.citing_wos_indexed) if wos_cited else None,
         )
-        for author in pub.author_ids:
-            if (state := states.get(author)) is None:
+        share = 1.0 / len(author_ids)
+        for author in author_ids:
+            if (state := state_of(author)) is None:
                 continue
             degree_year, citation_counts, sums = state
             citation_counts.append(cited)
-            additions = to_every
-            if author == first_author:
-                additions = additions + to_first
-            if degree_year is not None and pub.year >= degree_year:
-                additions = additions + to_since_degree
-            for slot, amount in additions:
-                sums[slot] += amount
+            has_degree = degree_year is not None and year >= degree_year
+            for slot, position, fractional in entries[author == first_author][has_degree]:
+                if (amount := amounts[position]) is not None:
+                    sums[slot] += amount * (share if fractional else 1.0)
 
     vectors: list[IndicatorVector] = []
     for researcher_id in researcher_ids:

@@ -53,6 +53,10 @@ class MissingBaseRowError(RecalibrationError):
     pass
 
 
+class MissingApvError(RecalibrationError):
+    """A (discipline, kind, method) cell the APV table lacks."""
+
+
 class RoundingMode(str, Enum):
     HALF_AWAY_FROM_ZERO = "half_away_from_zero"
     NONE = "none"
@@ -283,13 +287,17 @@ def recalibrate_all(
 
     Per kind, Y_m comes from the ``ym_source_method`` Y_i values and applies
     to both methods. Rows come out grouped by kind, then method, then
-    discipline. A missing or non-positive APV, or a Y_i, Y_m, r_y, DSDR or raw
-    minimum that is not a finite positive number that rounds, is refused.
+    discipline. Before any row is built, a (discipline, kind) with no CMV, a
+    cell with no APV (``MissingApvError``) and a non-positive APV are refused;
+    then a Y_i, Y_m, r_y, DSDR or raw minimum that is not a finite positive
+    number that rounds is refused, naming its cell.
     """
     for cell in itertools.product(disciplines, config.kinds, METHODS):
+        if cell[:2] not in cmv:
+            raise RecalibrationError(f"no CMV for ({cell[0]}, {cell[1].value})")
         apv = apv_table.get(cell)
         if apv is None:
-            raise RecalibrationError(f"no APV for {_cell_text(cell)}")
+            raise MissingApvError(f"no APV for {_cell_text(cell)}")
         if apv <= 0:
             raise DegenerateDisciplineError(f"apv for {_cell_text(cell)} is {apv}")
 

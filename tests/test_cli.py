@@ -679,19 +679,20 @@ GEOCHEMISTRY_PUBLICATIONS = ("current_minimums", "geochemistry", "publications")
 
 #: Numbers the loaders accept that drive the algebra out of the finite
 #: positive floats, on the published APV fixture: (config leaves, message).
+#: The message names the cell; only a cell the table lacks names the table.
 OUT_OF_RANGE = {
     "minimum_1e30": ({GEOCHEMISTRY_PUBLICATIONS: 1e30},
-                     "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+                     "(*, publications, integer): y_m, the y_i mean, is too large"),
     "minimum_1.7e308": ({GEOCHEMISTRY_PUBLICATIONS: 1.7e308},
-                        "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+                        "(*, publications, integer): y_m, the y_i mean, is too large"),
     "minimum_5e-324": ({GEOCHEMISTRY_PUBLICATIONS: 5e-324},
-                       "APV: (geochemistry, publications, integer): y_i is 0.0, not a finite positive number"),
+                       "(geochemistry, publications, integer): y_i is 0.0, not a finite positive number"),
     "t_years_1e308": ({("recalibration", "t_years", "publications"): 1e308},
-                      "APV: (*, publications, integer): y_m, the y_i mean, is too large"),
+                      "(*, publications, integer): y_m, the y_i mean, is too large"),
     "t_years_1e-9": ({("recalibration", "t_years", "publications"): 1e-9},
-                     "APV: (*, publications, integer): y_m is 0.0, not a finite positive number"),
+                     "(*, publications, integer): y_m is 0.0, not a finite positive number"),
     "minimum_1e30_exact_mean": ({GEOCHEMISTRY_PUBLICATIONS: 1e30, ("recalibration", "ym_decimals"): None},
-                                "APV: (geochemistry, publications, integer): rmv_raw is 1.111111111111111e+29, "
+                                "(geochemistry, publications, integer): rmv_raw is 1.111111111111111e+29, "
                                 "too large to round"),
 }
 
@@ -703,7 +704,7 @@ def test_out_of_range_algebra_is_refused_naming_the_cell(tmp_path, capsys, argv,
     leaves, message = OUT_OF_RANGE[case]
     config_path = _default_config_with(tmp_path / "config.json", leaves)
     assert run(*argv, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
-    assert capsys.readouterr().err == f"error: {message.replace('APV', str(APV_TABLE), 1)}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -714,7 +715,7 @@ def test_out_of_range_apv_is_refused_naming_the_cell(tmp_path, capsys):
                     encoding="utf-8")
     assert run("recalibrate", "--apv-table", path, "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: (geology, publications, integer): y_i is inf, not a finite positive number\n"
+        "error: (geology, publications, integer): y_i is inf, not a finite positive number\n"
     )
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import recal.counting
-from recal.corpus import Corpus, PubType, YearWindow, independent_citations
+from recal.corpus import CitationLink, Corpus, PubType, YearWindow, independent_citations
 from recal.counting import (
     CountingError,
     CountingMethod,
@@ -56,7 +58,8 @@ def brute_force_values(corpus, kinds, method, pub_window, citation_window, setti
                 continue
             credit = 1.0 if method is INTEGER else 1.0 / len(pub.author_ids)
             profile = corpus.researchers[author]
-            counted = settings.counts_as_publication(pub)
+            types = settings.counted_publication_types
+            counted = types is None or pub.pub_type in types
             for kind in totals[author]:
                 if kind is K.PUBLICATIONS and counted:
                     totals[author][kind] += credit
@@ -248,6 +251,17 @@ def test_publication_type_restriction():
     assert value == 1.0
 
 
+def test_independent_citations_take_the_citation_window_rule_of_year_window():
+    # loaders give citing years as ints; the rule is YearWindow.__contains__'s for any value
+    links = (CitationLink("c1", "p1", 2015.0, ("z1",), False), CitationLink("c2", "p1", True, ("z2",), False))
+    corpus = small_corpus([researcher("r1")], [publication("p1", ("r1",))])
+    corpus = Corpus(corpus.researchers, corpus.publications, links)
+    pub = corpus.publications["p1"]
+    assert 2015.0 not in YearWindow(2014, 2019) and True in YearWindow(0, 5)
+    assert independent_citations(corpus, pub, YearWindow(2014, 2019)) == []
+    assert independent_citations(corpus, pub, YearWindow(0, 5)) == [links[1]]
+
+
 # --------------------------------------------------------------------------
 # h-index
 
@@ -381,9 +395,15 @@ ORACLE_KINDS = [k for k in K if k is not K.H_INDEX and k not in (
 DEGREE_KINDS = [K.PUBLICATIONS_SINCE_DEGREE, K.WOS_ARTICLES_SINCE_DEGREE]
 
 
+#: The default filters, and a domestic language and a publication-type restriction that differ from them.
+ORACLE_SETTINGS = (
+    CountingSettings(),
+    CountingSettings(domestic_language="en", counted_publication_types=frozenset({PubType.JOURNAL_ARTICLE, PubType.BOOK})),
+)
+
+
 def assert_matches_oracle(corpus, pub_window=PUB_WINDOW, citation_window=CITATION_WINDOW):
-    settings = CountingSettings()
-    for method in (INTEGER, FRACTIONAL):
+    for settings, method in product(ORACLE_SETTINGS, (INTEGER, FRACTIONAL)):
         expected = brute_force_values(corpus, ORACLE_KINDS, method, pub_window, citation_window, settings)
         vectors = indicator_matrix(corpus, ORACLE_KINDS, [method], pub_window, citation_window, settings)
         for vector in vectors:
@@ -392,6 +412,7 @@ def assert_matches_oracle(corpus, pub_window=PUB_WINDOW, citation_window=CITATIO
                     vector.researcher_id,
                     kind,
                     method,
+                    settings,
                 )
 
 
@@ -444,17 +465,15 @@ def _independent_citation_counts(corpus, rid):
 def test_one_researcher_matrix_matches_whole_corpus_and_oracle(seed):
     corpus = _with_degree_years(random_corpus(seed=seed))
     kinds = list(K)
-    for method in (INTEGER, FRACTIONAL):
+    for settings, method in product(ORACLE_SETTINGS, (INTEGER, FRACTIONAL)):
         whole = {
             v.researcher_id: v.values
-            for v in indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW)
+            for v in indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings)
         }
-        expected = brute_force_values(
-            corpus, kinds, method, PUB_WINDOW, CITATION_WINDOW, CountingSettings()
-        )
+        expected = brute_force_values(corpus, kinds, method, PUB_WINDOW, CITATION_WINDOW, settings)
         for rid in corpus.researchers:
             (vector,) = indicator_matrix(
-                corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, researcher_ids=[rid]
+                corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings, researcher_ids=[rid]
             )
             assert [(k, v, type(v)) for k, v in vector.values.items()] == [
                 (k, v, type(v)) for k, v in whole[rid].items()
@@ -463,7 +482,7 @@ def test_one_researcher_matrix_matches_whole_corpus_and_oracle(seed):
                 if kind is K.H_INDEX:
                     assert value == h_index_oracle(_independent_citation_counts(corpus, rid))
                 else:
-                    assert value == expected[rid][kind], (rid, kind, method)
+                    assert value == expected[rid][kind], (rid, kind, method, settings)
 
 
 @given(st.integers(min_value=0, max_value=300))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,11 @@ from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
     DegenerateDisciplineError,
     DisciplinePerformance,
+    MissingApvError,
     MissingBaseRowError,
     RecalibrationConfig,
     RecalibrationError,
+    RecalibrationRow,
     RoundingMode,
     derived_scaled_minimums,
     dsdr,
@@ -168,12 +171,18 @@ def test_recalibrate_rejects_missing_or_degenerate_apv():
     config = section_config()
     table = ref.apv_table()
     del table[("mining", K.PUBLICATIONS, INTEGER)]
-    with pytest.raises(RecalibrationError, match="mining"):
+    with pytest.raises(MissingApvError, match=r"^no APV for \(mining, publications, integer\)$"):
         recalibrate_all(table, DISCIPLINES, CURRENT_MINIMUMS, config)
     table = ref.apv_table()
     table[("mining", K.PUBLICATIONS, INTEGER)] = 0.0
     with pytest.raises(DegenerateDisciplineError):
         recalibrate_all(table, DISCIPLINES, CURRENT_MINIMUMS, config)
+
+
+def test_recalibrate_refuses_a_cell_with_no_cmv():
+    config = RecalibrationConfig(t={K.PUBLICATIONS: 5.0})
+    with pytest.raises(RecalibrationError, match=r"^no CMV for \(mining, publications\)$"):
+        recalibrate_all(ref.apv_table(), ("geology", "mining"), {("geology", K.PUBLICATIONS): 30.0}, config)
 
 
 def test_config_requires_complete_cmv_coverage():
@@ -329,3 +338,51 @@ def test_fractional_rows_share_integer_mean_years():
     for kind in (K.PUBLICATIONS, K.WOS_ARTICLES, K.INDEPENDENT_CITATIONS, K.CUMULATIVE_IF):
         for d in ref.DISCIPLINES:
             assert rows[(d, kind, FRACTIONAL)].y_m == rows[(d, kind, INTEGER)].y_m
+
+
+#: Inputs in the range the published tables use, and positive finite floats
+#: over the whole range, its extremes drawn often.
+MODERATE_FLOATS = st.floats(min_value=0.01, max_value=1000.0)
+ANY_POSITIVE_FLOATS = st.one_of(
+    st.sampled_from((5e-324, 1e-9, 1e30, 1.7e308)),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+ROW_FLOAT_FIELDS = [f.name for f in fields(RecalibrationRow) if f.type == "float"]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_algebra_returns_finite_positive_values_or_refuses(data):
+    disciplines = ("alpha", "beta", "gamma")
+    kinds = (K.PUBLICATIONS, K.CUMULATIVE_IF)
+    # every input moderate, then up to three of them anywhere in the float range
+    keys = [("apv", (d, kind, m)) for d in disciplines for kind in kinds for m in (INTEGER, FRACTIONAL)]
+    keys += [("cmv", (d, kind)) for d in disciplines for kind in kinds] + [("t", kind) for kind in kinds]
+    keys += [("derived", (d, K.FIRST_AUTHOR_PUBLICATIONS)) for d in disciplines]
+    inputs = {key: data.draw(MODERATE_FLOATS) for key in keys}
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
+        inputs[key] = data.draw(ANY_POSITIVE_FLOATS)
+    table, cmv, t, derived_cmv = ({key: value for (part, key), value in inputs.items() if part == name}
+                                  for name in ("apv", "cmv", "t", "derived"))
+    config = RecalibrationConfig(t=t, ym_decimals=data.draw(st.sampled_from((3, None))))
+    # sometimes the minimums miss a cell
+    missing = data.draw(st.none() | st.sampled_from(list(cmv)))
+    if missing is not None:
+        del cmv[missing]
+        with pytest.raises(RecalibrationError, match="^no CMV for "):
+            recalibrate_all(table, disciplines, cmv, config)
+        return
+    try:
+        rows = recalibrate_all(table, disciplines, cmv, config)
+    except RecalibrationError:
+        return
+    for row in rows:
+        for name in ROW_FLOAT_FIELDS:
+            assert 0.0 < getattr(row, name) < math.inf, (row, name)
+    for method in (INTEGER, FRACTIONAL):
+        try:
+            derived = derived_scaled_minimums(rows, derived_cmv, method)
+        except RecalibrationError:
+            continue
+        for raw, _ in derived.values():
+            assert 0.0 < raw < math.inf
