@@ -23,12 +23,12 @@ so ``save_corpus`` hands the records to ``write_table`` as rows. A DSV cell
 holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes it: wrapped
 in ``"``, inner quotes doubled. ``write_table`` writes these lines for every
 table the program writes. ``save_corpus`` refuses, with a ``CorpusError``
-naming the record, a field not of the type its record class declares, and a
-text cell the reader would change: an empty or whitespace-padded one (every
-text cell is stripped on load), a ``language`` with upper-case letters (it is
-lowercased on load) or, in DSV, an id-list member holding ``;``. A text cell
-holding a lone surrogate is refused by the writer and the reader alike: JSON
-can escape one, but UTF-8 cannot encode one.
+naming the record, a field not of the type its record class declares, a
+non-finite float, and a text cell the reader would change: an empty or
+whitespace-padded one (every text cell is stripped on load), a ``language``
+with upper-case letters (it is lowercased on load) or, in DSV, an id-list
+member holding ``;``. A text cell holding a lone surrogate is refused by the
+writer and the reader alike: JSON can escape one, but UTF-8 cannot encode one.
 
 A loaded corpus is immutable and safe to share across threads.
 """
@@ -76,9 +76,6 @@ class YearWindow:
     def __contains__(self, year: object) -> bool:
         return isinstance(year, int) and self.start <= year <= self.end
 
-    def __str__(self) -> str:
-        return f"{self.start}-{self.end}"
-
 
 class ResearcherProfile(NamedTuple):
     researcher_id: str
@@ -97,14 +94,6 @@ class PublicationRecord(NamedTuple):
     impact_factor: float | None
     author_ids: tuple[str, ...]
     discipline: str
-
-    @property
-    def first_author(self) -> str:
-        return self.author_ids[0]
-
-    @property
-    def author_count(self) -> int:
-        return len(self.author_ids)
 
 
 class CitationLink(NamedTuple):
@@ -256,9 +245,9 @@ def corpus_stats(
             continue
         row = counts[pub.discipline]
         row[0] += 1
-        if pub.author_count >= 2:
+        if (count := len(pub.author_ids)) >= 2:
             row[1] += 1
-            row[2] += pub.author_count
+            row[2] += count
     return CoauthorshipStats(
         window=year_window,
         per_discipline={
@@ -450,6 +439,8 @@ def _opt_float(cell: object, column: str) -> float | None:
 def _id_list(cell: object, column: str) -> tuple[str, ...]:
     """Stripped ids with the empty ones dropped, from DSV text split on ``;``
     or from a JSON array, whose members must be strings."""
+    if not isinstance(cell, (list, str, type(None))):
+        raise ValueError(f"column {column!r}: {cell!r} is not a string or an array")
     members = cell if isinstance(cell, list) else _text(cell, column).split(_LIST_SEPARATOR)
     try:
         ids = tuple(filter(None, map(str.strip, members)))
@@ -862,19 +853,21 @@ def _unwritable(columns: Sequence[Sequence], hints: Mapping[str, object], dsv: b
     a one-record column, or None. ``hints`` holds the type hint of each
     column's record field, in field order. A cell must be of the type its
     field declares, exactly, so neither ``1`` for a ``bool`` nor ``True`` for
-    an ``int`` passes, and a text cell must be one the reader keeps as it
-    is."""
+    an ``int`` passes, a float must be finite, and a text cell must be one the
+    reader keeps as it is."""
+    listed: list = []  # the id-list members, taken once for their type test and their text tests
     for (name, hint), column in zip(hints.items(), columns):
         kinds = set(map(type, column))
         if get_origin(hint) is tuple:
-            typed = kinds == {tuple} and set(map(type, chain.from_iterable(column))) <= {get_args(hint)[0]}
+            members = list(chain.from_iterable(column)) if kinds == {tuple} else []
+            typed = kinds == {tuple} and set(map(type, members)) <= {get_args(hint)[0]}
+            listed += members
         else:
             typed = kinds <= set(get_args(hint) or (hint,))  # a union with None, or a class
         if not typed:
             return f"{name} {column[0]!r} is not {hint.__name__ if isinstance(hint, type) else hint}"
-    listed = list(chain.from_iterable(chain.from_iterable(
-        column for column, hint in zip(columns, hints.values()) if get_origin(hint) is tuple
-    )))
+        if float in kinds and not all(map(math.isfinite, filter(None, column))):  # the reader refuses it
+            return f"{name} {column[0]!r} is not a finite number"
     texts = [*chain.from_iterable(column for column, hint in zip(columns, hints.values()) if hint is str), *listed]
     languages = list(chain.from_iterable(column for column, name in zip(columns, hints) if name == "language"))
     split = dsv and _LIST_SEPARATOR in "\n".join(listed)
@@ -922,8 +915,9 @@ def save_corpus(
     """Write the three corpus files in ``dsv`` or ``jsonl`` format, streaming
     one record per line; each record is a row in column order. Loading them
     yields a record-wise identical corpus. A field not of the type its record
-    class declares, or a text cell that would not load back as written,
-    raises ``CorpusError`` naming the record before any file is opened."""
+    class declares, a float that is not finite, or a text cell that would not
+    load back as written, raises ``CorpusError`` naming the record before any
+    file is opened."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
     _check_writable(corpus, fmt == "dsv")

@@ -34,14 +34,6 @@ class IndicatorKind(str, Enum):
     H_INDEX = "h_index"
 
 
-#: Kinds recalibrated directly from top-quartile performance.
-CORE_KINDS = (
-    IndicatorKind.PUBLICATIONS,
-    IndicatorKind.WOS_ARTICLES,
-    IndicatorKind.INDEPENDENT_CITATIONS,
-    IndicatorKind.CUMULATIVE_IF,
-)
-
 #: Kinds that need the researcher's last degree year.
 SINCE_DEGREE_KINDS = frozenset({IndicatorKind.PUBLICATIONS_SINCE_DEGREE, IndicatorKind.WOS_ARTICLES_SINCE_DEGREE})
 

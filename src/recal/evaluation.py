@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import finite_float, write_table
+from .corpus import finite_float, required_string, required_text, write_table
 from .counting import IndicatorKind, IndicatorVector
 
 
@@ -177,7 +177,8 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
         if len(cells) != 3:
             raise EvaluationError(f"{path}:{i}: expected 3 cells")
         try:
-            cell, minimum = (cells[0], IndicatorKind(cells[1])), finite_float(cells[2])
+            cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
+            minimum = finite_float(cells[2])
             if minimum <= 0:
                 raise ValueError(f"minimum for ({cell[0]}, {cell[1].value}) must be positive, got {minimum}")
         except ValueError as exc:

@@ -396,6 +396,20 @@ def test_evaluate_against_saved_threshold_file(tmp_path, capsys):
     assert document["indicators"][0]["score"] == pytest.approx(40 / 39)
 
 
+def test_evaluate_applies_a_padded_discipline_row(tmp_path, capsys):
+    paths = dossier_files(tmp_path)
+    thresholds = tmp_path / "thresholds.csv"
+    thresholds.write_text(
+        "label,padded\ndiscipline,kind,minimum\nsocial_geography,publications,39\n social_geography,h_index,99\n",
+        encoding="utf-8",
+    )
+    assert run("evaluate", *paths, "--researcher", "cand", "--thresholds", thresholds) == 1
+    document = json.loads(capsys.readouterr().out)
+    assert [(i["kind"], i["fulfilled"]) for i in document["indicators"]] == [
+        ("publications", True), ("h_index", False),
+    ]
+
+
 def test_evaluate_rejects_non_finite_minimum(tmp_path, capsys):
     paths = dossier_files(tmp_path)
     thresholds = tmp_path / "thresholds.csv"

@@ -20,6 +20,7 @@ from recal.corpus import (
     RESEARCHER_COLUMNS,
     RESEARCHER_FIELDS,
     CitationLink,
+    Corpus,
     CorpusError,
     CorpusValidationError,
     DisciplineCoauthorship,
@@ -299,8 +300,10 @@ _JSONL_CITATION = (
         ('["r1", " r1"]', '["ext_b"]', ["publications:1: 'p1' repeats an author id"]),
         ('["r1"]', '["ext_b", "ext_b "]', ["citations:1: 'c1' repeats a citing author id"]),
         ('[" r1 ", "", "  "]', '["ext_b", " "]', [("r1",), ("ext_b",)]),
+        ('"r1; ext_a"', '"ext_b;ext_c;"', [("r1", "ext_a"), ("ext_b", "ext_c")]),  # split as DSV text is
     ],
-    ids=["null", "boolean", "nested", "citing_number", "padded_repeat", "padded_citing_repeat", "stripped"],
+    ids=["null", "boolean", "nested", "citing_number", "padded_repeat", "padded_citing_repeat", "stripped",
+         "string"],
 )
 def test_jsonl_id_lists_follow_the_dsv_rules(clean_corpus_files, tmp_path, authors, citing, expected):
     files = write_corpus_files(tmp_path / "json", {
@@ -400,6 +403,19 @@ def test_save_refuses_a_field_not_of_its_declared_type(tmp_path, fmt, researcher
     paths = _corpus_paths(tmp_path, fmt)
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         save_corpus(small_corpus(researchers, publications), *paths, fmt=fmt)
+    assert not any(path.exists() for path in paths)
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("impact_factor", [math.nan, math.inf, -math.inf])
+def test_save_refuses_a_non_finite_impact_factor_the_reader_would_refuse(tmp_path, fmt, impact_factor):
+    # built directly: build_corpus refuses it, but Corpus is a public class
+    publications = [_P1, _P1._replace(pub_id="p2", impact_factor=impact_factor)]
+    corpus = Corpus({"r1": researcher("r1")}, {p.pub_id: p for p in publications}, ())
+    paths = _corpus_paths(tmp_path, fmt)
+    message = f"publication 'p2': impact_factor {impact_factor!r} is not a finite number"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        save_corpus(corpus, *paths, fmt=fmt)
     assert not any(path.exists() for path in paths)
 
 

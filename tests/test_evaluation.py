@@ -163,6 +163,24 @@ def test_threshold_table_refuses_a_repeated_cell(tmp_path):
     assert str(caught.value) == f"{path}:5: repeats line 3, the minimum of (geology, publications)"
 
 
+def test_threshold_table_strips_a_padded_discipline_and_kind(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("label,t\ndiscipline,kind,minimum\ngeology,publications,1\n geology, h_index ,99\n",
+                    encoding="utf-8")
+    table = load_threshold_table(path)
+    assert table.minimums == {("geology", K.PUBLICATIONS): 1.0, ("geology", K.H_INDEX): 99.0}
+    assert table.required_kinds("geology") == [K.PUBLICATIONS, K.H_INDEX]
+
+
+def test_threshold_table_refuses_an_empty_discipline_naming_the_line(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("label,t\ndiscipline,kind,minimum\ngeology,publications,1\n geology,h_index,99\n"
+                    ",wos_articles,5\n", encoding="utf-8")
+    with pytest.raises(EvaluationError) as caught:
+        load_threshold_table(path)
+    assert str(caught.value) == f"{path}:5: column 'discipline' is empty"
+
+
 def test_threshold_table_refuses_a_non_positive_minimum_naming_the_line(tmp_path):
     path = tmp_path / "thresholds.csv"
     path.write_text("label,zero\ndiscipline,kind,minimum\ngeology,publications,30\n\ngeochemistry,publications,0\n",

@@ -5,10 +5,11 @@ the one ``RecalibrationError`` of an APV table), in order. The expected texts
 were recorded from the readers as they stood before the column tables
 replaced the per-cell helpers, except the cases of a JSON value other than a
 string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
-``*_as_cited``), which were written when those columns began refusing one, and
-the rows around the reader's 1024-row chunk boundary, a JSON ``1`` under a
-``true``, the non-positive APVs and the lone surrogates, which were written
-with the checks that refuse them. A
+``*_as_cited``) or other than an array or a string in an id-list column
+(``*_as_authors``, ``*_as_citing``), which were written when those columns
+began refusing one, and the rows around the reader's 1024-row chunk boundary,
+a JSON ``1`` under a ``true``, the non-positive APVs and the lone surrogates,
+which were written with the checks that refuse them. A
 change to any of them is a change to what users read on stderr and should be
 made on purpose.
 """
@@ -277,7 +278,22 @@ CORPUS_CASES = {
         "publications:1: column 'discipline' is empty and no author is a corpus researcher",
         "citations:1: cited_pub_id 'p1' does not resolve to a publication",
     ]),
+    "pj_number_as_authors": (jsonl("publications", author_ids="5"), [
+        "publications:1: column 'author_ids': 5 is not a string or an array",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
+    # no discipline: inheriting one reads the authors before any other cell
+    "pj_true_as_authors": (jsonl("publications", author_ids="true", discipline=None), [
+        "publications:1: column 'author_ids': True is not a string or an array",
+        "citations:1: cited_pub_id 'p1' does not resolve to a publication",
+    ]),
     # citations, JSONL
+    "cj_number_as_citing": (jsonl("citations", citing_author_ids="7.5"), [
+        "citations:1: column 'citing_author_ids': 7.5 is not a string or an array",
+    ]),
+    "cj_object_as_citing": (jsonl("citations", citing_author_ids='{"id": "ext_b"}'), [
+        "citations:1: column 'citing_author_ids': {'id': 'ext_b'} is not a string or an array",
+    ]),
     "cj_true_as_int": (jsonl("citations", citing_year="true"), [
         "citations:1: column 'citing_year': expected an integer",
     ]),
