@@ -113,10 +113,29 @@ def _encodable(text: str) -> str:
     return text
 
 
+def _cell(text: str) -> str:
+    """``text``, if a corpus reader can yield it as a cell: the readers strip
+    every cell and refuse an empty one."""
+    if not text:
+        raise ValueError('"" is empty, and the corpus readers refuse an empty cell')
+    if text != text.strip():
+        raise ValueError(f"{json.dumps(text)} has surrounding whitespace, which the corpus readers strip from every cell")
+    return _encodable(text)
+
+
+def _language(text: str) -> str:
+    text = _cell(text)
+    if text != text.lower():
+        raise ValueError(f"{json.dumps(text)} is not lowercase, and the corpus readers lowercase every language")
+    return text
+
+
 INTEGER = Rule("an integer", lambda value: type(value) is int)  # a boolean is not an integer
 NUMBER = Rule("a number", lambda value: type(value) in (int, float), finite_float)
 STRING = Rule("a string", lambda value: type(value) is str, _encodable)
 VERSION = Rule(f"the supported version {SCHEMA_VERSION}", lambda value: type(value) is int and value == SCHEMA_VERSION)
+CELL = Rule("a string", lambda value: type(value) is str, _cell)  # text that a corpus cell holds, as a discipline key
+LANGUAGE = replace(CELL, convert=_language)
 WINDOW = Rule("a [start, end] pair of years", lambda value: type(value) is list and len(value) == 2,
               lambda pair: YearWindow(*pair), item=INTEGER)
 
@@ -212,12 +231,13 @@ KIND = enum(IndicatorKind)
 CONFIG_SCHEMA = table(
     {"schema_version": VERSION},
     {
-        "disciplines": array(table({"key": STRING}, {"name": STRING}), _registry),
-        "domestic_language": STRING,
+        "disciplines": array(table({"key": CELL}, {"name": STRING}), _registry),
+        "domestic_language": LANGUAGE,
         "pub_window": WINDOW,
         "citation_window": WINDOW,
         "current_minimums": mapping(
             mapping(NUMBER, KIND),
+            key=CELL,
             convert=lambda doc: {(key, kind): value for key, kinds in doc.items() for kind, value in kinds.items()},
         ),
         "recalibration": table({}, {

@@ -25,7 +25,7 @@ from pathlib import Path
 from random import Random
 
 from . import defaults
-from .config import INTEGER, NUMBER, STRING, VERSION, WINDOW, mapping, read_document, table
+from .config import CELL, INTEGER, LANGUAGE, NUMBER, VERSION, WINDOW, mapping, read_document, table
 from .corpus import (
     CitationLink,
     Corpus,
@@ -61,6 +61,9 @@ class SynthDisciplineParams:
             raise SynthError(f"{self.discipline}: publications need at least one researcher")
         if not 0.0 <= self.multi_ratio_target <= 100.0:
             raise SynthError(f"{self.discipline}: multi_ratio_target outside [0, 100]")
+        for name in ("mean_coauthors_multi", "citation_rate", "if_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise SynthError(f"{self.discipline}: {name} is not a finite number")
         if self.mean_coauthors_multi < 2.0:
             raise SynthError(f"{self.discipline}: mean_coauthors_multi must be >= 2")
         for name in ("wos_article_ratio", "domestic_language_ratio"):
@@ -87,49 +90,25 @@ class SynthSpec:
 
 # --------------------------------------------------------------------------
 # Samplers built on rng.random() only, for cross-version reproducibility.
+# generate_corpus draws the rest inline: one draw is one rng.random() call.
 
 def _uniform_int(rng: Random, lo: int, hi: int) -> int:
     span = hi - lo + 1
     return lo + min(span - 1, int(rng.random() * span))
 
 
-def _bernoulli(rng: Random, p: float) -> bool:
-    return rng.random() < p
-
-
-def _shifted_geometric(rng: Random, mean: float) -> int:
-    """Author count in {2, 3, ...} with the given mean."""
-    if mean <= 2.0:
-        return 2
-    p = 1.0 / (mean - 1.0)
-    u = rng.random()
-    return 2 + int(math.log(1.0 - u) / math.log(1.0 - p))
-
-
-def _poisson(rng: Random, lam: float) -> int:
-    if lam <= 0:
-        return 0
-    limit = math.exp(-lam)
-    k, product = 0, 1.0
-    while True:
-        product *= rng.random()
-        if product <= limit:
-            return k
-        k += 1
-
-
-def _exponential(rng: Random, mean: float) -> float:
-    if mean <= 0:
-        return 0.0
-    return -mean * math.log(1.0 - rng.random())
-
-
 def _author_count_plan(rng: Random, multi_count: int, mean: float) -> list[int]:
-    """Geometric draws repaired by single steps until they sum to the rounded
-    target, pinning the realized mean."""
+    """Author counts in {2, 3, ...} of the multi-authored publications:
+    shifted geometric draws with the given mean, repaired by single steps
+    until they sum to the rounded target, pinning the realized mean."""
     if multi_count == 0:
         return []
-    counts = [_shifted_geometric(rng, mean) for _ in range(multi_count)]
+    if mean <= 2.0:
+        counts = [2] * multi_count
+    else:
+        random = rng.random
+        log_q = math.log(1.0 - 1.0 / (mean - 1.0))  # 1.0 / (mean - 1.0) is the success probability
+        counts = [2 + int(math.log(1.0 - random()) / log_q) for _ in range(multi_count)]
     target = max(round(mean * multi_count), 2 * multi_count)
     total = sum(counts)
     while total > target:
@@ -144,7 +123,7 @@ def _author_count_plan(rng: Random, multi_count: int, mean: float) -> list[int]:
     return counts
 
 
-_NON_WOS_TYPES = (
+_NON_WOS_TYPES = (  # a non-WoS publication's type, by the ceiling its draw is below
     (0.30, PubType.JOURNAL_ARTICLE),
     (0.40, PubType.BOOK_CHAPTER),
     (0.65, PubType.CONFERENCE_PAPER),
@@ -154,103 +133,111 @@ _NON_WOS_TYPES = (
 )
 
 
-def _non_wos_type(rng: Random) -> PubType:
-    u = rng.random()
-    for ceiling, pub_type in _NON_WOS_TYPES:
-        if u < ceiling:
-            return pub_type
-    return PubType.OTHER
-
-
 # --------------------------------------------------------------------------
 
 @collector_paused()
 def generate_corpus(spec: SynthSpec) -> Corpus:
-    """Generate a valid corpus; a pure function of (seed, spec)."""
+    """Generate a valid corpus; a pure function of (seed, spec).
+
+    Each draw is one ``random()`` call with its sampler's formula inline: a
+    Bernoulli(p) draw is ``random() < p``, and each
+    ``lo + min(span - 1, int(random() * span))`` is the formula of
+    ``_uniform_int``, inlined."""
     rng = Random(spec.seed)
+    random = rng.random
     researchers: list[ResearcherProfile] = []
     publications: list[PublicationRecord] = []
     citations: list[CitationLink] = []
+    language = spec.domestic_language
+    pub_start = spec.pub_window.start
+    pub_span = spec.pub_window.end - pub_start + 1
+    degree_start = pub_start - 12
+    degree_span = spec.pub_window.end - degree_start + 1
+    citing_start = spec.citation_window.start
+    citing_span = spec.citation_window.end - citing_start + 1
 
     for params in spec.params:
         d = params.discipline
         ids = [f"{d}:r{i:03d}" for i in range(params.researcher_count)]
         for rid in ids:
-            researchers.append(
-                ResearcherProfile(
-                    researcher_id=rid,
-                    discipline=d,
-                    has_dsc=_bernoulli(rng, 0.25),
-                    last_degree_year=_uniform_int(
-                        rng, spec.pub_window.start - 12, spec.pub_window.end
-                    ),
-                )
-            )
+            researchers.append(ResearcherProfile(
+                rid, d, random() < 0.25, degree_start + min(degree_span - 1, int(random() * degree_span))
+            ))
 
         multi_count = min(params.pub_count, round(params.pub_count * params.multi_ratio_target / 100.0))
         author_plan = _author_count_plan(rng, multi_count, params.mean_coauthors_multi)
+        id_count = len(ids)
+        wos_ratio = params.wos_article_ratio
+        domestic_ratio = params.domestic_language_ratio
+        if_mean = params.if_mean
+        citation_rate = params.citation_rate
+        no_more_citations = math.exp(-citation_rate)
         external_serial = 0
         citing_serial = 0
 
         for i in range(params.pub_count):
-            size = author_plan[i] if i < multi_count else 1
-            first = ids[_uniform_int(rng, 0, len(ids) - 1)]
-            authors = [first]
-            taken = {first}  # corpus researchers only: external ids are fresh by construction
-            for _ in range(size - 1):
-                picked = None
-                if _bernoulli(rng, 0.5) and len(taken) < len(ids):
-                    for _attempt in range(4):
-                        candidate = ids[_uniform_int(rng, 0, len(ids) - 1)]
-                        if candidate not in taken:
-                            picked = candidate
-                            taken.add(picked)
-                            break
-                if picked is None:
-                    picked = f"{d}:x{external_serial:05d}"
-                    external_serial += 1
-                authors.append(picked)
+            first = ids[min(id_count - 1, int(random() * id_count))]
+            if i < multi_count:
+                authors = [first]
+                taken = {first}  # corpus researchers only: external ids are fresh by construction
+                for _ in range(author_plan[i] - 1):
+                    picked = None
+                    if random() < 0.5 and len(taken) < id_count:
+                        for _attempt in range(4):
+                            candidate = ids[min(id_count - 1, int(random() * id_count))]
+                            if candidate not in taken:
+                                picked = candidate
+                                taken.add(picked)
+                                break
+                    if picked is None:
+                        picked = f"{d}:x{external_serial:05d}"
+                        external_serial += 1
+                    authors.append(picked)
+                author_ids = tuple(authors)
+            else:
+                author_ids = (first,)
 
-            wos_article = _bernoulli(rng, params.wos_article_ratio)
+            wos_article = random() < wos_ratio
             if wos_article:
                 pub_type = PubType.JOURNAL_ARTICLE
-                impact_factor = round(_exponential(rng, params.if_mean), 3)
+                # an exponential draw with mean if_mean, by inversion; no draw when the mean is not positive
+                impact_factor = 0.0 if if_mean <= 0 else round(-if_mean * math.log(1.0 - random()), 3)
             else:
-                pub_type = _non_wos_type(rng)
+                u = random()
+                for ceiling, pub_type in _NON_WOS_TYPES:
+                    if u < ceiling:
+                        break
                 impact_factor = None
-            pub = PublicationRecord(
-                pub_id=f"{d}:p{i:05d}",
-                year=_uniform_int(rng, spec.pub_window.start, spec.pub_window.end),
-                pub_type=pub_type,
-                language=(
-                    spec.domestic_language
-                    if _bernoulli(rng, params.domestic_language_ratio)
-                    else "en"
-                ),
-                wos_indexed=wos_article,
-                scopus_indexed=wos_article and _bernoulli(rng, 0.85),
-                impact_factor=impact_factor,
-                author_ids=tuple(authors),
-                discipline=d,
-            )
-            publications.append(pub)
+            pub_id = f"{d}:p{i:05d}"
+            publications.append(PublicationRecord(
+                pub_id,
+                pub_start + min(pub_span - 1, int(random() * pub_span)),
+                pub_type,
+                language if random() < domestic_ratio else "en",
+                wos_article,
+                wos_article and random() < 0.85,
+                impact_factor,
+                author_ids,
+                d,
+            ))
 
-            for _ in range(_poisson(rng, params.citation_rate)):
-                citing = tuple(
-                    f"{d}:c{citing_serial + j:06d}" for j in range(_uniform_int(rng, 1, 3))
-                )
-                citing_serial += len(citing)
-                citations.append(
-                    CitationLink(
-                        citation_id=f"{d}:cit{citing_serial:06d}",
-                        cited_pub_id=pub.pub_id,
-                        citing_year=_uniform_int(
-                            rng, spec.citation_window.start, spec.citation_window.end
-                        ),
-                        citing_author_ids=citing,
-                        citing_wos_indexed=_bernoulli(rng, params.wos_article_ratio),
-                    )
-                )
+            if citation_rate <= 0:  # a Poisson draw of mean 0 draws nothing
+                continue
+            count, product = 0, random()  # the Poisson draw: multiply uniforms while above exp(-citation_rate)
+            while product > no_more_citations:
+                count += 1
+                product *= random()
+            for _ in range(count):
+                citing_count = 1 + min(2, int(random() * 3))  # 1 to 3 citing authors
+                citing = tuple([f"{d}:c{serial:06d}" for serial in range(citing_serial, citing_serial + citing_count)])
+                citing_serial += citing_count
+                citations.append(CitationLink(
+                    f"{d}:cit{citing_serial:06d}",
+                    pub_id,
+                    citing_start + min(citing_span - 1, int(random() * citing_span)),
+                    citing,
+                    random() < wos_ratio,
+                ))
 
     return build_corpus(
         researchers, publications, citations, disciplines=[p.discipline for p in spec.params]
@@ -296,9 +283,9 @@ SPEC_SCHEMA = table(
         "citation_window": WINDOW,
         "disciplines": mapping(table(  # each SynthDisciplineParams field after the discipline, which is the key
             {field.name: INTEGER if field.type == "int" else NUMBER for field in fields(SynthDisciplineParams)[1:]}, {},
-        )),
+        ), key=CELL),
     },
-    {"domestic_language": STRING},
+    {"domestic_language": LANGUAGE},
 )
 
 

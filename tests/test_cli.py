@@ -577,6 +577,61 @@ def test_lone_surrogate_in_a_document_key_is_named_escaped(tmp_path, capsys, doc
     assert not out_dir.exists()
 
 
+def _rekeyed(doc: dict, key: str, new_key: str) -> None:
+    doc[new_key] = doc.pop(key)
+
+
+PADDED = "has surrounding whitespace, which the corpus readers strip from every cell"
+EMPTY = "is empty, and the corpus readers refuse an empty cell"
+NOT_LOWERCASE = "is not lowercase, and the corpus readers lowercase every language"
+
+#: Text that no corpus cell can hold, refused by its key path in both
+#: documents: (document, edit of its JSON, message after ``bad <document>: ``).
+UNREADABLE_TEXT = {
+    "config_upper_language": ("config", lambda doc: doc.update(domestic_language="HU"),
+                              f'domestic_language: "HU" {NOT_LOWERCASE}'),
+    "config_padded_language": ("config", lambda doc: doc.update(domestic_language=" hu"),
+                               f'domestic_language: " hu" {PADDED}'),
+    "config_empty_language": ("config", lambda doc: doc.update(domestic_language=""), f'domestic_language: "" {EMPTY}'),
+    "config_padded_key": ("config", lambda doc: doc["disciplines"][0].update(key=" geology"),
+                          f'disciplines[0].key: " geology" {PADDED}'),
+    "config_empty_key": ("config", lambda doc: doc["disciplines"][1].update(key=""), f'disciplines[1].key: "" {EMPTY}'),
+    "config_padded_minimum_key": ("config", lambda doc: _rekeyed(doc["current_minimums"], "geology", "geology "),
+                                  f'current_minimums.geology : "geology " {PADDED}'),
+    "config_empty_minimum_key": ("config", lambda doc: _rekeyed(doc["current_minimums"], "mining", ""),
+                                 f'current_minimums.: "" {EMPTY}'),
+    "spec_upper_language": ("spec", lambda doc: doc.update(domestic_language="Hu"),
+                            f'domestic_language: "Hu" {NOT_LOWERCASE}'),
+    "spec_padded_language": ("spec", lambda doc: doc.update(domestic_language="hu\n"),
+                             f'domestic_language: "hu\\n" {PADDED}'),
+    "spec_empty_language": ("spec", lambda doc: doc.update(domestic_language=""), f'domestic_language: "" {EMPTY}'),
+    "spec_padded_key": ("spec", lambda doc: _rekeyed(doc["disciplines"], "geology", " geology"),
+                        f'disciplines. geology: " geology" {PADDED}'),
+    "spec_empty_key": ("spec", lambda doc: _rekeyed(doc["disciplines"], "geology", ""), f'disciplines.: "" {EMPTY}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_TEXT))
+def test_text_no_corpus_cell_holds_is_refused_by_key_path(tmp_path, capsys, case):
+    document, edit, message = UNREADABLE_TEXT[case]
+    path = tmp_path / f"{document}.json"
+    out_dir = tmp_path / "out"
+    if document == "config":
+        doc = _two_discipline_config()
+        argv = ["derive", "--apv-table", APV_TABLE, "--config", path, "--out-dir", out_dir]
+        what = "bad config"
+    else:
+        save_synth_spec(_small_section_spec(seed=3), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        argv = ["synth", "--spec", path, "--out-dir", out_dir]
+        what = "bad generator spec"
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {what}: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_config_with_list_minimums_is_a_typed_failure(tmp_path, capsys):
     config = _two_discipline_config()
     config["current_minimums"] = [1, 2]

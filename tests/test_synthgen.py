@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from random import Random
 
 import pytest
 
@@ -110,6 +111,14 @@ def test_infeasible_mean_rejected():
         one_discipline_spec(mean_coauthors_multi=1.5)
 
 
+@pytest.mark.parametrize("name", ["mean_coauthors_multi", "citation_rate", "if_mean"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_target_rejected(name, value):
+    # NaN fails no `<` test: a NaN citation rate would give no Poisson draw
+    with pytest.raises(SynthError, match=f"geology: {name} is not a finite number"):
+        one_discipline_spec(**{name: value})
+
+
 def test_pubs_without_researchers_rejected():
     with pytest.raises(SynthError):
         one_discipline_spec(researcher_count=0)
@@ -157,6 +166,8 @@ GOLDEN_SHA256 = {
     ("seed2", "jsonl"): "45202cdc907704086b20e7ce022080a722a1ded3ba64a5786c69913f08a21249",
     ("tiny", "dsv"): "da498626d5350c1b88396250f99104176a156d3cc2842a3e31cca0431e1d8d44",
     ("tiny", "jsonl"): "3a800086081ec9cea85061a6f3268db2d843c790a574a2ff01bbdf5f8cb590f1",
+    ("edge", "dsv"): "aba030f67fb161d0c074686b12ef165e608b61255b0ebafbfae99a02158a46d8",
+    ("edge", "jsonl"): "80b496a134cab4c1bb4206ddacad9b5d4bf2172bab3d4028ae6c90be95efaae8",
 }
 
 
@@ -171,10 +182,26 @@ def _tiny_spec() -> SynthSpec:
     )
 
 
+def _edge_spec() -> SynthSpec:
+    # every branch that returns without a draw: no impact factor or citation
+    # to draw, author counts pinned at 2, no multi-authored publication, no
+    # co-author left to pick, no publication; and ratios of 0 and 1
+    return SynthSpec(
+        seed=11,
+        params=(
+            SynthDisciplineParams("geology", 1, 40, 100.0, 2.0, 1.0, 0.0, 0.0, 1.0),
+            SynthDisciplineParams("mining", 3, 40, 0.0, 2.0, 0.0, 1.5, 1.2, 0.0),
+            SynthDisciplineParams("geography", 2, 0, 50.0, 3.0, 0.5, 1.0, 1.0, 0.5),
+        ),
+        pub_window=PUB_WINDOW,
+        citation_window=CITATION_WINDOW,
+    )
+
+
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
-@pytest.mark.parametrize("name", ["seed1", "seed2", "tiny"])
+@pytest.mark.parametrize("name", ["seed1", "seed2", "tiny", "edge"])
 def test_synth_bytes_match_golden_digest(tmp_path, name, fmt):
-    spec = {"seed1": default_spec(1), "seed2": default_spec(2), "tiny": _tiny_spec()}[name]
+    spec = {"seed1": default_spec(1), "seed2": default_spec(2), "tiny": _tiny_spec(), "edge": _edge_spec()}[name]
     suffix = "jsonl" if fmt == "jsonl" else "csv"
     paths = [tmp_path / f"{n}.{suffix}" for n in ("researchers", "publications", "citations")]
     save_corpus(generate_corpus(spec), *paths, fmt=fmt)
@@ -182,3 +209,31 @@ def test_synth_bytes_match_golden_digest(tmp_path, name, fmt):
     for path in paths:
         digest.update(path.read_bytes())
     assert digest.hexdigest() == GOLDEN_SHA256[(name, fmt)]
+
+
+class _CountingRandom(Random):
+    """``Random`` that counts its ``.random()`` draws and refuses every other
+    public method, so a draw through a derived helper fails the test."""
+
+    made: list[_CountingRandom] = []  # every instance, in order
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+        _CountingRandom.made.append(self)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name not in ("random", "seed", "draws"):
+            raise AssertionError(f"the generator calls Random.{name}")
+        return super().__getattribute__(name)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_generator_draws_through_random_only(monkeypatch):
+    _CountingRandom.made = []
+    monkeypatch.setattr("recal.synthgen.Random", _CountingRandom)
+    generate_corpus(default_spec(1))
+    assert [rng.draws for rng in _CountingRandom.made] == [241_164]
