@@ -436,20 +436,28 @@ def _opt_float(cell: object, column: str) -> float | None:
         raise ValueError(f"column {column!r}: {cell!r} is not a finite number") from None
 
 
-def _id_list(cell: object, column: str) -> tuple[str, ...]:
+def _id_list(cell: object, column: str, get=None) -> tuple[str, ...]:
     """Stripped ids with the empty ones dropped, from DSV text split on ``;``
-    or from a JSON array, whose members must be strings."""
+    or from a JSON array, whose members must be strings. With ``get``, the
+    ``get`` method of a load's id table, each id is ``get(id, id)``."""
     if not isinstance(cell, (list, str, type(None))):
         raise ValueError(f"column {column!r}: {cell!r} is not a string or an array")
     members = cell if isinstance(cell, list) else _text(cell, column).split(_LIST_SEPARATOR)
     try:
-        ids = tuple(filter(None, map(str.strip, members)))
+        ids = list(filter(None, map(str.strip, members)))
     except TypeError:  # str.strip of a member that is not a string
         bad = next(member for member in members if not isinstance(member, str))
         raise ValueError(f"column {column!r}: member {bad!r} is not a string") from None
     if bad := next(filter(has_lone_surrogate, ids), None):
         raise _surrogate_error(column, bad)
-    return ids
+    return tuple(ids if get is None else map(get, ids, ids))
+
+
+def _id(cell: object, column: str, get) -> str:
+    """A ``required_string`` id as ``get(id, id)``, ``get`` being the ``get``
+    method of a load's id table."""
+    text = required_string(cell, column)
+    return get(text, text)
 
 
 _PUB_TYPES = {t.value: t for t in PubType}
@@ -514,47 +522,59 @@ def _opt_floats(column: Sequence, column_name: str) -> Sequence[float | None]:
     raise ValueError
 
 
-def _id_lists(column: Sequence, column_name: str) -> list[tuple[str, ...]]:
+def _ids(column: Sequence, column_name: str, get) -> list[str]:
+    """``_strings``, each as ``_id`` gives it."""
+    stripped = _strings(column, column_name)
+    return list(map(get, stripped, stripped))
+
+
+def _id_lists(column: Sequence, column_name: str, get=None) -> list[tuple[str, ...]]:
     """DSV text split on ``;``, or JSON arrays of strings, when no id is
-    empty or padded."""
+    empty or padded; with ``get``, each id as ``_id_list`` gives it."""
     kinds = set(map(type, column))
     if kinds == {str}:
-        ids = "\n".join(column).replace(_LIST_SEPARATOR, "\n")
-        lists = map(str.split, column, repeat(_LIST_SEPARATOR))
+        ids = " ".join(column).replace(_LIST_SEPARATOR, " ")
+        lists = list(map(str.split, column, repeat(_LIST_SEPARATOR)))
     elif kinds == {list}:
-        ids = "\n".join(chain.from_iterable(column))  # TypeError for a member that is not a string
+        ids = " ".join(chain.from_iterable(column))  # TypeError for a member that is not a string
         lists = column
     else:
         raise ValueError
-    # The ids, one or more lines each: no line may be empty, and the only
-    # blanks allowed are the line breaks, all inside ids. Every blank that
-    # str.strip() removes is a space, a line break or not printable.
-    if not ids or "\n\n" in ids or ids[0] == "\n" or ids[-1] == "\n" or " " in ids \
-            or not ids.replace("\n", "").isprintable():  # nor a lone surrogate, which is not printable
+    # The ids, space-separated: an empty or space-padded id shows as two
+    # spaces in a row or a space at either end. Every other blank that
+    # str.strip() removes is not printable, nor is a lone surrogate.
+    if not ids or "  " in ids or ids[0] == " " or ids[-1] == " " or not ids.isprintable():
         raise ValueError
-    return list(map(tuple, lists))
+    return list(map(tuple, lists if get is None else map(map, repeat(get), lists, lists)))
 
 
-#: Each file's columns in record-field order, with a cell and a column
-#: converter each.
-RESEARCHER_COLUMNS = (
-    ("researcher_id", required_string, _strings), ("discipline", required_string, _distinct(required_string)),
-    ("has_dsc", _bool, _distinct(_bool)), ("last_degree_year", _opt_int, _distinct(_opt_int)),
-)
-PUBLICATION_COLUMNS = (
-    ("pub_id", required_string, _strings), ("year", _int, _distinct(_int)),
-    ("pub_type", _pub_type, _distinct(_pub_type)), ("language", _language, _distinct(_language)),
-    ("wos_indexed", _bool, _distinct(_bool)), ("scopus_indexed", _bool, _distinct(_bool)),
-    ("impact_factor", _opt_float, _opt_floats), ("author_ids", _id_list, _id_lists),
-    ("discipline", _string, _distinct(required_string)),  # an empty one, to inherit, is left to the cell converters
-)
-CITATION_COLUMNS = (
-    ("citation_id", required_string, _strings), ("cited_pub_id", required_string, _strings),
-    ("citing_year", _int, _distinct(_int)), ("citing_author_ids", _id_list, _id_lists),
-    ("citing_wos_indexed", _bool, _distinct(_bool)),
-)
+def _columns(ids: dict[str, str]) -> tuple[tuple, tuple, tuple]:
+    """Each file's columns in record-field order, with a cell and a column
+    converter each. ``ids`` is a load's id table, from the text of each
+    researcher id, then each publication id, to that record's own object. An
+    author id or a cited publication id is looked up in it, so it is the
+    object of the record it names. Citation ids and citing author ids are
+    not: they name no record."""
+    get = ids.get
+    return ((
+        ("researcher_id", required_string, _strings), ("discipline", required_string, _distinct(required_string)),
+        ("has_dsc", _bool, _distinct(_bool)), ("last_degree_year", _opt_int, _distinct(_opt_int)),
+    ), (
+        ("pub_id", required_string, _strings), ("year", _int, _distinct(_int)),
+        ("pub_type", _pub_type, _distinct(_pub_type)), ("language", _language, _distinct(_language)),
+        ("wos_indexed", _bool, _distinct(_bool)), ("scopus_indexed", _bool, _distinct(_bool)),
+        ("impact_factor", _opt_float, _opt_floats),
+        ("author_ids", partial(_id_list, get=get), partial(_id_lists, get=get)),
+        ("discipline", _string, _distinct(required_string)),  # an empty one, to inherit, is left to cell converters
+    ), (
+        ("citation_id", required_string, _strings), ("cited_pub_id", partial(_id, get=get), partial(_ids, get=get)),
+        ("citing_year", _int, _distinct(_int)), ("citing_author_ids", _id_list, _id_lists),
+        ("citing_wos_indexed", _bool, _distinct(_bool)),
+    ))
+
+
 RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (
-    tuple(column[0] for column in columns) for columns in (RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS)
+    tuple(name for name, _, _ in columns) for columns in _columns({})
 )
 _CONVERSION_FAILURES = (ArithmeticError, LookupError, RecursionError, TypeError, ValueError)
 
@@ -585,8 +605,8 @@ def _json_columns(lines: list[str], fields: Sequence[str]) -> list:
 
 def _dsv_columns(rows: list[list[str]], width: int, in_field_order) -> list:
     """The columns, in field order, of a chunk of DSV rows that all have
-    ``width`` cells and none of them blank; raises for any other chunk."""
-    if set(map(len, rows)) != {width} or not all(map(str.strip, map("".join, rows))):
+    ``width`` cells; raises for any other chunk."""
+    if set(map(len, rows)) != {width}:
         raise ValueError
     return list(zip(*map(in_field_order, rows)))
 
@@ -625,7 +645,8 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
 
     A chunk is built whole by ``from_columns(rows, columns)``, with the
     chunk's row numbers and one column per field, in ``fields`` order; it must
-    have converted every cell before it returns. When that raises, or a row of
+    have converted every cell before it returns, and must refuse a chunk with a
+    blank row, as a required text column does. When that raises, or a row of
     the chunk is not a record (bad JSON, a wrong cell count), the chunk is
     read again row by row: each row's cells become a record through
     ``from_cells(row, cells)``, and each ``ValueError`` on the way is a
@@ -691,17 +712,18 @@ def scan_corpus(
     """
     violations: list[Violation] = []
     records: dict[type, list] = {}
-    for path, source, columns, record_type in (
-        (researcher_file, "researchers", RESEARCHER_COLUMNS, ResearcherProfile),
-        (publication_file, "publications", PUBLICATION_COLUMNS, PublicationRecord),
-        (citation_file, "citations", CITATION_COLUMNS, CitationLink),
+    ids: dict[str, str] = {}  # the load's id table
+    for path, source, columns, record_type in zip(
+        (researcher_file, publication_file, citation_file), ("researchers", "publications", "citations"),
+        _columns(ids), (ResearcherProfile, PublicationRecord, CitationLink),
     ):
         discipline_of = {r.researcher_id: r.discipline for r in records.get(ResearcherProfile, ())}
 
         def from_columns(rows, cells_by_field):
-            return map(record_type, *[
+            # tuple.__new__ makes each record in C; the named tuple's own __new__ is a Python call
+            return map(tuple.__new__, repeat(record_type), zip(*[
                 convert_column(cells, name) for (name, _, convert_column), cells in zip(columns, cells_by_field)
-            ])
+            ]))
 
         def from_cells(row, cells):
             if record_type is PublicationRecord and not _text(cells[-1], "discipline"):
@@ -718,6 +740,9 @@ def scan_corpus(
 
         fields = [name for name, _, _ in columns]
         records[record_type] = read_records(Path(path), fields, source, violations, from_columns, from_cells)
+        if record_type is not CitationLink:  # a researcher's or publication's id enters after its file is read
+            ids.update(map(itemgetter(0, 0), records[record_type]))
+    ids.clear()  # the records hold the ids; the table goes before the corpus is built
 
     try:
         corpus = build_corpus(*records.values(), disciplines)

@@ -8,11 +8,12 @@ into a composite.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import finite_float, required_string, required_text, write_table
+from .corpus import finite_float, has_lone_surrogate, required_string, required_text, write_table
 from .counting import IndicatorKind, IndicatorVector
 
 
@@ -148,9 +149,28 @@ def _format_minimum(value: float) -> str:
 
 def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
     """Write the table: its ``label,<text>`` line, as a table with no rows,
-    then the ``discipline,kind,minimum`` table."""
-    cells = ((discipline, kind.value, _format_minimum(minimum))
-             for (discipline, kind), minimum in table.minimums.items())
+    then the ``discipline,kind,minimum`` table, each minimum to 6 decimals.
+    A cell that ``load_threshold_table`` would change or refuse raises
+    ``EvaluationError`` naming it before the file is opened: an empty or
+    whitespace-padded discipline (the reader strips it), a lone surrogate in
+    the discipline or the label (UTF-8 cannot encode one), or a minimum whose
+    text is not a finite positive number, as ``1e-7`` rounds to ``0``."""
+    if has_lone_surrogate(table.label):
+        raise EvaluationError(f"label {table.label!r} holds a lone surrogate, which UTF-8 cannot encode")
+    cells = []
+    for (discipline, kind), minimum in table.minimums.items():
+        text = _format_minimum(minimum)
+        if not discipline or discipline != discipline.strip() or has_lone_surrogate(discipline):
+            raise EvaluationError(
+                f"({discipline!r}, {kind.value}): the discipline would not load back as written: the reader"
+                f" strips it and refuses an empty one, and UTF-8 cannot encode a lone surrogate"
+            )
+        if not 0 < float(text) < math.inf:  # what the reader refuses
+            raise EvaluationError(
+                f"minimum for ({discipline}, {kind.value}) is {minimum!r}, which saves as {text!r}: not a finite"
+                f" positive number"
+            )
+        cells.append((discipline, kind.value, text))
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         write_table(handle, ("label", table.label), ())
         write_table(handle, ("discipline", "kind", "minimum"), cells)

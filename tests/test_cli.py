@@ -952,3 +952,52 @@ def test_corrupted_input_is_a_typed_failure(tmp_path, clean_corpus_files, capsys
     assert "Traceback" not in captured.err
     if corruption == "not_utf8":
         assert f"{path}: " in captured.out + captured.err
+
+
+# --------------------------------------------------------------------------
+# no traceback from an extreme config leaf
+
+SWEEP_LEAVES = [
+    ("pub_window", 0), ("pub_window", 1), ("citation_window", 0), ("citation_window", 1),
+    ("recalibration", "top_fraction"), ("recalibration", "ym_decimals"),
+    *(("recalibration", "t_years", kind) for kind in ("publications", "wos_articles", "independent_citations",
+                                                       "cumulative_if")),
+    *(("current_minimums", "geology", kind) for kind in ("publications", "wos_articles", "independent_citations",
+                                                          "cumulative_if")),
+]
+SWEEP_VALUES = [1e308, 1.7e308, 1e-308, 5e-324, 2**63, 10**6, -1, 0]
+
+
+@pytest.fixture(scope="module")
+def sweep_corpus(tmp_path_factory) -> list[Path]:
+    directory = tmp_path_factory.mktemp("sweep")
+    save_synth_spec(_small_section_spec(seed=1), directory / "spec.json")
+    assert run("synth", "--spec", directory / "spec.json", "--out-dir", directory) == 0
+    return [directory / f"{name}.csv" for name in ("researchers", "publications", "citations")]
+
+
+@pytest.mark.parametrize("leaf", SWEEP_LEAVES, ids=lambda leaf: "/".join(map(str, leaf)))
+def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, capsys, sweep_corpus, leaf):
+    base = {**_two_discipline_config(), "pub_window": [2014, 2018], "citation_window": [2014, 2019],
+            "recalibration": {"top_fraction": 0.25, "ym_decimals": 3,
+                              "t_years": dict.fromkeys(("publications", "wos_articles", "independent_citations",
+                                                        "cumulative_if"), 5.0)}}
+    for value in SWEEP_VALUES:
+        config = json.loads(json.dumps(base))
+        *parents, last = leaf
+        functools.reduce(lambda node, key: node[key], parents, config)[last] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        for command in (["recalibrate"], ["derive", "--method", "fractional"],
+                        ["evaluate", "--method", "fractional", "--researcher", "geology:r000"]):
+            capsys.readouterr()
+            out_dir = ["--out-dir", tmp_path / "out"] if command[0] != "evaluate" else []
+            code = run(command[0], *sweep_corpus, *command[1:], "--config", config_path, *out_dir)
+            out, err = capsys.readouterr()
+            where = f"{command[0]} with {'/'.join(map(str, leaf))} = {value!r}"
+            assert code in (0, 1, 2), where
+            if err:  # a refusal: one line, typed by its exit code
+                assert code != 0 and err.count("\n") == 1, where
+                assert err.startswith("i/o error: " if code == 2 else "error: "), where
+            else:  # evaluate exits 1 for a candidate who does not fulfil the table, and says so on stdout
+                assert code == 0 or command[0] == "evaluate" and json.loads(out)["overall_fulfilled"] is False, where

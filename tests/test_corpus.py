@@ -13,11 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recal.corpus import (
-    CITATION_COLUMNS,
     CITATION_FIELDS,
-    PUBLICATION_COLUMNS,
     PUBLICATION_FIELDS,
-    RESEARCHER_COLUMNS,
     RESEARCHER_FIELDS,
     CitationLink,
     Corpus,
@@ -27,7 +24,9 @@ from recal.corpus import (
     PublicationRecord,
     ResearcherProfile,
     YearWindow,
+    _CHUNK_ROWS,
     _CONVERSION_FAILURES,
+    _columns,
     _dsv_line,
     _json_cells,
     _json_columns,
@@ -39,7 +38,9 @@ from recal.corpus import (
     scan_corpus,
     write_table,
 )
+from recal.config import default_config
 from recal.counting import IndicatorKind
+from recal.synthgen import default_spec, generate_corpus
 
 from conftest import (
     CITATION_WINDOW,
@@ -503,13 +504,15 @@ _CELLS = st.one_of(
     st.sampled_from([
         "", " ", "true", "false", " true", "True", "0", "1", "2015", " 2015 ", "1_000", "\u0662\u0660",
         "abc", "2015.5", "2.5", "-0.0", "0.0", "nan", "inf", "1e999", "r1", " r1", "r1;r2", "r1; r2", "r1;;r2",
-        ";r1", "r1;", "r1\nr2", "r1 r2", "r1\u3000", "r1\x85;r2", "r1\u200b", "book", " book", "journal_article",
+        ";r1", "r1;", "r1 ", "r1 ;r2", "r1\nr2", "r1 r2", "r1\u3000", "r1\x85;r2", "r1\u200b", "book", " book", "journal_article",
         "EN", "en", "geology",
     ]),
     st.sampled_from([None, True, False, 0, 1, 2015, 0.0, -0.0, 2.5, math.nan, math.inf, 10**400]),
-    st.lists(st.sampled_from(["r1", "r2", " r1", "", "r1;r2", "r1\nr2", "r1\xa0", None, 1]), max_size=3),
+    st.lists(st.sampled_from(["r1", "r2", " r1", "r1 ", "r1 r2", "", "r1;r2", "r1\nr2", "r1\xa0", None, 1]), max_size=3),
     st.just({"id": "r1"}),
 )
+# the converters of one load, whose id table already holds "r1"
+RESEARCHER_COLUMNS, PUBLICATION_COLUMNS, CITATION_COLUMNS = _columns({"r1": "r1"})
 _ALL_COLUMNS = RESEARCHER_COLUMNS + PUBLICATION_COLUMNS + CITATION_COLUMNS
 
 
@@ -760,3 +763,51 @@ def test_stats_ranges_hold(seed):
         assert 0.0 <= row.multi_ratio <= 100.0
         if row.avg_coauthors_per_multi is not None:
             assert row.avg_coauthors_per_multi >= 2.0
+
+
+# --------------------------------------------------------------------------
+# One object per researcher and publication id across a load
+
+@pytest.fixture(scope="module", params=["dsv", "jsonl"])
+def synth_load(request, tmp_path_factory):
+    """The seed-1 synth corpus saved in a format and loaded back, with its
+    first publication's discipline left empty, so the first chunk of the
+    publication file is read row by row and the others a column at a time."""
+    fmt = request.param
+    generated = generate_corpus(default_spec(1))
+    first = next(iter(generated.publications.values()))
+    assert first.author_ids[0] in generated.researchers
+    assert len(generated.publications) > 2 * _CHUNK_ROWS
+    paths = _corpus_paths(tmp_path_factory.mktemp(fmt), fmt)
+    save_corpus(generated, *paths, fmt=fmt)
+    lines = paths[1].read_text(encoding="utf-8").splitlines(keepends=True)
+    if fmt == "dsv":  # after the header; the discipline is the last column
+        lines[1] = lines[1].rstrip("\n").rsplit(",", 1)[0] + ",\n"
+    else:
+        lines[0] = json.dumps({**json.loads(lines[0]), "discipline": ""}, ensure_ascii=False) + "\n"
+    paths[1].write_text("".join(lines), encoding="utf-8")
+    loaded = load_corpus(*paths, default_config().disciplines)
+    inherited = loaded.publications[first.pub_id]
+    assert inherited.discipline == loaded.researchers[first.author_ids[0]].discipline  # the row-by-row path ran
+    return loaded
+
+
+def test_loaded_author_and_cited_ids_are_the_named_records_own_ids(synth_load):
+    researchers, publications = synth_load.researchers, synth_load.publications
+    shared = 0
+    for pub in publications.values():
+        for author in pub.author_ids:
+            if author in researchers:
+                assert author is researchers[author].researcher_id
+                shared += 1
+    assert shared > len(publications)  # most publications have more than one corpus author
+    for link in synth_load.citations:
+        assert link.cited_pub_id is publications[link.cited_pub_id].pub_id
+    assert synth_load.citations
+
+
+def test_loaded_records_are_of_their_record_class_exactly(synth_load):
+    # tuple equality ignores the class, so the round-trip tests cannot tell
+    assert {type(record) for record in synth_load.researchers.values()} == {ResearcherProfile}
+    assert {type(record) for record in synth_load.publications.values()} == {PublicationRecord}
+    assert {type(record) for record in synth_load.citations} == {CitationLink}

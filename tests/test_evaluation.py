@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recal.counting import CountingMethod, IndicatorKind, IndicatorVector
 from recal.defaults import CURRENT_MINIMUMS
@@ -149,6 +153,56 @@ def test_threshold_table_round_trip(tmp_path):
         loaded = load_threshold_table(path)
         assert loaded.label == table.label
         assert loaded.minimums == dict(table.minimums)
+
+
+@pytest.mark.parametrize("table, message", [
+    (ThresholdTable("t", {("", K.PUBLICATIONS): 3.0}), "('', publications): the discipline would not load back"),
+    (ThresholdTable("t", {(" geology", K.PUBLICATIONS): 3.0}),
+     "(' geology', publications): the discipline would not load back"),
+    (ThresholdTable("t", {("geology\ud800", K.PUBLICATIONS): 3.0}),
+     "('geology\\ud800', publications): the discipline would not load back"),
+    (ThresholdTable("t\udfff", {("geology", K.PUBLICATIONS): 3.0}), "label 't\\udfff' holds a lone surrogate"),
+    (ThresholdTable("t", {("geology", K.PUBLICATIONS): 3.0, ("mining", K.H_INDEX): 1e-7}),
+     "minimum for (mining, h_index) is 1e-07, which saves as '0': not a finite positive number"),
+    (ThresholdTable("t", {("geology", K.PUBLICATIONS): math.nan}),
+     "minimum for (geology, publications) is nan, which saves as 'nan': not a finite positive number"),
+], ids=["empty", "padded", "surrogate", "label_surrogate", "rounds_to_zero", "nan"])
+def test_threshold_table_save_refuses_a_cell_that_would_not_load_back(tmp_path, table, message):
+    path = tmp_path / "thresholds.csv"
+    with pytest.raises(EvaluationError) as caught:
+        save_threshold_table(table, path)
+    assert str(caught.value).startswith(message)
+    assert not path.exists()
+
+
+_DISCIPLINES = st.one_of(
+    st.sampled_from(["geology", "", " geology", "geology ", "a,b", 'a"b', "a\nb", "a\rb", "\x85x", "x\ud800", "\x00"]),
+    st.text(st.characters(blacklist_categories=()), max_size=4),  # surrogates included
+)
+_MINIMUMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda m: not m <= 0),  # what ThresholdTable takes
+    st.sampled_from([1e-7, 5e-7, 4.9999e-7, 1.23456789, 1e300, 5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.text(st.characters(blacklist_categories=()), max_size=4),
+       minimums=st.dictionaries(st.tuples(_DISCIPLINES, st.sampled_from(list(K))), _MINIMUMS, max_size=4))
+@example(label="t", minimums={("geology", K.PUBLICATIONS): 1e-6})  # the least minimum the file holds
+@example(label="t", minimums={("geology", K.PUBLICATIONS): 5e-7})  # a binary hair under 1e-6 / 2: saves as '0'
+def test_threshold_table_loads_back_or_is_refused_at_save(label, minimums):
+    table = ThresholdTable(label, minimums)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "thresholds.csv"
+        try:
+            save_threshold_table(table, path)
+        except EvaluationError:
+            assert not path.exists()
+            return
+        loaded = load_threshold_table(path)
+    assert loaded.label == label
+    # each minimum is written to 6 decimals
+    assert loaded.minimums == {cell: float(f"{minimum:.6f}") for cell, minimum in minimums.items()}
 
 
 def test_threshold_table_refuses_a_repeated_cell(tmp_path):
