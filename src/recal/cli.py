@@ -101,7 +101,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "avg_coauthors_per_multi",
     )
     rows = []
-    for row in stats.per_discipline.values():
+    for row in stats.values():
         avg = row.avg_coauthors_per_multi
         rows.append(
             (

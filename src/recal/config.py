@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import defaults
-from .corpus import PubType, YearWindow, finite_float, has_lone_surrogate
+from .corpus import LONE_SURROGATE, PubType, YearWindow, finite_float, has_lone_surrogate, text_not_kept
 from .counting import CountingMethod, CountingSettings, IndicatorKind
 from .evaluation import EvaluationError, ThresholdTable
 from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RecalibrationError, RoundingMode
@@ -109,18 +109,15 @@ class Rule:
 
 def _encodable(text: str) -> str:
     if has_lone_surrogate(text):
-        raise ValueError(f"{json.dumps(text)} holds a lone surrogate, which UTF-8 cannot encode")
+        raise ValueError(f"{json.dumps(text)} {LONE_SURROGATE}")
     return text
 
 
 def _cell(text: str) -> str:
-    """``text``, if a corpus reader can yield it as a cell: the readers strip
-    every cell and refuse an empty one."""
-    if not text:
-        raise ValueError('"" is empty, and the corpus readers refuse an empty cell')
-    if text != text.strip():
-        raise ValueError(f"{json.dumps(text)} has surrounding whitespace, which the corpus readers strip from every cell")
-    return _encodable(text)
+    """``text``, if a reader gives it back as written (``text_not_kept``)."""
+    if bad := text_not_kept([text]):
+        raise ValueError(f"{json.dumps(text)} {bad[1]}")
+    return text
 
 
 def _language(text: str) -> str:

@@ -24,11 +24,13 @@ holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes it: wrapped
 in ``"``, inner quotes doubled. ``write_table`` writes these lines for every
 table the program writes. ``save_corpus`` refuses, with a ``CorpusError``
 naming the record, a field not of the type its record class declares, a
-non-finite float, and a text cell the reader would change: an empty or
-whitespace-padded one (every text cell is stripped on load), a ``language``
-with upper-case letters (it is lowercased on load) or, in DSV, an id-list
-member holding ``;``. A text cell holding a lone surrogate is refused by the
-writer and the reader alike: JSON can escape one, but UTF-8 cannot encode one.
+non-finite float, and a text cell the reader would change. ``text_not_kept``
+states the one rule for text that loads back as written, and ``save_corpus``,
+the config and the threshold-table writer all ask it: the text is not empty,
+has no surrounding whitespace (every text cell is stripped on load) and holds
+no lone surrogate (UTF-8 cannot encode one). Two rules belong to one column or
+one format: a ``language`` must be lowercase, and a DSV id-list member may not
+hold ``;``.
 
 A loaded corpus is immutable and safe to share across threads.
 """
@@ -198,12 +200,6 @@ class DisciplineCoauthorship:
         return self.coauthor_total / self.multi_authored_count
 
 
-@dataclass(frozen=True)
-class CoauthorshipStats:
-    window: YearWindow
-    per_discipline: Mapping[str, DisciplineCoauthorship]
-
-
 # --------------------------------------------------------------------------
 # Queries
 
@@ -232,9 +228,9 @@ def corpus_stats(
     corpus: Corpus,
     year_window: YearWindow,
     disciplines: Sequence[str],
-) -> CoauthorshipStats:
+) -> dict[str, DisciplineCoauthorship]:
     """Per-discipline publication and co-authorship counts over a window,
-    one row per discipline in ``disciplines``, in that order.
+    keyed by discipline, in the order of ``disciplines``.
 
     ``coauthor_total`` sums the author counts of multi-authored publications,
     so the derived average is authors per multi-authored publication.
@@ -248,12 +244,7 @@ def corpus_stats(
         if (count := len(pub.author_ids)) >= 2:
             row[1] += 1
             row[2] += count
-    return CoauthorshipStats(
-        window=year_window,
-        per_discipline={
-            d: DisciplineCoauthorship(d, *counts[d]) for d in disciplines
-        },
-    )
+    return {d: DisciplineCoauthorship(d, *counts[d]) for d in disciplines}
 
 
 # --------------------------------------------------------------------------
@@ -345,6 +336,7 @@ _JSON_SUFFIXES = {".jsonl", ".ndjson", ".json"}
 _CHUNK_ROWS = 1024  # rows read or written, and converted, at a time; a file is never held whole
 _scan_json = json.JSONDecoder().scan_once
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+LONE_SURROGATE = "holds a lone surrogate, which UTF-8 cannot encode"
 
 # A converter turns one cell into a record field, or raises ValueError naming
 # its column. A cell is DSV text or, in JSONL, the key's JSON value (None when
@@ -358,7 +350,7 @@ def has_lone_surrogate(text: str) -> bool:
 
 
 def _surrogate_error(column: str, text: str) -> ValueError:
-    return ValueError(f"column {column!r}: {text!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return ValueError(f"column {column!r}: {text!r} {LONE_SURROGATE}")
 
 
 def _text(cell: object, column: str) -> str:  # what a number, boolean or type converter parses
@@ -387,6 +379,22 @@ def required_string(cell: object, column: str) -> str:
     if text := _string(cell, column):
         return text
     raise ValueError(f"column {column!r} is empty")
+
+
+def text_not_kept(texts: list[str]) -> tuple[str, str] | None:
+    """The first of ``texts`` that a reader would not give back as written,
+    with the reason, or None: the readers strip every text cell and id, refuse
+    an empty cell or drop an empty id, and cannot hold a lone surrogate. One
+    pass tests all of ``texts``; only when it fails is each tested alone."""
+    if all(texts) and list(map(str.strip, texts)) == texts and not has_lone_surrogate("\n".join(texts)):
+        return None
+    for text in texts:
+        if not text:
+            return text, "is empty, which no reader gives back"
+        if text != text.strip():
+            return text, "has surrounding whitespace, which the readers strip"
+        if has_lone_surrogate(text):
+            return text, LONE_SURROGATE
 
 
 def _int(cell: object, column: str) -> int:
@@ -894,21 +902,16 @@ def _unwritable(columns: Sequence[Sequence], hints: Mapping[str, object], dsv: b
         if float in kinds and not all(map(math.isfinite, filter(None, column))):  # the reader refuses it
             return f"{name} {column[0]!r} is not a finite number"
     texts = [*chain.from_iterable(column for column, hint in zip(columns, hints.values()) if hint is str), *listed]
+    if found := text_not_kept(texts):
+        return f"{found[0]!r} {found[1]}"
+    if dsv and _LIST_SEPARATOR in "\n".join(listed):
+        bad = next(text for text in listed if _LIST_SEPARATOR in text)
+        return f"{bad!r} holds {_LIST_SEPARATOR!r}, on which the DSV reader splits an id list"
     languages = list(chain.from_iterable(column for column, name in zip(columns, hints) if name == "language"))
-    split = dsv and _LIST_SEPARATOR in "\n".join(listed)
-    lowered = "\n".join(languages)
-    if all(texts) and list(map(str.strip, texts)) == texts and not split and lowered == lowered.lower() \
-            and not has_lone_surrogate("\n".join(texts)):
-        return None
-    bad = next(chain(
-        (text for text in texts if not text or text != text.strip() or has_lone_surrogate(text)),
-        (text for text in listed if split and _LIST_SEPARATOR in text),
-        (text for text in languages if text != text.lower()),
-    ), None)
-    return None if bad is None else (
-        f"{bad!r} would not load back as written: the reader strips every text cell, lowercases the language and"
-        f" splits DSV id lists on {_LIST_SEPARATOR!r}, and the files are UTF-8, which holds no lone surrogate"
-    )
+    if (joined := "\n".join(languages)) != joined.lower():
+        bad = next(text for text in languages if text != text.lower())
+        return f"{bad!r} is not lowercase, and the corpus readers lowercase every language"
+    return None
 
 
 def _check_writable(corpus: Corpus, dsv: bool) -> None:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import finite_float, has_lone_surrogate, required_string, required_text, write_table
+from .corpus import (
+    LONE_SURROGATE, finite_float, has_lone_surrogate, required_string, required_text, text_not_kept, write_table,
+)
 from .counting import IndicatorKind, IndicatorVector
 
 
@@ -30,10 +32,9 @@ class ThresholdTable:
 
     def __post_init__(self) -> None:
         for (discipline, kind), minimum in self.minimums.items():
-            if minimum <= 0:
-                raise EvaluationError(
-                    f"minimum for ({discipline}, {kind.value}) must be positive, got {minimum}"
-                )
+            if not 0 < minimum < math.inf:
+                raise EvaluationError(f"minimum for ({discipline}, {kind.value}) must be a finite positive number,"
+                                      f" got {minimum}")
 
     def required_kinds(self, discipline: str) -> list[IndicatorKind]:
         return [kind for kind in IndicatorKind if (discipline, kind) in self.minimums]
@@ -151,25 +152,21 @@ def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
     """Write the table: its ``label,<text>`` line, as a table with no rows,
     then the ``discipline,kind,minimum`` table, each minimum to 6 decimals.
     A cell that ``load_threshold_table`` would change or refuse raises
-    ``EvaluationError`` naming it before the file is opened: an empty or
-    whitespace-padded discipline (the reader strips it), a lone surrogate in
-    the discipline or the label (UTF-8 cannot encode one), or a minimum whose
-    text is not a finite positive number, as ``1e-7`` rounds to ``0``."""
+    ``EvaluationError`` naming it before the file is opened: a discipline
+    that ``text_not_kept`` names, a lone surrogate in the label (UTF-8 cannot
+    encode one), or a minimum that rounds to ``0`` at 6 decimals, as ``1e-7``
+    does."""
     if has_lone_surrogate(table.label):
-        raise EvaluationError(f"label {table.label!r} holds a lone surrogate, which UTF-8 cannot encode")
+        raise EvaluationError(f"label {table.label!r} {LONE_SURROGATE}")
+    if bad := text_not_kept([discipline for discipline, _ in table.minimums]):
+        kind = next(kind for discipline, kind in table.minimums if discipline == bad[0])
+        raise EvaluationError(f"({bad[0]!r}, {kind.value}): the discipline {bad[1]}")
     cells = []
     for (discipline, kind), minimum in table.minimums.items():
         text = _format_minimum(minimum)
-        if not discipline or discipline != discipline.strip() or has_lone_surrogate(discipline):
-            raise EvaluationError(
-                f"({discipline!r}, {kind.value}): the discipline would not load back as written: the reader"
-                f" strips it and refuses an empty one, and UTF-8 cannot encode a lone surrogate"
-            )
-        if not 0 < float(text) < math.inf:  # what the reader refuses
-            raise EvaluationError(
-                f"minimum for ({discipline}, {kind.value}) is {minimum!r}, which saves as {text!r}: not a finite"
-                f" positive number"
-            )
+        if text == "0":  # a finite positive minimum saves as a finite number, and the reader refuses 0
+            raise EvaluationError(f"minimum for ({discipline}, {kind.value}) is {minimum!r}, which saves as {text!r}:"
+                                  " not a finite positive number")
         cells.append((discipline, kind.value, text))
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         write_table(handle, ("label", table.label), ())

@@ -97,8 +97,8 @@ class RecalibrationConfig:
         if IndicatorKind.H_INDEX in self.t:
             raise RecalibrationError("h_index cannot be recalibrated: it is a rank statistic, not a sum over years")
         for kind, years in self.t.items():
-            if years <= 0:
-                raise RecalibrationError(f"t for {kind.value} must be positive, got {years}")
+            if not 0 < years < math.inf:
+                raise RecalibrationError(f"t for {kind.value} must be a finite positive number, got {years}")
 
     @property
     def kinds(self) -> tuple[IndicatorKind, ...]:

@@ -258,7 +258,7 @@ def test_criterion_5_synthetic_end_to_end():
         corpus = generate_corpus(spec)
         stats = corpus_stats(corpus, spec.pub_window, list(DISCIPLINES))
         for discipline, (pubs, multi, mean) in COAUTHORSHIP_PROFILE.items():
-            row = stats.per_discipline[discipline]
+            row = stats[discipline]
             target_ratio = multi / pubs * 100.0
             if abs(row.multi_ratio - target_ratio) > 0.05 * target_ratio:
                 failures.append(

@@ -581,8 +581,8 @@ def _rekeyed(doc: dict, key: str, new_key: str) -> None:
     doc[new_key] = doc.pop(key)
 
 
-PADDED = "has surrounding whitespace, which the corpus readers strip from every cell"
-EMPTY = "is empty, and the corpus readers refuse an empty cell"
+PADDED = "has surrounding whitespace, which the readers strip"
+EMPTY = "is empty, which no reader gives back"
 NOT_LOWERCASE = "is not lowercase, and the corpus readers lowercase every language"
 
 #: Text that no corpus cell can hold, refused by its key path in both
@@ -715,9 +715,10 @@ REGISTRY_REFUSALS = {
     "missing_t_years_minimum": (_without_minimums(("geology", "wos_articles"), ("mining", "publications")),
                                 "no CMV for (mining, publications)"),
     "zero_t_years_minimum": (_with_geology_minimum("publications", 0),
-                             "minimum for (geology, publications) must be positive, got 0.0"),
+                             "minimum for (geology, publications) must be a finite positive number, got 0.0"),
     "zero_derived_minimum": (_with_geology_minimum("first_author_publications", 0),
-                             "minimum for (geology, first_author_publications) must be positive, got 0.0"),
+                             "minimum for (geology, first_author_publications) must be a finite positive"
+                             " number, got 0.0"),
 }
 
 

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from recal.cli import main
 from recal.config import (
+    CELL,
+    LANGUAGE,
     ConfigError,
     default_config,
     load_pipeline_config,
     save_pipeline_config,
 )
-from recal.corpus import PubType, YearWindow
+from recal.corpus import PubType, YearWindow, required_string
+from recal.corpus import _language as read_language
 from recal.counting import CountingMethod, IndicatorKind
+from recal.evaluation import EvaluationError, ThresholdTable, save_threshold_table
 
 APV_TABLE = Path(__file__).parent / "data" / "section_apv.csv"
 
@@ -112,6 +119,45 @@ def test_non_finite_number_rejected(tmp_path, override):
     )
     with pytest.raises(ConfigError, match="finite"):
         load_pipeline_config(path)
+
+
+@pytest.mark.parametrize("minimum", [math.nan, math.inf])
+def test_library_config_refuses_a_minimum_that_is_not_finite(minimum):
+    minimums = {**default_config().current_minimums, ("geology", IndicatorKind.PUBLICATIONS): minimum}
+    with pytest.raises(EvaluationError) as caught:
+        replace(default_config(), current_minimums=minimums)
+    assert str(caught.value) == f"minimum for (geology, publications) must be a finite positive number, got {minimum}"
+
+
+def _gives_back(convert, text: str) -> bool:
+    """Whether the reader's cell converter ``convert`` gives ``text`` back unchanged."""
+    try:
+        return convert(text, "cell") == text
+    except ValueError:
+        return False
+
+
+def _takes(convert, *args) -> bool:
+    try:
+        convert(*args)
+    except (ValueError, EvaluationError):
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.sampled_from(["", " ", "geology", " geology", "geology\t", "a\nb", "\x85x", "x\u3000", "x\ud800", "HU", "\u0130"]),
+    st.text(st.characters(blacklist_categories=()), max_size=4),  # surrogates included
+))
+@example(text="hu")
+def test_config_and_threshold_save_take_exactly_the_text_a_reader_gives_back(text):
+    kept = _gives_back(required_string, text)
+    assert _takes(CELL.convert, text) == kept
+    assert _takes(LANGUAGE.convert, text) == _gives_back(read_language, text)
+    with tempfile.TemporaryDirectory() as directory:
+        table = ThresholdTable("t", {(text, IndicatorKind.PUBLICATIONS): 1.0})
+        assert _takes(save_threshold_table, table, Path(directory) / "thresholds.csv") == kept
 
 
 def test_malformed_discipline_entry_rejected(tmp_path):

@@ -361,22 +361,31 @@ def test_dsv_quotes_cells_like_csv_writer(tmp_path):
     assert reloaded.citations == original.citations
 
 
+_PADDED, _EMPTY, _SURROGATE = (
+    "has surrounding whitespace, which the readers strip", "is empty, which no reader gives back",
+    "holds a lone surrogate, which UTF-8 cannot encode",
+)
+
+
 @pytest.mark.parametrize(
-    "fmt, corpus_parts, named",
+    "fmt, corpus_parts, message",
     [
-        ("dsv", ([researcher("r1")], [publication("p1", ("r1", "a;b"))]), "publication 'p1'"),
-        ("dsv", ([researcher(" r1")], []), "researcher ' r1'"),
-        ("jsonl", ([researcher("r1")], [publication("p1\t", ("r1",))]), "publication 'p1\\t'"),
+        ("dsv", ([researcher("r1")], [publication("p1", ("r1", "a;b"))]),
+         "publication 'p1': 'a;b' holds ';', on which the DSV reader splits an id list"),
+        ("dsv", ([researcher(" r1")], []), f"researcher ' r1': ' r1' {_PADDED}"),
+        ("jsonl", ([researcher("r1")], [publication("p1\t", ("r1",))]), f"publication 'p1\\t': 'p1\\t' {_PADDED}"),
         ("jsonl", ([researcher("r1")], [publication("p1", ("r1",))], [citation("c1", "p1", citing=("",))]),
-         "citation 'c1'"),
-        ("jsonl", ([researcher("r1")], [publication("p1", ("r1",), language="EN")]), "publication 'p1'"),
-        ("dsv", ([researcher(chr(0xD800))], []), "researcher '\\ud800'"),
-        ("jsonl", ([researcher("r1")], [publication("p1", ("r1", "a" + chr(0xDFFF)))]), "publication 'p1'"),
+         f"citation 'c1': '' {_EMPTY}"),
+        ("jsonl", ([researcher("r1")], [publication("p1", ("r1",), language="EN")]),
+         "publication 'p1': 'EN' is not lowercase, and the corpus readers lowercase every language"),
+        ("dsv", ([researcher(chr(0xD800))], []), f"researcher '\\ud800': '\\ud800' {_SURROGATE}"),
+        ("jsonl", ([researcher("r1")], [publication("p1", ("r1", "a" + chr(0xDFFF)))]),
+         f"publication 'p1': 'a\\udfff' {_SURROGATE}"),
     ],
 )
-def test_save_refuses_ids_the_reader_would_change(tmp_path, fmt, corpus_parts, named):
+def test_save_refuses_ids_the_reader_would_change(tmp_path, fmt, corpus_parts, message):
     paths = _corpus_paths(tmp_path, fmt)
-    with pytest.raises(CorpusError, match=re.escape(named)):
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         save_corpus(small_corpus(*corpus_parts), *paths, fmt=fmt)
     assert not any(path.exists() for path in paths)
 
@@ -713,7 +722,7 @@ def test_stats_hand_enumeration():
         publication("p4", ("r1", "x1", "x2", "x3", "x4")),
     ]
     corpus = small_corpus([researcher("r1")], pubs)
-    row = corpus_stats(corpus, PUB_WINDOW, ["geology"]).per_discipline["geology"]
+    row = corpus_stats(corpus, PUB_WINDOW, ["geology"])["geology"]
     assert row.pub_count == 4
     assert row.multi_authored_count == 3
     assert row.multi_ratio == pytest.approx(75.0)
@@ -722,7 +731,7 @@ def test_stats_hand_enumeration():
 
 def test_stats_all_single_authored():
     corpus = small_corpus([researcher("r1")], [publication("p1", ("r1",))])
-    row = corpus_stats(corpus, PUB_WINDOW, ["geology"]).per_discipline["geology"]
+    row = corpus_stats(corpus, PUB_WINDOW, ["geology"])["geology"]
     assert row.multi_ratio == 0.0
     assert row.avg_coauthors_per_multi is None
 
@@ -744,9 +753,9 @@ def test_stats_additive_over_partitions():
     researchers = list(corpus.researchers.values())
     left = small_corpus(researchers, pubs[::2], disciplines=("geology", "mining"))
     right = small_corpus(researchers, pubs[1::2], disciplines=("geology", "mining"))
-    whole = corpus_stats(corpus, PUB_WINDOW, ["geology", "mining"]).per_discipline
-    parts_l = corpus_stats(left, PUB_WINDOW, ["geology", "mining"]).per_discipline
-    parts_r = corpus_stats(right, PUB_WINDOW, ["geology", "mining"]).per_discipline
+    whole = corpus_stats(corpus, PUB_WINDOW, ["geology", "mining"])
+    parts_l = corpus_stats(left, PUB_WINDOW, ["geology", "mining"])
+    parts_r = corpus_stats(right, PUB_WINDOW, ["geology", "mining"])
     for d in ("geology", "mining"):
         assert whole[d].pub_count == parts_l[d].pub_count + parts_r[d].pub_count
         assert (
@@ -759,7 +768,7 @@ def test_stats_additive_over_partitions():
 @given(st.integers(min_value=0, max_value=200))
 def test_stats_ranges_hold(seed):
     corpus = random_corpus(seed=seed)
-    for row in corpus_stats(corpus, PUB_WINDOW, ["geology", "mining"]).per_discipline.values():
+    for row in corpus_stats(corpus, PUB_WINDOW, ["geology", "mining"]).values():
         assert 0.0 <= row.multi_ratio <= 100.0
         if row.avg_coauthors_per_multi is not None:
             assert row.avg_coauthors_per_multi >= 2.0

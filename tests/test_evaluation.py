@@ -156,23 +156,30 @@ def test_threshold_table_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("table, message", [
-    (ThresholdTable("t", {("", K.PUBLICATIONS): 3.0}), "('', publications): the discipline would not load back"),
+    (ThresholdTable("t", {("", K.PUBLICATIONS): 3.0}),
+     "('', publications): the discipline is empty, which no reader gives back"),
     (ThresholdTable("t", {(" geology", K.PUBLICATIONS): 3.0}),
-     "(' geology', publications): the discipline would not load back"),
+     "(' geology', publications): the discipline has surrounding whitespace, which the readers strip"),
     (ThresholdTable("t", {("geology\ud800", K.PUBLICATIONS): 3.0}),
-     "('geology\\ud800', publications): the discipline would not load back"),
-    (ThresholdTable("t\udfff", {("geology", K.PUBLICATIONS): 3.0}), "label 't\\udfff' holds a lone surrogate"),
+     "('geology\\ud800', publications): the discipline holds a lone surrogate, which UTF-8 cannot encode"),
+    (ThresholdTable("t\udfff", {("geology", K.PUBLICATIONS): 3.0}),
+     "label 't\\udfff' holds a lone surrogate, which UTF-8 cannot encode"),
     (ThresholdTable("t", {("geology", K.PUBLICATIONS): 3.0, ("mining", K.H_INDEX): 1e-7}),
      "minimum for (mining, h_index) is 1e-07, which saves as '0': not a finite positive number"),
-    (ThresholdTable("t", {("geology", K.PUBLICATIONS): math.nan}),
-     "minimum for (geology, publications) is nan, which saves as 'nan': not a finite positive number"),
-], ids=["empty", "padded", "surrogate", "label_surrogate", "rounds_to_zero", "nan"])
+], ids=["empty", "padded", "surrogate", "label_surrogate", "rounds_to_zero"])
 def test_threshold_table_save_refuses_a_cell_that_would_not_load_back(tmp_path, table, message):
     path = tmp_path / "thresholds.csv"
     with pytest.raises(EvaluationError) as caught:
         save_threshold_table(table, path)
-    assert str(caught.value).startswith(message)
+    assert str(caught.value) == message
     assert not path.exists()
+
+
+@pytest.mark.parametrize("minimum", [math.nan, math.inf, 0.0, -1.0])
+def test_threshold_table_refuses_a_minimum_that_is_not_finite_and_positive(minimum):
+    with pytest.raises(EvaluationError) as caught:
+        ThresholdTable("t", {("geology", K.PUBLICATIONS): 3.0, ("mining", K.H_INDEX): minimum})
+    assert str(caught.value) == f"minimum for (mining, h_index) must be a finite positive number, got {minimum}"
 
 
 _DISCIPLINES = st.one_of(
@@ -180,7 +187,7 @@ _DISCIPLINES = st.one_of(
     st.text(st.characters(blacklist_categories=()), max_size=4),  # surrogates included
 )
 _MINIMUMS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).filter(lambda m: not m <= 0),  # what ThresholdTable takes
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),  # what ThresholdTable takes
     st.sampled_from([1e-7, 5e-7, 4.9999e-7, 1.23456789, 1e300, 5e-324]),
 )
 

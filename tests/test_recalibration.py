@@ -185,6 +185,13 @@ def test_recalibrate_refuses_a_cell_with_no_cmv():
         recalibrate_all(ref.apv_table(), ("geology", "mining"), {("geology", K.PUBLICATIONS): 30.0}, config)
 
 
+@pytest.mark.parametrize("years", [math.nan, math.inf, 0.0, -1.0])
+def test_recalibration_config_refuses_a_t_that_is_not_finite_and_positive(years):
+    with pytest.raises(RecalibrationError) as caught:
+        RecalibrationConfig(t={K.PUBLICATIONS: 5.0, K.WOS_ARTICLES: years})
+    assert str(caught.value) == f"t for wos_articles must be a finite positive number, got {years}"
+
+
 def test_config_requires_complete_cmv_coverage():
     config = default_config()
     with pytest.raises(ConfigError, match=r"^no CMV for \(b, publications\)$"):

@@ -80,7 +80,7 @@ def test_calibration_hits_targets_at_scale():
         multi_ratio_target=67.10,
         mean_coauthors_multi=3.72,
     )
-    row = corpus_stats(generate_corpus(spec), PUB_WINDOW, ["geology"]).per_discipline["geology"]
+    row = corpus_stats(generate_corpus(spec), PUB_WINDOW, ["geology"])["geology"]
     assert row.multi_ratio == pytest.approx(67.10, rel=0.05)
     assert row.avg_coauthors_per_multi == pytest.approx(3.72, rel=0.05)
 
