@@ -19,14 +19,15 @@ people who are not corpus researchers (external co-authors); they carry credit
 shares but no indicators are computed for them.
 
 Each record is a named tuple whose fields are its file's columns in order,
-so ``save_corpus`` hands the records to ``write_table`` as rows. A DSV cell
-holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes it: wrapped
-in ``"``, inner quotes doubled. ``write_table`` writes these lines for every
-table the program writes. ``save_corpus`` refuses, with a ``CorpusError``
-naming the record, a field not of the type its record class declares, a
-non-finite float, and a text cell the reader would change. ``text_not_kept``
-states the one rule for text that loads back as written, and ``save_corpus``,
-the config and the threshold-table writer all ask it: the text is not empty,
+so ``save_corpus`` hands the records to ``write_table``'s writer as rows. A
+DSV cell holding ``,``, ``"``, CR or LF is quoted as ``csv.writer`` quotes it:
+wrapped in ``"``, inner quotes doubled. ``write_table`` writes these lines for
+every table the program writes. ``save_corpus`` refuses, with a
+``CorpusError`` naming the record, a field not of the type its record class
+declares, a non-finite float, and a text cell the reader would change, testing
+each chunk on the columns it then writes. ``text_not_kept`` states the one
+rule for text that loads back as written, and ``save_corpus``, the config and
+the threshold- and APV-table writers all ask it: the text is not empty,
 has no surrounding whitespace (every text cell is stripped on load) and holds
 no lone surrogate (UTF-8 cannot encode one). Two rules belong to one column or
 one format: a ``language`` must be lowercase, and a DSV id-list member may not
@@ -780,31 +781,63 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _NONE = type(None)
 
 
-def _column_texts(column: Sequence, field: str, null: str, texts, id_lists) -> Iterable[str]:
+class _Column(NamedTuple):
+    """One column of a chunk of rows with its cells' types, taken once for
+    both the writable test and the conversion; a column of tuples also holds
+    its members, chained, and their types."""
+    cells: Sequence
+    kinds: set
+    members: Sequence
+    member_kinds: set
+
+
+def _typed_columns(chunk: list[Sequence]) -> list[_Column]:
+    """The columns of a chunk of rows, which is transposed once."""
+    columns = []
+    for cells in zip(*chunk):
+        members = list(chain.from_iterable(cells)) if (kinds := set(map(type, cells))) == {tuple} else ()
+        columns.append(_Column(cells, kinds, members, set(map(type, members))))
+    return columns
+
+
+def _column_texts(column: _Column, field: str, null: str, texts, id_lists) -> Iterable[str]:
     """One column of a chunk as a format writes it: ``texts`` writes a column
     of text (an enum that is also a ``str`` included), ``null`` is None,
     booleans are ``true``/``false``, numbers their ``repr`` and ``id_lists``
     writes a column of tuples of text. Any other column is refused, naming
     it. ``True == 1`` and ``0.0 == False``, so no table of texts is looked up
     with a number."""
-    kinds = set(map(type, column))
+    cells, kinds = column.cells, column.kinds
     if all(issubclass(kind, str) for kind in kinds):
-        return texts(column)
+        return texts(cells)
     if kinds <= {bool, _NONE}:
-        return map({None: null, True: "true", False: "false"}.__getitem__, column)
-    if kinds <= {int, _NONE} or kinds <= {float, _NONE} and all(map(math.isfinite, filter(None, column))):
-        return map({None: null}.get, column, map(repr, column))
-    if kinds == {tuple} and all(issubclass(kind, str) for kind in set(map(type, chain.from_iterable(column)))):
+        return map({None: null, True: "true", False: "false"}.__getitem__, cells)
+    if kinds <= {int, _NONE}:  # a column of years repeats: one repr per distinct integer
+        distinct = set(cells)
+        text_of = dict(zip(distinct, map(repr, distinct)))
+        text_of[None] = null
+        return map(text_of.__getitem__, cells)
+    if kinds <= {float, _NONE} and all(map(math.isfinite, filter(None, cells))):  # -0.0 == 0.0: a repr each
+        return map({None: null}.get, cells, map(repr, cells))
+    if kinds == {tuple} and all(issubclass(kind, str) for kind in column.member_kinds):
         return id_lists(column)
     raise ValueError(f"column {field!r} is not a column of text, of booleans, of integers or of finite floats"
                      f" (each may hold None) or of tuples of text")
 
 
-_dsv_column = partial(_column_texts, null="", texts=iter, id_lists=partial(map, _LIST_SEPARATOR.join))
-_json_column = partial(
-    _column_texts, null="null", texts=partial(map, encode_basestring),
-    id_lists=lambda column: map("[%s]".__mod__, map(", ".join, map(partial(map, encode_basestring), column))),
+def _json_id_lists(column: _Column) -> Iterable[str]:
+    """JSON arrays of text, without a call per id when no tuple is empty and
+    no id needs escaping, which one ``encode_basestring`` call shows."""
+    joined = "".join(column.members)
+    if all(column.cells) and encode_basestring(joined) == '"' + joined + '"':
+        return [f'["{ids}"]' for ids in map('", "'.join, column.cells)]
+    return map("[%s]".__mod__, map(", ".join, map(partial(map, encode_basestring), column.cells)))
+
+
+_dsv_column = partial(
+    _column_texts, null="", texts=iter, id_lists=lambda column: map(_LIST_SEPARATOR.join, column.cells),
 )
+_json_column = partial(_column_texts, null="null", texts=partial(map, encode_basestring), id_lists=_json_id_lists)
 
 
 def _quoted(cell: str) -> str:
@@ -819,25 +852,55 @@ def _dsv_line(cells: Sequence[str]) -> str:
     return line + "\n"
 
 
-def _dsv_text(chunk: list[Sequence], fields: Sequence[str]) -> str:
-    """The DSV lines of a chunk of rows. A chunk of text is joined as it is,
-    and any other chunk is converted a column at a time first. ``_dsv_line``'s
-    test is made once over the chunk, and only a chunk with a cell to quote is
-    written row by row."""
+def _dsv_text(rows: list[Sequence], columns: list[_Column] | None, fields: Sequence[str]) -> str:
+    """The DSV lines of a chunk of rows, whose typed columns are given or
+    None. A chunk of text is joined as it is, and any other chunk is
+    converted a column at a time first. ``_dsv_line``'s test is made once
+    over the chunk, and only a chunk with a cell to quote is written row by
+    row."""
     try:
-        text = "\n".join(map(_DELIMITER.join, chunk)) + "\n"
-    except TypeError:  # a cell that is not text
-        return _dsv_text(list(zip(*map(_dsv_column, zip(*chunk), fields))), fields)
-    if text.count(_DELIMITER) == len(chunk) * (len(fields) - 1) and text.count("\n") == len(chunk) \
-            and '"' not in text and "\r" not in text:
-        return text
-    return "".join(map(_dsv_line, chunk))
+        text = "\n".join(map(_DELIMITER.join, rows)) + "\n"
+        # a delimiter or LF in a cell makes one more than the rows and fields do
+        split = text.count(_DELIMITER) != len(rows) * (len(fields) - 1) or text.count("\n") != len(rows)
+    except TypeError:  # a cell that is not text; the converted cells are tested joined, which costs less
+        texts = [list(_dsv_column(column, field)) for column, field in zip(columns or _typed_columns(rows), fields)]
+        cells = "".join(chain.from_iterable(texts))
+        split = _DELIMITER in cells or "\n" in cells
+        rows = list(zip(*texts))
+        text = "\n".join(map(_DELIMITER.join, rows)) + "\n"
+    if split or '"' in text or "\r" in text:
+        return "".join(map(_dsv_line, rows))
+    return text
 
 
-def _json_text(chunk: list[Sequence], fields: Sequence[str], line: str) -> str:
-    """The JSONL lines of a chunk of rows, converted a column at a time and
-    put into ``line``, a ``%`` template with one ``%s`` per field."""
-    return "".join(map(line.__mod__, zip(*map(_json_column, zip(*chunk), fields))))
+def _json_text(rows: list[Sequence], columns: list[_Column] | None, fields: Sequence[str], line: str) -> str:
+    """The JSONL lines of a chunk of rows, whose typed columns are given or
+    None, converted a column at a time and put into ``line``, a ``%``
+    template with one ``%s`` per field."""
+    return "".join(map(line.__mod__, zip(*map(_json_column, columns or _typed_columns(rows), fields))))
+
+
+def _write_rows(out: str | os.PathLike | TextIO, fields: Sequence[str], rows: Iterable[Sequence], fmt: str,
+                columns_of=lambda chunk: None) -> None:
+    """``write_table``, with ``columns_of`` giving each chunk's typed columns
+    or None, as ``save_corpus`` tests each chunk before it is written."""
+    if fmt == "jsonl":
+        head = ""
+        line = "{" + ", ".join(encode_basestring(field).replace("%", "%%") + ": %s" for field in fields) + "}\n"
+        text_of = partial(_json_text, fields=fields, line=line)
+    else:
+        head, text_of = _dsv_line(fields), partial(_dsv_text, fields=fields)
+    rows = iter(rows)
+    first = 1
+    is_path = isinstance(out, (str, os.PathLike))
+    with Path(out).open("w", encoding="utf-8", newline="") if is_path else nullcontext(out) as handle:
+        handle.write(head)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {len(fields)}:  # zip(*chunk) would cut every row to the shortest
+                row, cells = next((row, cells) for row, cells in enumerate(chunk, first) if len(cells) != len(fields))
+                raise ValueError(f"row {row}: expected {len(fields)} cells, found {len(cells)}")
+            handle.write(text_of(chunk, columns_of(chunk)))
+            first += len(chunk)
 
 
 def write_table(
@@ -862,75 +925,52 @@ def write_table(
     ``json.dumps(dict(zip(fields, row)), ensure_ascii=False)`` writes, with
     non-ASCII text kept as UTF-8.
     """
-    if fmt == "jsonl":
-        head = ""
-        line = "{" + ", ".join(encode_basestring(field).replace("%", "%%") + ": %s" for field in fields) + "}\n"
-        text_of = partial(_json_text, fields=fields, line=line)
-    else:
-        head, text_of = _dsv_line(fields), partial(_dsv_text, fields=fields)
-    rows = iter(rows)
-    first = 1
-    is_path = isinstance(out, (str, os.PathLike))
-    with Path(out).open("w", encoding="utf-8", newline="") if is_path else nullcontext(out) as handle:
-        handle.write(head)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {len(fields)}:  # zip(*chunk) would cut every row to the shortest
-                row, cells = next((row, cells) for row, cells in enumerate(chunk, first) if len(cells) != len(fields))
-                raise ValueError(f"row {row}: expected {len(fields)} cells, found {len(cells)}")
-            handle.write(text_of(chunk))
-            first += len(chunk)
+    _write_rows(out, fields, rows, fmt)
 
 
-def _unwritable(columns: Sequence[Sequence], hints: Mapping[str, object], dsv: bool) -> str | None:
+def _unwritable(columns: Sequence[_Column], hints: Mapping[str, object], dsv: bool) -> str | None:
     """Why a cell of ``columns`` would not load back as written, worded for
     a one-record column, or None. ``hints`` holds the type hint of each
     column's record field, in field order. A cell must be of the type its
     field declares, exactly, so neither ``1`` for a ``bool`` nor ``True`` for
     an ``int`` passes, a float must be finite, and a text cell must be one the
     reader keeps as it is."""
-    listed: list = []  # the id-list members, taken once for their type test and their text tests
+    listed: list = []  # the id-list members, for their text tests
     for (name, hint), column in zip(hints.items(), columns):
-        kinds = set(map(type, column))
+        cells, kinds = column.cells, column.kinds
         if get_origin(hint) is tuple:
-            members = list(chain.from_iterable(column)) if kinds == {tuple} else []
-            typed = kinds == {tuple} and set(map(type, members)) <= {get_args(hint)[0]}
-            listed += members
+            typed = kinds == {tuple} and column.member_kinds <= {get_args(hint)[0]}
+            listed += column.members
         else:
             typed = kinds <= set(get_args(hint) or (hint,))  # a union with None, or a class
         if not typed:
-            return f"{name} {column[0]!r} is not {hint.__name__ if isinstance(hint, type) else hint}"
-        if float in kinds and not all(map(math.isfinite, filter(None, column))):  # the reader refuses it
-            return f"{name} {column[0]!r} is not a finite number"
-    texts = [*chain.from_iterable(column for column, hint in zip(columns, hints.values()) if hint is str), *listed]
+            return f"{name} {cells[0]!r} is not {hint.__name__ if isinstance(hint, type) else hint}"
+        if float in kinds and not all(map(math.isfinite, filter(None, cells))):  # the reader refuses it
+            return f"{name} {cells[0]!r} is not a finite number"
+    texts = [*chain.from_iterable(column.cells for column, hint in zip(columns, hints.values()) if hint is str),
+             *listed]
     if found := text_not_kept(texts):
         return f"{found[0]!r} {found[1]}"
     if dsv and _LIST_SEPARATOR in "\n".join(listed):
         bad = next(text for text in listed if _LIST_SEPARATOR in text)
         return f"{bad!r} holds {_LIST_SEPARATOR!r}, on which the DSV reader splits an id list"
-    languages = list(chain.from_iterable(column for column, name in zip(columns, hints) if name == "language"))
+    languages = list(chain.from_iterable(column.cells for column, name in zip(columns, hints) if name == "language"))
     if (joined := "\n".join(languages)) != joined.lower():
         bad = next(text for text in languages if text != text.lower())
         return f"{bad!r} is not lowercase, and the corpus readers lowercase every language"
     return None
 
 
-def _check_writable(corpus: Corpus, dsv: bool) -> None:
-    """Refuse a cell that would not load back as written, naming its record.
-    Each chunk of records is transposed once and tested a column at a time,
-    and only a failing chunk is searched record by record, so no test holds
-    more than a chunk's text."""
-    for source, record_type, records in (
-        ("researcher", ResearcherProfile, corpus.researchers.values()),
-        ("publication", PublicationRecord, corpus.publications.values()),
-        ("citation", CitationLink, corpus.citations),
-    ):
-        records, hints = iter(records), get_type_hints(record_type)
-        while chunk := list(islice(records, _CHUNK_ROWS)):
-            if _unwritable(list(zip(*chunk)), hints, dsv) is None:
-                continue
-            for record in chunk:
-                if reason := _unwritable(list(zip(record)), hints, dsv):
-                    raise CorpusError(f"{source} {record[0]!r}: {reason}")
+def _writable_columns(chunk: list[tuple], source: str, hints: Mapping[str, object], dsv: bool) -> list[_Column]:
+    """The typed columns of a chunk of records that loads back as written; a
+    failing chunk is searched record by record, and the first record that
+    would not raises ``CorpusError`` naming it."""
+    columns = _typed_columns(chunk)
+    if _unwritable(columns, hints, dsv) is not None:
+        for record in chunk:
+            if reason := _unwritable(_typed_columns([record]), hints, dsv):
+                raise CorpusError(f"{source} {record[0]!r}: {reason}")
+    return columns
 
 
 def save_corpus(
@@ -944,14 +984,31 @@ def save_corpus(
     one record per line; each record is a row in column order. Loading them
     yields a record-wise identical corpus. A field not of the type its record
     class declares, a float that is not finite, or a text cell that would not
-    load back as written, raises ``CorpusError`` naming the record before any
-    file is opened."""
+    load back as written, raises ``CorpusError`` naming the record.
+
+    Each chunk of records is tested as it is written, to a temporary sibling
+    of its file, and the three are moved into place only after the last
+    citation is written. So on a refusal or any other error no file is left
+    behind, and existing files are replaced only once all three are
+    written."""
     if fmt not in ("dsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    _check_writable(corpus, fmt == "dsv")
-    for path, fields, records in (
-        (researcher_file, RESEARCHER_FIELDS, corpus.researchers.values()),
-        (publication_file, PUBLICATION_FIELDS, corpus.publications.values()),
-        (citation_file, CITATION_FIELDS, corpus.citations),
-    ):
-        write_table(path, fields, records, fmt)
+    targets = [Path(path) for path in (researcher_file, publication_file, citation_file)]
+    written: list[Path] = []
+    try:
+        for target, source, record_type, records in zip(
+            targets, ("researcher", "publication", "citation"), (ResearcherProfile, PublicationRecord, CitationLink),
+            (corpus.researchers.values(), corpus.publications.values(), corpus.citations),
+        ):
+            hints = get_type_hints(record_type)
+            temporary = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+            with temporary.open("x", encoding="utf-8", newline="") as handle:
+                written.append(temporary)
+                _write_rows(handle, tuple(hints), records, fmt,
+                            partial(_writable_columns, source=source, hints=hints, dsv=fmt == "dsv"))
+        for temporary, target in zip(written, targets):
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary in written:
+            temporary.unlink(missing_ok=True)
+        raise

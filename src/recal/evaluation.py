@@ -23,6 +23,12 @@ class EvaluationError(Exception):
     pass
 
 
+def _refused_minimum(discipline: str, kind: IndicatorKind, minimum: float) -> str | None:
+    """Why a threshold table, built in Python or read from a file, refuses ``minimum``, or None."""
+    if not 0 < minimum < math.inf:
+        return f"minimum for ({discipline}, {kind.value}) must be a finite positive number, got {minimum}"
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
     """Minimum values per (discipline, kind); absent cells are not required."""
@@ -32,9 +38,8 @@ class ThresholdTable:
 
     def __post_init__(self) -> None:
         for (discipline, kind), minimum in self.minimums.items():
-            if not 0 < minimum < math.inf:
-                raise EvaluationError(f"minimum for ({discipline}, {kind.value}) must be a finite positive number,"
-                                      f" got {minimum}")
+            if refused := _refused_minimum(discipline, kind, minimum):
+                raise EvaluationError(refused)
 
     def required_kinds(self, discipline: str) -> list[IndicatorKind]:
         return [kind for kind in IndicatorKind if (discipline, kind) in self.minimums]
@@ -196,8 +201,8 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
         try:
             cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
             minimum = finite_float(cells[2])
-            if minimum <= 0:
-                raise ValueError(f"minimum for ({cell[0]}, {cell[1].value}) must be positive, got {minimum}")
+            if refused := _refused_minimum(*cell, minimum):
+                raise ValueError(refused)
         except ValueError as exc:
             raise EvaluationError(f"{path}:{i}: {exc}") from exc
         if cell in line_of:

@@ -30,7 +30,8 @@ from statistics import fmean
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import (
-    Corpus, Violation, YearWindow, finite_float, read_records, required_string, required_text, write_table,
+    Corpus, Violation, YearWindow, finite_float, read_records, required_string, required_text, text_not_kept,
+    write_table,
 )
 from .counting import (
     CountingMethod,
@@ -423,7 +424,13 @@ def write_apv_table(
 ) -> None:
     """Write each cell's APV, at full float precision so that a replay through
     ``read_apv_table`` reproduces it bit for bit, with its population and
-    selection sizes."""
+    selection sizes. A discipline that the reader would not give back as
+    written (``text_not_kept``) raises ``RecalibrationError`` naming its row
+    before the file is opened."""
+    performance = list(performance)
+    if bad := text_not_kept([p.discipline for p in performance]):
+        row, p = next((row, p) for row, p in enumerate(performance, 1) if p.discipline == bad[0])
+        raise RecalibrationError(f"row {row} ({bad[0]!r}, {p.kind.value}, {p.method.value}): the discipline {bad[1]}")
     rows = ((p.discipline, p.kind.value, p.method.value, repr(p.apv), str(p.population), str(p.selected))
             for p in performance)
     write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)

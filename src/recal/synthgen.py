@@ -145,6 +145,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
     ``_uniform_int``, inlined."""
     rng = Random(spec.seed)
     random = rng.random
+    new = tuple.__new__  # builds a record in C; the named tuple's own __new__ is a Python call
     researchers: list[ResearcherProfile] = []
     publications: list[PublicationRecord] = []
     citations: list[CitationLink] = []
@@ -160,9 +161,9 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         d = params.discipline
         ids = [f"{d}:r{i:03d}" for i in range(params.researcher_count)]
         for rid in ids:
-            researchers.append(ResearcherProfile(
+            researchers.append(new(ResearcherProfile, (
                 rid, d, random() < 0.25, degree_start + min(degree_span - 1, int(random() * degree_span))
-            ))
+            )))
 
         multi_count = min(params.pub_count, round(params.pub_count * params.multi_ratio_target / 100.0))
         author_plan = _author_count_plan(rng, multi_count, params.mean_coauthors_multi)
@@ -209,7 +210,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                         break
                 impact_factor = None
             pub_id = f"{d}:p{i:05d}"
-            publications.append(PublicationRecord(
+            publications.append(new(PublicationRecord, (
                 pub_id,
                 pub_start + min(pub_span - 1, int(random() * pub_span)),
                 pub_type,
@@ -219,7 +220,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                 impact_factor,
                 author_ids,
                 d,
-            ))
+            )))
 
             if citation_rate <= 0:  # a Poisson draw of mean 0 draws nothing
                 continue
@@ -231,13 +232,13 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                 citing_count = 1 + min(2, int(random() * 3))  # 1 to 3 citing authors
                 citing = tuple([f"{d}:c{serial:06d}" for serial in range(citing_serial, citing_serial + citing_count)])
                 citing_serial += citing_count
-                citations.append(CitationLink(
+                citations.append(new(CitationLink, (
                     f"{d}:cit{citing_serial:06d}",
                     pub_id,
                     citing_start + min(citing_span - 1, int(random() * citing_span)),
                     citing,
                     random() < wos_ratio,
-                ))
+                )))
 
     return build_corpus(
         researchers, publications, citations, disciplines=[p.discipline for p in spec.params]

@@ -429,6 +429,77 @@ def test_save_refuses_a_non_finite_impact_factor_the_reader_would_refuse(tmp_pat
     assert not any(path.exists() for path in paths)
 
 
+def _listing(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _citations_past_a_chunk(last: CitationLink) -> Corpus:
+    """A clean corpus but for ``last``, its final citation: the researcher
+    and publication files and a whole chunk of citations come before it."""
+    links = [citation(f"c{i}", "p1", citing=(f"ext_{i}",)) for i in range(_CHUNK_ROWS + 5)]
+    return small_corpus([researcher("r1")], [_P1], [*links, last])
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+def test_save_refused_in_the_citation_file_leaves_the_directory_as_it_was(tmp_path, fmt):
+    paths = _corpus_paths(tmp_path, fmt)
+    for path in paths[::2]:  # a researcher and a citation file from an earlier save
+        path.write_bytes(f"earlier {path.name}\n".encode())
+    (tmp_path / "notes.txt").write_bytes(b"not a corpus file\n")
+    before = _listing(tmp_path)
+    message = f"citation 'c-last': ' x' {_PADDED}"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        save_corpus(_citations_past_a_chunk(citation("c-last", "p1", citing=(" x",))), *paths, fmt=fmt)
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+def test_save_failing_with_an_os_error_leaves_the_directory_as_it_was(tmp_path, fmt):
+    paths = _corpus_paths(tmp_path, fmt)
+    paths[0].write_bytes(b"earlier researchers\n")
+    before = _listing(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        save_corpus(random_corpus(seed=7), paths[0], paths[1], tmp_path / "missing" / paths[2].name, fmt=fmt)
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+def test_save_replaces_earlier_files(tmp_path, fmt):
+    paths = _corpus_paths(tmp_path, fmt)
+    for path in paths:
+        path.write_bytes(b"earlier\n" * 10_000)
+    original = random_corpus(seed=7)
+    save_corpus(original, *paths, fmt=fmt)
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    reloaded = load_corpus(*paths, disciplines=("geology", "mining"))
+    assert dict(reloaded.researchers) == dict(original.researchers)
+    assert dict(reloaded.publications) == dict(original.publications)
+    assert reloaded.citations == original.citations
+
+
+@pytest.mark.parametrize("odd", ['a"b', "a\\b", "a\x01b", "a\nb", "\x1f", "\x7f\u2028"])
+def test_jsonl_id_lists_write_what_json_dumps_writes(odd):
+    """One id that needs escaping, or none, among ids that do not, and an
+    empty tuple, each in a chunk of its own."""
+    fields = ("a", "ids")
+    plain = [(f"r{i}", (f"x{i}", f"y{i}")) for i in range(_CHUNK_ROWS)]
+    rows = [*plain, *plain[:-1], ("odd", ("x", odd, "y")), *plain[:-1], ("empty", ()), ("one", ("z",))]
+    stream = io.StringIO()
+    write_table(stream, fields, rows, "jsonl")
+    lines = stream.getvalue().split("\n")
+    assert lines == [json.dumps(dict(zip(fields, row)), ensure_ascii=False) for row in rows] + [""]
+
+
+def test_save_writes_jsonl_id_lists_as_json_dumps_does(tmp_path):
+    corpus = _citations_past_a_chunk(citation("c-last", "p1", citing=('say "hi"', "back\\slash", "tab\tin")))
+    paths = _corpus_paths(tmp_path, "jsonl")
+    save_corpus(corpus, *paths, fmt="jsonl")
+    lines = paths[2].read_text(encoding="utf-8").split("\n")
+    assert lines == [
+        json.dumps(dict(zip(CITATION_FIELDS, link)), ensure_ascii=False) for link in corpus.citations
+    ] + [""]
+
+
 _ID_TEXT = st.text(st.one_of(st.sampled_from(',";\r\n \t\x85\u2028\x00'), st.characters()), max_size=5)
 
 

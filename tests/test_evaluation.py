@@ -248,4 +248,6 @@ def test_threshold_table_refuses_a_non_positive_minimum_naming_the_line(tmp_path
                     encoding="utf-8")
     with pytest.raises(EvaluationError) as caught:
         load_threshold_table(path)
-    assert str(caught.value) == f"{path}:5: minimum for (geochemistry, publications) must be positive, got 0.0"
+    assert str(caught.value) == (
+        f"{path}:5: minimum for (geochemistry, publications) must be a finite positive number, got 0.0"
+    )

@@ -225,6 +225,24 @@ def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
     ).encode("utf-8")
 
 
+@pytest.mark.parametrize("discipline, reason", [
+    (" geology", "has surrounding whitespace, which the readers strip"),
+    ("", "is empty, which no reader gives back"),
+    ("geo\ud800", "holds a lone surrogate, which UTF-8 cannot encode"),
+])
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, discipline, reason):
+    performance = [
+        DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2),
+        DisciplinePerformance(discipline, K.PUBLICATIONS, INTEGER, 1.5, 8, 2),
+    ]
+    path = tmp_path / "apv"
+    with pytest.raises(RecalibrationError) as caught:
+        write_apv_table(performance, path, fmt)
+    assert str(caught.value) == f"row 2 ({discipline!r}, publications, integer): the discipline {reason}"
+    assert not path.exists()
+
+
 # --------------------------------------------------------------------------
 # Derived scaling
 
