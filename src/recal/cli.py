@@ -35,7 +35,6 @@ from .recalibration import (
     RecalibrationRow,
     derived_scaled_minimums,
     discipline_performance,
-    performance_as_table,
     read_apv_table,
     recalibrate_all,
     write_apv_table,
@@ -138,8 +137,8 @@ def _recalibration_rows(
         raise ConfigError("corpus mode needs all three files: researchers publications citations")
     performance = discipline_performance(_corpus_from_args(args, config), config.disciplines, config.recalibration,
                                          config.pub_window, config.citation_window, config.counting_settings())
-    rows = recalibrate_all(performance_as_table(performance), config.disciplines, config.current_minimums,
-                           config.recalibration)
+    apvs = {(p.discipline, p.kind, p.method): p.apv for p in performance}
+    rows = recalibrate_all(apvs, config.disciplines, config.current_minimums, config.recalibration)
     return rows, performance
 
 
@@ -244,16 +243,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     method = CountingMethod(args.method)
     profile = corpus.researcher(args.researcher)
     kinds = table.required_kinds(profile.discipline)
-    (vector,) = indicator_matrix(
-        corpus,
-        kinds,
-        [method],
-        config.pub_window,
-        config.citation_window,
-        config.counting_settings(),
-        researcher_ids=[args.researcher],
-    )
-    result = evaluate_candidate(vector, profile.discipline, table)
+    values = indicator_matrix(corpus, kinds, [method], config.pub_window, config.citation_window,
+                              config.counting_settings(), [args.researcher])
+    result = evaluate_candidate(args.researcher, method, values[args.researcher, method], profile.discipline, table)
     document = json.dumps(result.to_dict(), indent=2)
     print(document)
     if args.out_dir:

@@ -3,9 +3,9 @@ recalibration knobs, loadable from a versioned JSON document.
 
 Every key except ``schema_version`` is optional; omitted keys fall back to
 the shipped defaults (the nine-discipline section, 2014-2018 publications,
-2014-2019 citations, top quarter, t=5 years). ``read_document`` checks it,
-and the generator spec, against a schema table; every error names the file
-and the key path.
+2014-2019 citations, top quarter, t=5 years). ``check_document`` checks it,
+and the generator spec, against a schema table, on load and before a save;
+every error names the file and the key path.
 """
 from __future__ import annotations
 
@@ -208,11 +208,18 @@ def read_document(path: str | Path, schema: Rule, error: type[Exception], what: 
             doc = json.load(handle, object_pairs_hook=_json_object)
         except (RecursionError, ValueError) as exc:  # invalid JSON, nested too deep, or bytes that are not UTF-8
             raise error(f"{path}: bad {what}: invalid JSON: {exc}") from exc
+    return check_document(doc, schema, error, f"{path}: bad {what}")
+
+
+def check_document(doc: Any, schema: Rule, error: type[Exception], source: str) -> Any:
+    """``doc`` as ``schema`` converts it: what a loader keeps, and what a save
+    checks before it writes. A defect raises ``error`` naming ``source`` and
+    the key path."""
     try:
         return _walk(schema, doc, "")
     except SchemaError as exc:
         where = exc.args[0][1:].encode("utf-8", "backslashreplace").decode("utf-8")  # a lone surrogate as its \u escape
-        raise error(f"{path}: bad {what}: {where + ': ' if where else ''}{exc.args[1]}") from None
+        raise error(f"{source}: {where + ': ' if where else ''}{exc.args[1]}") from None
 
 
 def _registry(entries: list[dict[str, str]]) -> dict[str, str]:
@@ -263,6 +270,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
 
 
 def save_pipeline_config(config: PipelineConfig, path: str | Path) -> None:
+    """Write the config as a JSON document. One that ``load_pipeline_config``
+    would refuse raises ``ConfigError`` naming the key path before the file
+    is opened."""
     minimums: dict[str, dict[str, float]] = {}
     for (discipline, kind), value in config.current_minimums.items():
         minimums.setdefault(discipline, {})[kind.value] = value
@@ -288,6 +298,7 @@ def save_pipeline_config(config: PipelineConfig, path: str | Path) -> None:
             else sorted(t.value for t in config.counted_publication_types)
         ),
     }
+    check_document(doc, CONFIG_SCHEMA, ConfigError, f"{path}: bad config")
     with Path(path).open("w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")

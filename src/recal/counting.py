@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, CorpusError, PubType, YearWindow, independent_citations
 
@@ -69,13 +69,8 @@ class CountingSettings:
 DEFAULT_SETTINGS = CountingSettings()
 
 
-@dataclass(frozen=True)
-class IndicatorVector:
-    """All configured indicator values for one researcher under one method."""
-
-    researcher_id: str
-    method: CountingMethod
-    values: Mapping[IndicatorKind, float]
+#: What ``indicator_matrix`` returns: each (researcher id, method)'s values, by kind.
+ValueTable = dict[tuple[str, CountingMethod], dict[IndicatorKind, float]]
 
 
 def indicator_matrix(
@@ -86,9 +81,10 @@ def indicator_matrix(
     citation_window: YearWindow,
     settings: CountingSettings = DEFAULT_SETTINGS,
     researcher_ids: Sequence[str] | None = None,
-) -> list[IndicatorVector]:
-    """One vector per (researcher, method), in ``researcher_ids`` order
-    (default: every researcher, by id), then in the given method order.
+) -> ValueTable:
+    """The value table: one row per (researcher, method), in ``researcher_ids``
+    order (default: every researcher, by id), then in the given method order;
+    each row holds the values of ``kinds``, in their order.
 
     Publications are selected by publication year in ``pub_window``; citation
     indicators and the h-index count independent citations whose citing year
@@ -97,7 +93,7 @@ def indicator_matrix(
     for its independent citations once and adds what it is worth, under
     every method, to each of those co-authors: its amount times 1 (integer)
     or 1/n of its n authors (fractional). The h-index is a rank statistic
-    over citation counts, not a credit sum, so every vector carries the same
+    over citation counts, not a credit sum, so every row holds the same
     integer h whatever its method.
     """
     if researcher_ids is None:
@@ -155,18 +151,17 @@ def indicator_matrix(
                 if (amount := amounts[position]) is not None:
                     sums[slot] += amount * (share if fractional else 1.0)
 
-    vectors: list[IndicatorVector] = []
+    table: ValueTable = {}
     for researcher_id in researcher_ids:
         _, citation_counts, sums = states[researcher_id]
         citation_counts.sort(reverse=True)
         h = float(sum(1 for rank, count in enumerate(citation_counts, start=1) if count >= rank))
         for m, method in enumerate(methods):
-            values = {
+            table[researcher_id, method] = {
                 kind: h if kind is IndicatorKind.H_INDEX else sums[m * len(summed) + summed.index(kind)]
                 for kind in kinds
             }
-            vectors.append(IndicatorVector(researcher_id, method, values))
-    return vectors
+    return table
 
 
 def indicator_value(
@@ -180,10 +175,8 @@ def indicator_value(
 ) -> float:
     """One researcher's value of one indicator, as ``indicator_matrix``
     computes it; the h-index is the same under both methods."""
-    (vector,) = indicator_matrix(
-        corpus, [kind], [method], pub_window, citation_window, settings, [researcher_id]
-    )
-    return vector.values[kind]
+    table = indicator_matrix(corpus, [kind], [method], pub_window, citation_window, settings, [researcher_id])
+    return table[researcher_id, method][kind]
 
 
 def h_index(

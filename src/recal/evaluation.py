@@ -1,4 +1,4 @@
-"""Scoring a candidate's indicator vector against a threshold table.
+"""Scoring a candidate's indicator values against a threshold table.
 
 Every indicator required for the candidate's discipline must reach its
 minimum; the per-indicator score is the plain ratio value/minimum, so
@@ -16,7 +16,7 @@ from typing import Mapping
 from .corpus import (
     LONE_SURROGATE, finite_float, has_lone_surrogate, required_string, required_text, text_not_kept, write_table,
 )
-from .counting import IndicatorKind, IndicatorVector
+from .counting import CountingMethod, IndicatorKind
 
 
 class EvaluationError(Exception):
@@ -83,24 +83,22 @@ class EvaluationResult:
         }
 
 
-def evaluate_candidate(
-    vector: IndicatorVector, discipline: str, table: ThresholdTable
-) -> EvaluationResult:
-    """Score one candidate against the table's requirements for a discipline.
+def evaluate_candidate(researcher_id: str, method: CountingMethod, values: Mapping[IndicatorKind, float],
+                       discipline: str, table: ThresholdTable) -> EvaluationResult:
+    """Score one candidate's values under one method, a row of the value table,
+    against the table's requirements for a discipline.
 
-    The vector must carry a value for every required kind; indicators the
-    table does not require are left out of the result.
+    ``values`` must hold every required kind; indicators the table does not
+    require are left out of the result.
     """
     required = table.required_kinds(discipline)
     if not required:
         raise EvaluationError(f"table {table.label!r} has no entries for {discipline!r}")
     scores = []
     for kind in required:
-        if kind not in vector.values:
-            raise EvaluationError(
-                f"vector for {vector.researcher_id!r} is missing required kind {kind.value}"
-            )
-        value = vector.values[kind]
+        if kind not in values:
+            raise EvaluationError(f"values for {researcher_id!r} are missing required kind {kind.value}")
+        value = values[kind]
         minimum = table.minimums[(discipline, kind)]
         scores.append(
             IndicatorScore(
@@ -112,9 +110,9 @@ def evaluate_candidate(
             )
         )
     return EvaluationResult(
-        researcher_id=vector.researcher_id,
+        researcher_id=researcher_id,
         discipline=discipline,
-        method=vector.method.value,
+        method=method.value,
         table_label=table.label,
         scores=tuple(scores),
         overall_fulfilled=all(s.fulfilled for s in scores),

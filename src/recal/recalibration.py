@@ -148,14 +148,15 @@ def top_quartile_apv(
     """Mean of the top ``top_fraction`` share of a researcher-id -> value
     mapping, and the number of researchers selected.
 
-    The selection size is ``floor(top_fraction * n)`` clamped to at least one;
-    ties at the cut are broken by ascending id so the result never depends on
-    input order. ``values`` is non-empty, as ``discipline_performance``
-    guarantees, and ``top_fraction`` is in (0, 1], as ``RecalibrationConfig``
-    guarantees.
+    The selection size is ``floor(top_fraction * n)`` clamped to at least one,
+    the product taken in decimal (0.29 of 100 selects 29, not the 28 of the
+    binary product); ties at the cut are broken by ascending id so the result
+    never depends on input order. ``values`` is non-empty, as
+    ``discipline_performance`` guarantees, and ``top_fraction`` is in (0, 1],
+    as ``RecalibrationConfig`` guarantees.
     """
     pairs = sorted(values.items(), key=lambda item: (-item[1], item[0]))
-    k = max(1, int(top_fraction * len(pairs)))
+    k = max(1, int(Decimal(repr(top_fraction)) * len(pairs)))
     return fmean(value for _, value in pairs[:k]), k
 
 
@@ -238,21 +239,16 @@ def discipline_performance(
         if not ids:
             raise DegenerateDisciplineError(f"discipline {discipline!r} has no researchers")
 
-    vectors = indicator_matrix(
+    values = indicator_matrix(
         corpus, config.kinds, METHODS, pub_window, citation_window, settings,
         [rid for ids in members.values() for rid in ids],
     )
-    values = {(v.researcher_id, v.method): v.values for v in vectors}
     performance: list[DisciplinePerformance] = []
     for discipline, ids in members.items():
         for kind, method in itertools.product(config.kinds, METHODS):
-            apv, selected = top_quartile_apv({rid: values[(rid, method)][kind] for rid in ids}, config.top_fraction)
+            apv, selected = top_quartile_apv({rid: values[rid, method][kind] for rid in ids}, config.top_fraction)
             performance.append(DisciplinePerformance(discipline, kind, method, apv, len(ids), selected))
     return performance
-
-
-def performance_as_table(performance: Iterable[DisciplinePerformance]) -> dict:
-    return {(p.discipline, p.kind, p.method): p.apv for p in performance}
 
 
 def _cell_text(cell: Cell) -> str:
@@ -424,13 +420,22 @@ def write_apv_table(
 ) -> None:
     """Write each cell's APV, at full float precision so that a replay through
     ``read_apv_table`` reproduces it bit for bit, with its population and
-    selection sizes. A discipline that the reader would not give back as
-    written (``text_not_kept``) raises ``RecalibrationError`` naming its row
-    before the file is opened."""
+    selection sizes. What the reader would refuse or change raises
+    ``RecalibrationError`` naming its row before the file is opened: a
+    discipline that ``text_not_kept`` names, an APV that is not a finite
+    positive number, or a cell that an earlier row holds; the first such row
+    is named, as the reader names the first row it refuses."""
     performance = list(performance)
-    if bad := text_not_kept([p.discipline for p in performance]):
-        row, p = next((row, p) for row, p in enumerate(performance, 1) if p.discipline == bad[0])
-        raise RecalibrationError(f"row {row} ({bad[0]!r}, {p.kind.value}, {p.method.value}): the discipline {bad[1]}")
+    row_of: dict[Cell, int] = {}
+    for row, p in enumerate(performance, 1):
+        cell = (p.discipline, p.kind, p.method)
+        where = f"row {row} ({p.discipline!r}, {p.kind.value}, {p.method.value})"
+        if bad := text_not_kept([p.discipline]):
+            raise RecalibrationError(f"{where}: the discipline {bad[1]}")
+        if not 0.0 < p.apv < math.inf:  # NaN fails too
+            raise RecalibrationError(f"{where}: the apv is {p.apv!r}, not a finite positive number")
+        if row_of.setdefault(cell, row) != row:
+            raise RecalibrationError(f"{where}: repeats row {row_of[cell]}, the APV of the same cell")
     rows = ((p.discipline, p.kind.value, p.method.value, repr(p.apv), str(p.population), str(p.selected))
             for p in performance)
     write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)

@@ -25,7 +25,9 @@ from pathlib import Path
 from random import Random
 
 from . import defaults
-from .config import CELL, INTEGER, LANGUAGE, NUMBER, VERSION, WINDOW, mapping, read_document, table
+from .config import (
+    CELL, INTEGER, LANGUAGE, NUMBER, VERSION, WINDOW, check_document, mapping, read_document, table,
+)
 from .corpus import (
     CitationLink,
     Corpus,
@@ -86,6 +88,11 @@ class SynthSpec:
             raise SynthError("no disciplines: a spec needs at least one")
         if not 0 <= self.seed < 2**64:
             raise SynthError("seed must fit in 64 unsigned bits")
+        seen = set()
+        for params in self.params:  # a repeat would generate a second researcher under each id
+            if params.discipline in seen:
+                raise SynthError(f"{params.discipline}: listed twice; a spec has one set of targets per discipline")
+            seen.add(params.discipline)
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +313,9 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
 
 
 def save_synth_spec(spec: SynthSpec, path: str | Path) -> None:
+    """Write the spec as a JSON document. One that ``load_synth_spec`` would
+    refuse raises ``SynthError`` naming the key path before the file is
+    opened."""
     doc = {
         "schema_version": 1,
         "seed": spec.seed,
@@ -317,6 +327,7 @@ def save_synth_spec(spec: SynthSpec, path: str | Path) -> None:
             for p in spec.params
         },
     }
+    check_document(doc, SPEC_SCHEMA, SynthError, f"{path}: bad generator spec")
     with Path(path).open("w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")

@@ -25,7 +25,6 @@ from recal.recalibration import (
     RecalibrationConfig,
     derived_scaled_minimums,
     discipline_performance,
-    performance_as_table,
     read_apv_table,
     recalibrate_all,
 )
@@ -183,8 +182,8 @@ def test_criterion_4_property_suite():
         authors = tuple(f"a{i}" for i in range(n))
         pub = PublicationRecord("p", 2015, PubType.JOURNAL_ARTICLE, "en", False, False, None, authors, "geology")
         corpus = build_corpus([ResearcherProfile(a, "geology") for a in authors], [pub], [], ["geology"])
-        vectors = indicator_matrix(corpus, [K.PUBLICATIONS], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
-        total = sum(v.values[K.PUBLICATIONS] for v in vectors)
+        table = indicator_matrix(corpus, [K.PUBLICATIONS], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
+        total = sum(values[K.PUBLICATIONS] for values in table.values())
         if abs(total - 1.0) > 1e-12:
             failures.append(f"credit conservation broken for {n} authors: {total!r}")
 
@@ -233,14 +232,14 @@ def test_criterion_4_property_suite():
             expected = brute_force_values(
                 corpus, ORACLE_KINDS, method, PUB_WINDOW, CITATION_WINDOW, settings
             )
-            vectors = indicator_matrix(
+            table = indicator_matrix(
                 corpus, ORACLE_KINDS, [method], PUB_WINDOW, CITATION_WINDOW, settings
             )
-            for vector in vectors:
-                for kind, value in vector.values.items():
-                    if abs(value - expected[vector.researcher_id][kind]) > 1e-12:
+            for (rid, _), values in table.items():
+                for kind, value in values.items():
+                    if abs(value - expected[rid][kind]) > 1e-12:
                         failures.append(
-                            f"oracle mismatch: seed {seed} {vector.researcher_id} "
+                            f"oracle mismatch: seed {seed} {rid} "
                             f"{kind.value}/{method.value}"
                         )
 
@@ -271,7 +270,8 @@ def test_criterion_5_synthetic_end_to_end():
                     f"seed {seed} {discipline}: mean co-authors {realized_mean} vs target {mean}"
                 )
         performance = discipline_performance(corpus, DISCIPLINES, config, spec.pub_window, spec.citation_window)
-        rows = recalibrate_all(performance_as_table(performance), DISCIPLINES, CURRENT_MINIMUMS, config)
+        apvs = {(p.discipline, p.kind, p.method): p.apv for p in performance}
+        rows = recalibrate_all(apvs, DISCIPLINES, CURRENT_MINIMUMS, config)
         _recalibration_invariants(rows, DEFAULT_T, failures, tag=f"seed {seed} ")
     _finish("criterion 5 (synthetic corpora, seeds 1-10)", failures)
 
@@ -281,9 +281,9 @@ def test_criterion_6_evaluation_sharpness(tmp_path, capsys):
     table = ThresholdTable("current", dict(CURRENT_MINIMUMS))
     corpus = social_geography_dossier()
     kinds = table.required_kinds("social_geography")
-    vector = indicator_matrix(corpus, kinds, [INTEGER], PUB_WINDOW, CITATION_WINDOW)[0]
+    values = indicator_matrix(corpus, kinds, [INTEGER], PUB_WINDOW, CITATION_WINDOW)["cand", INTEGER]
 
-    result = evaluate_candidate(vector, "social_geography", table)
+    result = evaluate_candidate("cand", INTEGER, values, "social_geography", table)
     if not result.overall_fulfilled:
         failures.append("exact-minimum dossier not fulfilled")
     for score in result.scores:
@@ -292,10 +292,12 @@ def test_criterion_6_evaluation_sharpness(tmp_path, capsys):
 
     # knocking any single indicator down one unit must flip the outcome
     for kind in kinds:
-        reduced = dict(vector.values)
+        reduced = dict(values)
         reduced[kind] -= 1.0
         weakened = evaluate_candidate(
-            type(vector)(vector.researcher_id, vector.method, reduced),
+            "cand",
+            INTEGER,
+            reduced,
             "social_geography",
             table,
         )

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import recal.cli
+import recal.counting
+import recal.recalibration
 from recal.cli import main
 from recal.config import default_config, save_pipeline_config
 from recal.corpus import load_corpus, save_corpus
@@ -806,7 +809,8 @@ def test_out_of_range_derived_minimum_is_refused_naming_the_cell(tmp_path, capsy
 
 # --------------------------------------------------------------------------
 # golden report bytes: exit code, stdout and every output file of the report
-# commands, recorded before the table writers were merged into one
+# commands, recorded before the table writers were merged into one; the
+# evaluate digests were recorded before the kernel returned its value table
 
 GOLDEN_COMMANDS = {
     "recalibrate_fixture_dsv": ["recalibrate", "--apv-table", APV_TABLE, "--format", "dsv"],
@@ -819,11 +823,19 @@ GOLDEN_COMMANDS = {
     "stats_jsonl": ["stats", "CORPUS", "--format", "jsonl"],
     "recalibrate_corpus_dsv": ["recalibrate", "SYNTH", "--config", "CONFIG", "--format", "dsv"],
     "recalibrate_corpus_jsonl": ["recalibrate", "SYNTH", "--config", "CONFIG", "--format", "jsonl"],
+    "evaluate_current_integer": ["evaluate", "SYNTH", "--config", "CONFIG", "--researcher", "geology:r000"],
+    "evaluate_derived_fractional": ["evaluate", "SYNTH", "--config", "CONFIG", "--researcher", "mining:r003",
+                                    "--method", "fractional", "--thresholds", "DERIVED"],
 }
+
+#: The commands whose only output is their stdout: they get no --out-dir.
+STDOUT_ONLY = ("stats_stdout", "evaluate_current_integer")
 
 GOLDEN_REPORT_SHA256 = {
     "derive_fixture_fractional_jsonl": "aa18e33eb7df37dc761901f332439fb6bfc98afee307bf0a839cfa01655491dd",
     "derive_fixture_integer": "68235f88c4fdf3f618a46fc7f91d5a75ffed70c58bbe9af12ada2adff6de1d91",
+    "evaluate_current_integer": "5c166753a6448857c16276b0455e160c9b3b42d3882823672a89256ce172bf26",
+    "evaluate_derived_fractional": "ae4fb1c59b6c4d15c2b09fb9e152b6fee45c5e9a23a170910fdc4cf54e3a30e4",
     "recalibrate_corpus_dsv": "9f61781adb5688bd7b701f2542ede38fe797faeceee805a2bd45aace4022d144",
     "recalibrate_corpus_jsonl": "508ffd0a045ce55d256a06b2a7c53706f81809e21e2cf791e5f20638f629f976",
     "recalibrate_fixture_dsv": "2df4c23d01b02fe382142791927ae8ab398e87ff485821320e374b7bcb744a25",
@@ -834,24 +846,36 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
-def _golden_argv(name: str, tmp_path: Path, clean_corpus_files, out_dir: Path) -> list:
+def _synth_files(tmp_path: Path) -> list[Path]:
+    return [tmp_path / "corpus" / f"{n}.csv" for n in ("researchers", "publications", "citations")]
+
+
+def _expand(command: list, tmp_path: Path, clean_corpus_files) -> list:
+    """``command`` with each placeholder replaced by the files it names, made here."""
     argv = []
-    for arg in GOLDEN_COMMANDS[name]:
+    for arg in command:
         if arg == "CORPUS":
             argv += corpus_args(clean_corpus_files)
         elif arg == "SYNTH":
             spec_path = tmp_path / "spec.json"
             save_synth_spec(_small_section_spec(seed=1), spec_path)
             assert run("synth", "--spec", spec_path, "--out-dir", tmp_path / "corpus") == 0
-            argv += [tmp_path / "corpus" / f"{n}.csv" for n in ("researchers", "publications", "citations")]
+            argv += _synth_files(tmp_path)
         elif arg == "CONFIG":
             argv.append(tmp_path / "config.json")
             argv[-1].write_text(json.dumps(_two_discipline_config()), encoding="utf-8")
+        elif arg == "DERIVED":  # the table a fractional derive saves from the SYNTH corpus and CONFIG before it
+            assert run("derive", *_synth_files(tmp_path), "--config", tmp_path / "config.json",
+                       "--method", "fractional", "--out-dir", tmp_path / "derived") == 0
+            argv.append(tmp_path / "derived" / "thresholds_recalibrated.csv")
         else:
             argv.append(arg)
-    if name != "stats_stdout":
-        argv += ["--out-dir", out_dir]
     return argv
+
+
+def _golden_argv(name: str, tmp_path: Path, clean_corpus_files, out_dir: Path) -> list:
+    argv = _expand(GOLDEN_COMMANDS[name], tmp_path, clean_corpus_files)
+    return argv if name in STDOUT_ONLY else [*argv, "--out-dir", out_dir]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
@@ -869,6 +893,30 @@ def test_report_bytes_match_golden_digest(tmp_path, clean_corpus_files, capsys, 
         ]
     digest = hashlib.sha256("\n".join(listing).encode()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256.get(name), "\n".join(listing)
+
+
+@pytest.mark.parametrize("command", [
+    ["recalibrate", "SYNTH", "--config", "CONFIG"],
+    ["derive", "SYNTH", "--config", "CONFIG", "--method", "integer"],
+    ["derive", "SYNTH", "--config", "CONFIG", "--method", "fractional"],
+    ["evaluate", "SYNTH", "--config", "CONFIG", "--researcher", "geology:r000"],
+    ["evaluate", "SYNTH", "--config", "CONFIG", "--researcher", "mining:r003", "--method", "fractional",
+     "--thresholds", "DERIVED"],
+], ids=lambda command: "-".join(arg.lstrip("-") for arg in command if arg not in ("SYNTH", "CONFIG"))[:40])
+def test_a_corpus_mode_command_computes_its_values_in_one_kernel_call(tmp_path, clean_corpus_files, monkeypatch,
+                                                                      command):
+    argv = _expand(command, tmp_path, clean_corpus_files)  # DERIVED runs its derive before the count starts
+    calls = []
+    kernel = recal.counting.indicator_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for module in (recal.counting, recal.recalibration, recal.cli):
+        monkeypatch.setattr(module, "indicator_matrix", counted)
+    assert run(*argv, "--out-dir", tmp_path / "out") in (0, 1)
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def h_index_oracle(citation_counts):
 def _credits(author_ids, researcher_ids, method):
     """Each listed researcher's publications value for one publication by ``author_ids``."""
     corpus = small_corpus([researcher(rid) for rid in researcher_ids], [publication("p1", author_ids)])
-    vectors = indicator_matrix(corpus, [K.PUBLICATIONS], [method], PUB_WINDOW, CITATION_WINDOW)
-    return {v.researcher_id: v.values[K.PUBLICATIONS] for v in vectors}
+    table = indicator_matrix(corpus, [K.PUBLICATIONS], [method], PUB_WINDOW, CITATION_WINDOW)
+    return {rid: values[K.PUBLICATIONS] for (rid, _), values in table.items()}
 
 
 def test_credit_single_author_both_methods():
@@ -329,10 +329,10 @@ def test_matrix_cardinality_and_order():
         [researcher("r2"), researcher("r1")],
         [publication("p1", ("r1",))],
     )
-    vectors = indicator_matrix(
+    table = indicator_matrix(
         corpus, [K.PUBLICATIONS], [INTEGER, FRACTIONAL], PUB_WINDOW, CITATION_WINDOW
     )
-    assert [(v.researcher_id, v.method) for v in vectors] == [
+    assert list(table) == [
         ("r1", INTEGER),
         ("r1", FRACTIONAL),
         ("r2", INTEGER),
@@ -342,20 +342,20 @@ def test_matrix_cardinality_and_order():
 
 def test_matrix_empty_corpus():
     corpus = small_corpus([], [])
-    assert indicator_matrix(corpus, [K.PUBLICATIONS], [INTEGER], PUB_WINDOW, CITATION_WINDOW) == []
+    assert indicator_matrix(corpus, [K.PUBLICATIONS], [INTEGER], PUB_WINDOW, CITATION_WINDOW) == {}
 
 
-def test_matrix_h_index_in_every_vector():
+def test_matrix_h_index_in_every_row():
     corpus = _corpus_with_citation_counts([3, 3, 1])
-    vectors = indicator_matrix(
+    table = indicator_matrix(
         corpus, [K.PUBLICATIONS, K.H_INDEX], [INTEGER, FRACTIONAL], PUB_WINDOW, CITATION_WINDOW
     )
-    assert [v.values for v in vectors] == [
+    assert list(table.values()) == [
         {K.PUBLICATIONS: 3.0, K.H_INDEX: 2.0},
         {K.PUBLICATIONS: 3.0, K.H_INDEX: 2.0},
     ]
-    (h_only,) = indicator_matrix(corpus, [K.H_INDEX], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW)
-    assert h_only.values == {K.H_INDEX: 2.0}
+    (h_only,) = indicator_matrix(corpus, [K.H_INDEX], [FRACTIONAL], PUB_WINDOW, CITATION_WINDOW).values()
+    assert h_only == {K.H_INDEX: 2.0}
 
 
 def test_matrix_scans_each_publication_once(monkeypatch):
@@ -405,11 +405,11 @@ ORACLE_SETTINGS = (
 def assert_matches_oracle(corpus, pub_window=PUB_WINDOW, citation_window=CITATION_WINDOW):
     for settings, method in product(ORACLE_SETTINGS, (INTEGER, FRACTIONAL)):
         expected = brute_force_values(corpus, ORACLE_KINDS, method, pub_window, citation_window, settings)
-        vectors = indicator_matrix(corpus, ORACLE_KINDS, [method], pub_window, citation_window, settings)
-        for vector in vectors:
-            for kind, value in vector.values.items():
-                assert value == pytest.approx(expected[vector.researcher_id][kind], abs=1e-12), (
-                    vector.researcher_id,
+        table = indicator_matrix(corpus, ORACLE_KINDS, [method], pub_window, citation_window, settings)
+        for (rid, _), values in table.items():
+            for kind, value in values.items():
+                assert value == pytest.approx(expected[rid][kind], abs=1e-12), (
+                    rid,
                     kind,
                     method,
                     settings,
@@ -466,19 +466,16 @@ def test_one_researcher_matrix_matches_whole_corpus_and_oracle(seed):
     corpus = _with_degree_years(random_corpus(seed=seed))
     kinds = list(K)
     for settings, method in product(ORACLE_SETTINGS, (INTEGER, FRACTIONAL)):
-        whole = {
-            v.researcher_id: v.values
-            for v in indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings)
-        }
+        whole = indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings)
         expected = brute_force_values(corpus, kinds, method, PUB_WINDOW, CITATION_WINDOW, settings)
         for rid in corpus.researchers:
-            (vector,) = indicator_matrix(
+            (row,) = indicator_matrix(
                 corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings, researcher_ids=[rid]
-            )
-            assert [(k, v, type(v)) for k, v in vector.values.items()] == [
-                (k, v, type(v)) for k, v in whole[rid].items()
+            ).values()
+            assert [(k, v, type(v)) for k, v in row.items()] == [
+                (k, v, type(v)) for k, v in whole[rid, method].items()
             ]
-            for kind, value in vector.values.items():
+            for kind, value in row.items():
                 if kind is K.H_INDEX:
                     assert value == h_index_oracle(_independent_citation_counts(corpus, rid))
                 else:

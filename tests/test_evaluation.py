@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from recal.counting import CountingMethod, IndicatorKind, IndicatorVector
+from recal.counting import CountingMethod, IndicatorKind
 from recal.defaults import CURRENT_MINIMUMS
 from recal.evaluation import (
     EvaluationError,
@@ -34,13 +34,12 @@ def current_table() -> ThresholdTable:
     return ThresholdTable("current", dict(CURRENT_MINIMUMS))
 
 
-def vector(values: dict[K, float], rid: str = "cand") -> IndicatorVector:
-    return IndicatorVector(rid, INTEGER, values)
+def evaluate(values: dict[K, float], discipline: str, table: ThresholdTable):
+    return evaluate_candidate("cand", INTEGER, values, discipline, table)
 
 
 def test_exact_minimums_score_one_everywhere():
-    candidate = vector(dict(SOCIAL_GEOGRAPHY_MINIMUMS))
-    result = evaluate_candidate(candidate, "social_geography", current_table())
+    result = evaluate(dict(SOCIAL_GEOGRAPHY_MINIMUMS), "social_geography", current_table())
     assert result.overall_fulfilled
     assert len(result.scores) == len(SOCIAL_GEOGRAPHY_MINIMUMS) == 10
     for score in result.scores:
@@ -48,9 +47,8 @@ def test_exact_minimums_score_one_everywhere():
         assert score.score == pytest.approx(1.0)
 
 
-def test_zero_vector_scores_zero():
-    candidate = vector({kind: 0.0 for kind in SOCIAL_GEOGRAPHY_MINIMUMS})
-    result = evaluate_candidate(candidate, "social_geography", current_table())
+def test_zero_values_score_zero():
+    result = evaluate({kind: 0.0 for kind in SOCIAL_GEOGRAPHY_MINIMUMS}, "social_geography", current_table())
     assert not result.overall_fulfilled
     assert all(score.score == 0.0 and not score.fulfilled for score in result.scores)
 
@@ -58,7 +56,7 @@ def test_zero_vector_scores_zero():
 def test_double_value_scores_two():
     values = dict(SOCIAL_GEOGRAPHY_MINIMUMS)
     values[K.PUBLICATIONS] *= 2
-    result = evaluate_candidate(vector(values), "social_geography", current_table())
+    result = evaluate(values, "social_geography", current_table())
     by_kind = {score.kind: score for score in result.scores}
     assert by_kind[K.PUBLICATIONS].score == pytest.approx(2.0)
     assert result.overall_fulfilled
@@ -68,7 +66,7 @@ def test_threshold_sharpness():
     for kind in SOCIAL_GEOGRAPHY_MINIMUMS:
         values = dict(SOCIAL_GEOGRAPHY_MINIMUMS)
         values[kind] -= 1e-9
-        result = evaluate_candidate(vector(values), "social_geography", current_table())
+        result = evaluate(values, "social_geography", current_table())
         by_kind = {score.kind: score for score in result.scores}
         assert not by_kind[kind].fulfilled
         assert not result.overall_fulfilled
@@ -78,27 +76,27 @@ def test_missing_required_kind_is_an_error():
     values = dict(SOCIAL_GEOGRAPHY_MINIMUMS)
     del values[K.H_INDEX]
     with pytest.raises(EvaluationError, match="h_index"):
-        evaluate_candidate(vector(values), "social_geography", current_table())
+        evaluate(values, "social_geography", current_table())
 
 
 def test_unknown_discipline_is_an_error():
     with pytest.raises(EvaluationError):
-        evaluate_candidate(vector({}), "astrology", current_table())
+        evaluate({}, "astrology", current_table())
 
 
 def test_non_required_indicators_are_omitted():
     # social geography does not require WoS-indexed independent citations
     values = dict(SOCIAL_GEOGRAPHY_MINIMUMS)
     values[K.WOS_INDEPENDENT_CITATIONS] = 999.0
-    result = evaluate_candidate(vector(values), "social_geography", current_table())
+    result = evaluate(values, "social_geography", current_table())
     assert K.WOS_INDEPENDENT_CITATIONS not in {s.kind for s in result.scores}
 
 
 @given(st.floats(min_value=0.0, max_value=500.0), st.floats(min_value=0.0, max_value=100.0))
 def test_monotonicity_in_value(value, bump):
     table = ThresholdTable("t", {("geology", K.PUBLICATIONS): 30.0})
-    low = evaluate_candidate(vector({K.PUBLICATIONS: value}), "geology", table)
-    high = evaluate_candidate(vector({K.PUBLICATIONS: value + bump}), "geology", table)
+    low = evaluate({K.PUBLICATIONS: value}, "geology", table)
+    high = evaluate({K.PUBLICATIONS: value + bump}, "geology", table)
     assert high.scores[0].score >= low.scores[0].score
     assert high.scores[0].fulfilled or not low.scores[0].fulfilled
 

@@ -66,6 +66,16 @@ def test_top_quartile_sort_and_mean():
     assert (apv, selected) == (10.0, 2)
 
 
+@pytest.mark.parametrize("top_fraction, n, expected", [
+    (0.29, 100, 29), (0.35, 180, 63), (0.7, 90, 63), (0.7, 170, 119), (0.25, 569, 142), (0.1, 9, 1),
+])
+def test_top_quartile_size_is_the_floor_of_the_decimal_product(top_fraction, n, expected):
+    # 0.29 * 100 is 28.999999999999996 in binary floating point
+    values = {f"r{i:04d}": float(i) for i in range(n)}
+    apv, selected = top_quartile_apv(values, top_fraction)
+    assert (apv, selected) == (sum(range(n - expected, n)) / expected, expected)
+
+
 def test_top_quartile_order_independent():
     values = {"b": 5.0, "a": 5.0, "c": 1.0, "d": 9.0}
     shuffled = dict(sorted(values.items(), reverse=True))
@@ -240,6 +250,27 @@ def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, d
     with pytest.raises(RecalibrationError) as caught:
         write_apv_table(performance, path, fmt)
     assert str(caught.value) == f"row 2 ({discipline!r}, publications, integer): the discipline {reason}"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("second, problem", [
+    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, 0.0, 8, 2),
+     "the apv is 0.0, not a finite positive number"),
+    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, -1.5, 8, 2),
+     "the apv is -1.5, not a finite positive number"),
+    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, math.nan, 8, 2),
+     "the apv is nan, not a finite positive number"),
+    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, math.inf, 8, 2),
+     "the apv is inf, not a finite positive number"),
+    (DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 3.5, 8, 2), "repeats row 1, the APV of the same cell"),
+], ids=["zero", "negative", "nan", "inf", "repeated"])
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+def test_apv_table_refuses_a_row_the_reader_would_refuse(tmp_path, fmt, second, problem):
+    performance = [DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2), second]
+    path = tmp_path / "apv"
+    with pytest.raises(RecalibrationError) as caught:
+        write_apv_table(performance, path, fmt)
+    assert str(caught.value) == f"row 2 ({second.discipline!r}, publications, integer): {problem}"
     assert not path.exists()
 
 
