@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .config import ConfigError, PipelineConfig, default_config, load_pipeline_config
 from .corpus import (
-    Corpus, CorpusError, collector_paused, corpus_stats, load_corpus, save_corpus, scan_corpus, write_table,
+    TABLE_SUFFIXES, Corpus, CorpusError, collector_paused, corpus_stats, load_corpus, save_corpus, scan_corpus,
+    write_table,
 )
 from .counting import CountingError, CountingMethod, indicator_matrix
 from .evaluation import (
@@ -46,32 +47,27 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-OUTPUT_FORMAT_CHOICES = ("dsv", "jsonl")
+
+def _output_dir(args: argparse.Namespace) -> Path:
+    """``--out-dir``, made now: a command calls this only once it is ready to
+    write, so a command that fails earlier leaves no directory behind."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
-def _load_config(path: str | None) -> PipelineConfig:
-    return load_pipeline_config(path) if path else default_config()
-
-
-def _table_suffix(fmt: str) -> str:
-    return ".jsonl" if fmt == "jsonl" else ".csv"
+def _table_path(out_dir: Path, name: str, fmt: str) -> Path:
+    return out_dir / f"{name}{TABLE_SUFFIXES[fmt]}"
 
 
 def _corpus_from_args(args: argparse.Namespace, config: PipelineConfig) -> Corpus:
     return load_corpus(args.researchers, args.publications, args.citations, config.disciplines)
 
 
-def _add_corpus_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("researchers", nargs=None if required else "?", help="researcher file")
-    parser.add_argument("publications", nargs=None if required else "?", help="publication file")
-    parser.add_argument("citations", nargs=None if required else "?", help="citation file")
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus, violations = scan_corpus(
         args.researchers, args.publications, args.citations, config.disciplines
     )
@@ -87,8 +83,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _corpus_from_args(args, config)
     stats = corpus_stats(corpus, config.pub_window, list(config.disciplines))
     header = (
@@ -112,12 +107,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 "" if avg is None else f"{avg:.2f}",
             )
         )
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_table(out_dir / f"coauthorship_stats{_table_suffix(args.format)}", header, rows, args.format)
-    else:
-        write_table(sys.stdout, header, rows, args.format)
+    out = _table_path(_output_dir(args), "coauthorship_stats", args.format) if args.out_dir else sys.stdout
+    write_table(out, header, rows, args.format)
     return EXIT_OK
 
 
@@ -162,26 +153,22 @@ def _write_figure_data(
                     f"{fractional.dsdr_actual:.6f}",
                 )
             )
-        write_table(out_dir / f"dsdr_{kind.value}{_table_suffix(fmt)}", header, table, fmt)
+        write_table(_table_path(out_dir, f"dsdr_{kind.value}", fmt), header, table, fmt)
 
 
-def _cmd_recalibrate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_recalibrate(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows, performance = _recalibration_rows(args, config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format
+    out_dir, fmt = _output_dir(args), args.format
     if performance is not None:
         # corpus mode: keep the computed APVs reusable as an --apv-table input
-        write_apv_table(performance, out_dir / f"performance{_table_suffix(fmt)}", fmt)
-    write_recalibration_rows(rows, out_dir / f"recalibration{_table_suffix(fmt)}", fmt)
+        write_apv_table(performance, _table_path(out_dir, "performance", fmt), fmt)
+    write_recalibration_rows(rows, _table_path(out_dir, "recalibration", fmt), fmt)
     _write_figure_data(rows, out_dir, fmt, list(config.disciplines))
     print(f"wrote {len(rows)} recalibration rows to {out_dir}")
     return EXIT_OK
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
     method = CountingMethod(args.method)
     rows, _ = _recalibration_rows(args, config)
     derived = derived_scaled_minimums(
@@ -201,8 +188,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     # every current-minimum kind that is neither recalibrated nor derived
     non_derivable = sorted({kind.value for _, kind in config.current_minimums} - {kind.value for _, kind in cells})
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     save_threshold_table(table, out_dir / "thresholds_recalibrated.csv")
 
     header = ("discipline", "kind", "status", "raw", "minimum", "delta_vs_current")
@@ -224,7 +210,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         )
     for kind_name in non_derivable:
         report.append(("*", kind_name, "non_derivable", "", "", ""))
-    write_table(out_dir / f"derive_report{_table_suffix(args.format)}", header, report, args.format)
+    write_table(_table_path(out_dir, "derive_report", args.format), header, report, args.format)
 
     if non_derivable:
         print(f"not derivable from these inputs: {', '.join(non_derivable)}")
@@ -232,8 +218,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _corpus_from_args(args, config)
     table = (
         load_threshold_table(args.thresholds)
@@ -249,10 +234,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     document = json.dumps(result.to_dict(), indent=2)
     print(document)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = args.researcher.replace("%", "%25").replace("/", "%2F")  # one file per id, inside out_dir
-        (out_dir / f"evaluation_{name}.json").write_text(document + "\n", encoding="utf-8")
+        (_output_dir(args) / f"evaluation_{name}.json").write_text(document + "\n", encoding="utf-8")
     return EXIT_OK if result.overall_fulfilled else EXIT_VALIDATION
 
 
@@ -261,10 +244,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     corpus = generate_corpus(spec)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     names = ("researchers", "publications", "citations")
-    save_corpus(corpus, *(out_dir / f"{name}{_table_suffix(args.format)}" for name in names), fmt=args.format)
+    save_corpus(corpus, *(_table_path(out_dir, name, args.format) for name in names), fmt=args.format)
     print(
         f"seed {spec.seed}: wrote {len(corpus.researchers)} researchers, "
         f"{len(corpus.publications)} publications, {len(corpus.citations)} citations to {out_dir}"
@@ -283,53 +265,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recalibrate discipline-specific minimum bibliometric requirements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers: dict[str, argparse.ArgumentParser] = {}
+    for name, func, text in (
+        ("validate", _cmd_validate, "check the three corpus files, list every violation"),
+        ("stats", _cmd_stats, "per-discipline co-authorship statistics"),
+        ("recalibrate", _cmd_recalibrate, "full recalibration table plus DSDR figure data"),
+        ("derive", _cmd_derive, "recalibrated threshold table incl. proportionally scaled kinds"),
+        ("evaluate", _cmd_evaluate, "score one researcher against a threshold table"),
+        ("synth", _cmd_synth, "generate a synthetic corpus"),
+    ):
+        parsers[name] = sub.add_parser(name, help=text)
+        parsers[name].set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="check the three corpus files, list every violation")
-    _add_corpus_arguments(p)
-    p.add_argument("--config", help="pipeline config JSON")
-    p.set_defaults(func=_cmd_validate)
+    def shared(commands: str, *flags: str, **keywords) -> None:
+        """Declare one argument, the same on each of ``commands``."""
+        for command in commands.split():
+            parsers[command].add_argument(*flags, **keywords)
 
-    p = sub.add_parser("stats", help="per-discipline co-authorship statistics")
-    _add_corpus_arguments(p)
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out-dir", help="write the table here instead of stdout")
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv", help="table format")
-    p.set_defaults(func=_cmd_stats)
+    for command in ("validate", "stats", "recalibrate", "derive", "evaluate"):
+        nargs = "?" if command in ("recalibrate", "derive") else None  # the corpus or --apv-table
+        for name in ("researchers", "publications", "citations"):
+            parsers[command].add_argument(name, nargs=nargs, help=f"{name[:-1]} file")
+    shared("recalibrate derive", "--apv-table", help="precomputed discipline,kind,method,apv table")
+    shared("validate stats recalibrate derive evaluate", "--config", help="pipeline config JSON")
+    shared("derive evaluate", "--method", default="integer", choices=[m.value for m in CountingMethod])
+    shared("recalibrate derive synth", "--out-dir", required=True)
+    shared("stats recalibrate derive synth", "--format", choices=tuple(TABLE_SUFFIXES), default="dsv",
+           help="table format")
 
-    p = sub.add_parser("recalibrate", help="full recalibration table plus DSDR figure data")
-    _add_corpus_arguments(p, required=False)
-    p.add_argument("--apv-table", help="precomputed discipline,kind,method,apv table")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
-    p.set_defaults(func=_cmd_recalibrate)
-
-    p = sub.add_parser("derive", help="recalibrated threshold table incl. proportionally scaled kinds")
-    _add_corpus_arguments(p, required=False)
-    p.add_argument("--apv-table", help="precomputed discipline,kind,method,apv table")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--method", default="integer", choices=[m.value for m in CountingMethod])
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("evaluate", help="score one researcher against a threshold table")
-    _add_corpus_arguments(p)
-    p.add_argument("--researcher", required=True, help="researcher id to evaluate")
-    p.add_argument("--thresholds", help="threshold table file (default: current minimums)")
-    p.add_argument("--method", default="integer", choices=[m.value for m in CountingMethod])
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out-dir", help="also write the result document here")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--spec", help="generator spec JSON (default: shipped section profile)")
-    p.add_argument("--seed", type=int, help="override the spec seed")
-    p.add_argument("--format", choices=OUTPUT_FORMAT_CHOICES, default="dsv")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_synth)
+    parsers["stats"].add_argument("--out-dir", help="write the table here instead of stdout")
+    parsers["evaluate"].add_argument("--researcher", required=True, help="researcher id to evaluate")
+    parsers["evaluate"].add_argument("--thresholds", help="threshold table file (default: current minimums)")
+    parsers["evaluate"].add_argument("--out-dir", help="also write the result document here")
+    parsers["synth"].add_argument("--spec", help="generator spec JSON (default: shipped section profile)")
+    parsers["synth"].add_argument("--seed", type=int, help="override the spec seed")
 
     return parser
+
+
+def _one_line(message: str) -> str:
+    """``message`` with each character that ``str.isprintable`` rejects (a
+    newline, a tab, a lone surrogate) written as its Python escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -337,9 +314,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with collector_paused():  # no collector pass walks the command's records while it runs
-            return args.func(args)
+            if "config" not in args:  # synth
+                return args.func(args)
+            return args.func(args, load_pipeline_config(args.config) if args.config else default_config())
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"i/o error: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_IO
     except (
         ConfigError,
@@ -349,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         RecalibrationError,
         SynthError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -333,7 +333,8 @@ def build_corpus(
 
 _DELIMITER = ","
 _LIST_SEPARATOR = ";"
-_JSON_SUFFIXES = {".jsonl", ".ndjson", ".json"}
+_JSON_SUFFIXES = (".jsonl", ".ndjson", ".json")
+TABLE_SUFFIXES = {"dsv": ".csv", "jsonl": ".jsonl"}  # the suffix each table format's files are named with
 _CHUNK_ROWS = 1024  # rows read or written, and converted, at a time; a file is never held whole
 _scan_json = json.JSONDecoder().scan_once
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -647,6 +648,20 @@ def _chunks(rows: Iterable) -> Iterable[list]:
         raise
 
 
+def table_format(path: str | os.PathLike) -> str:
+    """The format the readers read ``path`` in, from its suffix in any case:
+    ``jsonl`` for .jsonl, .ndjson or .json, ``dsv`` for any other."""
+    return "jsonl" if Path(path).suffix.lower() in _JSON_SUFFIXES else "dsv"
+
+
+def misnamed_table(path: str | os.PathLike, fmt: str) -> str | None:
+    """Why a ``fmt`` table written to ``path`` would not read back, or None."""
+    if (read_as := table_format(path)) == fmt:
+        return None
+    return (f"{path}: the readers would read it as {read_as}, not {fmt}: "
+            f"a {', '.join(_JSON_SUFFIXES)} suffix means jsonl, any other dsv")
+
+
 def read_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation],
                  from_columns, from_cells) -> list:
     """The records of a DSV or line-delimited JSON file, read in chunks of at
@@ -665,7 +680,7 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
     open) with one naming its row."""
     records: list = []
     first = 1
-    is_json = path.suffix.lower() in _JSON_SUFFIXES
+    is_json = table_format(path) == "jsonl"
     try:
         with path.open(encoding="utf-8", newline=None if is_json else "") as handle:
             if is_json:
@@ -990,10 +1005,14 @@ def save_corpus(
     of its file, and the three are moved into place only after the last
     citation is written. So on a refusal or any other error no file is left
     behind, and existing files are replaced only once all three are
-    written."""
-    if fmt not in ("dsv", "jsonl"):
+    written. A file that the readers would read in the other format, by its
+    suffix, raises ``CorpusError`` naming it before any file is opened."""
+    if fmt not in TABLE_SUFFIXES:
         raise ValueError(f"unknown corpus format {fmt!r}")
     targets = [Path(path) for path in (researcher_file, publication_file, citation_file)]
+    for target in targets:
+        if reason := misnamed_table(target, fmt):
+            raise CorpusError(reason)
     written: list[Path] = []
     try:
         for target, source, record_type, records in zip(

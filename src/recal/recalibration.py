@@ -30,8 +30,8 @@ from statistics import fmean
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import (
-    Corpus, Violation, YearWindow, finite_float, read_records, required_string, required_text, text_not_kept,
-    write_table,
+    Corpus, Violation, YearWindow, finite_float, misnamed_table, read_records, required_string, required_text,
+    text_not_kept, write_table,
 )
 from .counting import (
     CountingMethod,
@@ -424,7 +424,9 @@ def write_apv_table(
     ``RecalibrationError`` naming its row before the file is opened: a
     discipline that ``text_not_kept`` names, an APV that is not a finite
     positive number, or a cell that an earlier row holds; the first such row
-    is named, as the reader names the first row it refuses."""
+    is named, as the reader names the first row it refuses. After the rows, a
+    ``path`` that the reader would read in the other format, by its suffix,
+    raises ``RecalibrationError`` naming it."""
     performance = list(performance)
     row_of: dict[Cell, int] = {}
     for row, p in enumerate(performance, 1):
@@ -436,6 +438,8 @@ def write_apv_table(
             raise RecalibrationError(f"{where}: the apv is {p.apv!r}, not a finite positive number")
         if row_of.setdefault(cell, row) != row:
             raise RecalibrationError(f"{where}: repeats row {row_of[cell]}, the APV of the same cell")
+    if reason := misnamed_table(path, fmt):
+        raise RecalibrationError(reason)
     rows = ((p.discipline, p.kind.value, p.method.value, repr(p.apv), str(p.population), str(p.selected))
             for p in performance)
     write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 import recal.cli
 import recal.counting
 import recal.recalibration
-from recal.cli import main
+from recal.cli import build_parser, main
 from recal.config import default_config, save_pipeline_config
 from recal.corpus import load_corpus, save_corpus
 from recal.counting import IndicatorKind
@@ -808,6 +809,108 @@ def test_out_of_range_derived_minimum_is_refused_naming_the_cell(tmp_path, capsy
 
 
 # --------------------------------------------------------------------------
+# the command frame: each subcommand's arguments, the config loaded before the
+# command runs, and one line per refusal
+
+#: Each subcommand's arguments as ``build_parser()`` declared them before the
+#: shared ones were declared once: option strings, dest, default, choices,
+#: required, nargs and type, sorted by dest.
+SUBCOMMAND_ARGUMENTS = {
+    'validate': [
+        ((), 'citations', None, None, True, None, None),
+        (('--config',), 'config', None, None, False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        ((), 'publications', None, None, True, None, None),
+        ((), 'researchers', None, None, True, None, None),
+    ],
+    'stats': [
+        ((), 'citations', None, None, True, None, None),
+        (('--config',), 'config', None, None, False, None, None),
+        (('--format',), 'format', 'dsv', ('dsv', 'jsonl'), False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        (('--out-dir',), 'out_dir', None, None, False, None, None),
+        ((), 'publications', None, None, True, None, None),
+        ((), 'researchers', None, None, True, None, None),
+    ],
+    'recalibrate': [
+        (('--apv-table',), 'apv_table', None, None, False, None, None),
+        ((), 'citations', None, None, False, '?', None),
+        (('--config',), 'config', None, None, False, None, None),
+        (('--format',), 'format', 'dsv', ('dsv', 'jsonl'), False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        (('--out-dir',), 'out_dir', None, None, True, None, None),
+        ((), 'publications', None, None, False, '?', None),
+        ((), 'researchers', None, None, False, '?', None),
+    ],
+    'derive': [
+        (('--apv-table',), 'apv_table', None, None, False, None, None),
+        ((), 'citations', None, None, False, '?', None),
+        (('--config',), 'config', None, None, False, None, None),
+        (('--format',), 'format', 'dsv', ('dsv', 'jsonl'), False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        (('--method',), 'method', 'integer', ('integer', 'fractional'), False, None, None),
+        (('--out-dir',), 'out_dir', None, None, True, None, None),
+        ((), 'publications', None, None, False, '?', None),
+        ((), 'researchers', None, None, False, '?', None),
+    ],
+    'evaluate': [
+        ((), 'citations', None, None, True, None, None),
+        (('--config',), 'config', None, None, False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        (('--method',), 'method', 'integer', ('integer', 'fractional'), False, None, None),
+        (('--out-dir',), 'out_dir', None, None, False, None, None),
+        ((), 'publications', None, None, True, None, None),
+        (('--researcher',), 'researcher', None, None, True, None, None),
+        ((), 'researchers', None, None, True, None, None),
+        (('--thresholds',), 'thresholds', None, None, False, None, None),
+    ],
+    'synth': [
+        (('--format',), 'format', 'dsv', ('dsv', 'jsonl'), False, None, None),
+        (('-h', '--help'), 'help', '==SUPPRESS==', None, False, 0, None),
+        (('--out-dir',), 'out_dir', None, None, True, None, None),
+        (('--seed',), 'seed', None, None, False, None, 'int'),
+        (('--spec',), 'spec', None, None, False, None, None),
+    ],
+}
+
+
+def test_each_subcommand_takes_the_arguments_it_took_when_each_declared_its_own():
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    found = {
+        name: [(tuple(a.option_strings), a.dest, a.default, a.choices and tuple(a.choices), a.required, a.nargs,
+                a.type and a.type.__name__) for a in sorted(parser._actions, key=lambda a: a.dest)]
+        for name, parser in subcommands.items()
+    }
+    assert found == SUBCOMMAND_ARGUMENTS
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "recalibrate", "derive", "evaluate"])
+def test_a_bad_config_is_refused_before_the_corpus_is_opened_or_an_out_dir_made(tmp_path, capsys, command):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**_two_discipline_config(), "pub_windw": [2010, 2011]}), encoding="utf-8")
+    missing = [tmp_path / name for name in ("researchers.csv", "publications.csv", "citations.csv")]
+    out_dir = tmp_path / "out"
+    extra = {"validate": [], "evaluate": ["--researcher", "geology:r000", "--out-dir", out_dir]}
+    assert run(command, *missing, "--config", config_path, *extra.get(command, ["--out-dir", out_dir])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: bad config: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"schema_version": 1, "disciplines": [{"key": "geo\nlogy"}]}, "no CMV for (geo\\nlogy, publications)"),
+    ({"schema_version": 1, "disciplines": [{"key": "föld\ntan"}]}, "no CMV for (föld\\ntan, publications)"),
+    ({"schema_version": 1, "recalibration": {"t\tyears": {}}},
+     "recalibration.t\\tyears: unknown key; known keys: rounding, t_years, top_fraction, ym_decimals, ym_source_method"),
+], ids=["newline_key", "newline_in_printable_non_ascii_key", "tab_in_key_path"])
+def test_a_refusal_is_one_line_with_unprintable_characters_escaped(tmp_path, capsys, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {config_path}: bad config: {message}\n"
+
+
+# --------------------------------------------------------------------------
 # golden report bytes: exit code, stdout and every output file of the report
 # commands, recorded before the table writers were merged into one; the
 # evaluate digests were recorded before the kernel returned its value table
@@ -1037,13 +1140,16 @@ def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, cap
         functools.reduce(lambda node, key: node[key], parents, config)[last] = value
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        for command in (["recalibrate"], ["derive", "--method", "fractional"],
-                        ["evaluate", "--method", "fractional", "--researcher", "geology:r000"]):
+        for command in (["recalibrate", *sweep_corpus], ["recalibrate", "--apv-table", APV_TABLE],
+                        ["derive", *sweep_corpus, "--method", "fractional"],
+                        ["derive", "--apv-table", APV_TABLE, "--method", "fractional"],
+                        ["evaluate", *sweep_corpus, "--method", "fractional", "--researcher", "geology:r000"],
+                        ["validate", *sweep_corpus], ["stats", *sweep_corpus]):
             capsys.readouterr()
-            out_dir = ["--out-dir", tmp_path / "out"] if command[0] != "evaluate" else []
-            code = run(command[0], *sweep_corpus, *command[1:], "--config", config_path, *out_dir)
+            out_dir = ["--out-dir", tmp_path / "out"] if command[0] in ("recalibrate", "derive") else []
+            code = run(*command, "--config", config_path, *out_dir)
             out, err = capsys.readouterr()
-            where = f"{command[0]} with {'/'.join(map(str, leaf))} = {value!r}"
+            where = f"{' '.join(map(str, command))} with {'/'.join(map(str, leaf))} = {value!r}"
             assert code in (0, 1, 2), where
             if err:  # a refusal: one line, typed by its exit code
                 assert code != 0 and err.count("\n") == 1, where

@@ -21,6 +21,7 @@ from recal.corpus import (
     CorpusError,
     CorpusValidationError,
     DisciplineCoauthorship,
+    TABLE_SUFFIXES,
     PublicationRecord,
     ResearcherProfile,
     YearWindow,
@@ -36,6 +37,7 @@ from recal.corpus import (
     load_corpus,
     save_corpus,
     scan_corpus,
+    table_format,
     write_table,
 )
 from recal.config import default_config
@@ -461,6 +463,43 @@ def test_save_failing_with_an_os_error_leaves_the_directory_as_it_was(tmp_path, 
     with pytest.raises(FileNotFoundError):
         save_corpus(random_corpus(seed=7), paths[0], paths[1], tmp_path / "missing" / paths[2].name, fmt=fmt)
     assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("name, fmt", [
+    ("a.jsonl", "jsonl"), ("a.NDJSON", "jsonl"), ("a.Json", "jsonl"), ("a.csv", "dsv"), ("a.tsv", "dsv"), ("a", "dsv"),
+    ("a.jsonl.csv", "dsv"), ("a.csv.json", "jsonl"), (".jsonl", "dsv"),
+])
+def test_the_readers_take_a_table_format_from_its_suffix(name, fmt):
+    assert table_format(name) == fmt
+
+
+def test_each_format_names_its_files_with_a_suffix_read_in_that_format():
+    assert {fmt: table_format(f"table{suffix}") for fmt, suffix in TABLE_SUFFIXES.items()} == {
+        "dsv": "dsv", "jsonl": "jsonl"}
+
+
+@pytest.mark.parametrize("name, fmt, read_as", [
+    ("publications.json", "dsv", "jsonl"), ("publications.NDJSON", "dsv", "jsonl"),
+    ("publications.csv", "jsonl", "dsv"), ("publications", "jsonl", "dsv"),
+])
+def test_save_refuses_a_file_the_readers_would_read_in_the_other_format(tmp_path, name, fmt, read_as):
+    paths = _corpus_paths(tmp_path, fmt)
+    paths[1] = tmp_path / name
+    with pytest.raises(CorpusError) as caught:
+        save_corpus(random_corpus(seed=7), *paths, fmt=fmt)
+    assert str(caught.value) == (f"{paths[1]}: the readers would read it as {read_as}, not {fmt}: "
+                                 "a .jsonl, .ndjson, .json suffix means jsonl, any other dsv")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt, names", [("dsv", ("r", "p.txt", "c.CSV")), ("jsonl", ("r.ndjson", "p.JSON", "c.jsonl"))])
+def test_save_takes_any_name_the_readers_read_in_its_format(tmp_path, fmt, names):
+    paths = [tmp_path / name for name in names]
+    original = random_corpus(seed=7)
+    save_corpus(original, *paths, fmt=fmt)
+    reloaded = load_corpus(*paths, disciplines=("geology", "mining"))
+    assert dict(reloaded.publications) == dict(original.publications)
+    assert reloaded.citations == original.citations
 
 
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])

@@ -253,6 +253,18 @@ def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, d
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name, fmt, read_as", [
+    ("apv", "jsonl", "dsv"), ("apv.csv", "jsonl", "dsv"), ("apv.json", "dsv", "jsonl"), ("apv.NDJSON", "dsv", "jsonl"),
+])
+def test_apv_table_refuses_a_path_the_reader_would_read_in_the_other_format(tmp_path, name, fmt, read_as):
+    path = tmp_path / name
+    with pytest.raises(RecalibrationError) as caught:
+        write_apv_table([DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2)], path, fmt)
+    assert str(caught.value) == (f"{path}: the readers would read it as {read_as}, not {fmt}: "
+                                 "a .jsonl, .ndjson, .json suffix means jsonl, any other dsv")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("second, problem", [
     (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, 0.0, 8, 2),
      "the apv is 0.0, not a finite positive number"),
