@@ -183,8 +183,7 @@ def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
     minimums = {cell: raw if rounded is None else float(max(rounded, 1)) for cell, (raw, rounded) in cells.items()}
     table = ThresholdTable(label=f"recalibrated minimums ({method.value})", minimums=minimums)
 
-    current = config.current_threshold_table()
-    deltas = diff_tables(current, table)
+    deltas = diff_tables(config.current_threshold_table(), table)
     # every current-minimum kind that is neither recalibrated nor derived
     non_derivable = sorted({kind.value for _, kind in config.current_minimums} - {kind.value for _, kind in cells})
 
@@ -196,8 +195,8 @@ def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
     for cell in sorted(minimums, key=lambda c: (c[0], c[1].value)):
         status = "floored" if cell in floored else "derived" if cell in derived else "recalibrated"
         raw = None if status == "recalibrated" else cells[cell][0]
-        delta = deltas[cell]  # in the new table, so in both or added
-        delta_text = "newly introduced" if delta.added else f"{delta.delta:+.0f}"
+        delta = deltas[cell]
+        delta_text = "newly introduced" if delta is None else f"{delta:+.0f}"
         report.append(
             (
                 cell[0],
@@ -219,12 +218,9 @@ def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    # a bad table is refused before the corpus is read, as a bad config is
+    table = load_threshold_table(args.thresholds) if args.thresholds else config.current_threshold_table()
     corpus = _corpus_from_args(args, config)
-    table = (
-        load_threshold_table(args.thresholds)
-        if args.thresholds
-        else config.current_threshold_table()
-    )
     method = CountingMethod(args.method)
     profile = corpus.researcher(args.researcher)
     kinds = table.required_kinds(profile.discipline)

@@ -663,7 +663,7 @@ def misnamed_table(path: str | os.PathLike, fmt: str) -> str | None:
 
 
 def read_records(path: Path, fields: Sequence[str], source: str, violations: list[Violation],
-                 from_columns, from_cells) -> list:
+                 from_columns, from_cells, lead=None) -> list:
     """The records of a DSV or line-delimited JSON file, read in chunks of at
     most ``_CHUNK_ROWS`` rows.
 
@@ -677,7 +677,8 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
     violation naming the row, so violations come in row order. Blank rows are
     skipped. Bytes that are not UTF-8 end the file with a violation naming
     it, and a DSV cell past the ``csv`` module's size limit (a quote left
-    open) with one naming its row."""
+    open) with one naming its row. With ``lead``, the line before a DSV
+    header goes to ``lead(cells)`` (None if empty), and what it raises passes."""
     records: list = []
     first = 1
     is_json = table_format(path) == "jsonl"
@@ -689,6 +690,8 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
                 cells_of = partial(_json_cells, fields=fields)
             else:
                 rows = csv.reader(handle, delimiter=_DELIMITER)
+                if lead:
+                    lead(next(rows, None))
                 header = next(rows, None)
                 if header is None:
                     violations.append(Violation(source, None, "file is empty (missing header)"))
@@ -719,6 +722,26 @@ def read_records(path: Path, fields: Sequence[str], source: str, violations: lis
     except csv.Error as exc:
         violations.append(Violation(source, first, f"unreadable from here on: {exc}"))
     return records
+
+
+def read_cells(path: str | os.PathLike, fields: Sequence[str], cell_of, noun: str, error: type[Exception],
+               lead=None) -> dict:
+    """The ``{cell: value}`` table of a file that ``read_records`` reads, each
+    row's pair given by ``cell_of(cells)`` or refused by its ``ValueError``. A
+    cell may appear once: a repeat names the row that first held it and
+    ``noun.format(*cell)``. The first problem in row order raises ``error``."""
+    violations: list[Violation] = []
+    records = read_records(Path(path), fields, str(path), violations,
+                           lambda rows, columns: list(zip(rows, map(cell_of, zip(*columns)))),
+                           lambda row, cells: (row, cell_of(cells)), lead)
+    first: dict = {}
+    for row, (cell, _) in records:
+        if first.setdefault(cell, row) != row:
+            violations.append(Violation(str(path), row, f"repeats row {first[cell]}, {noun.format(*cell)}"))
+            break
+    if violations:  # a file-wide problem has no row and comes after every row read
+        raise error(str(min(violations, key=lambda v: v.row or math.inf)))
+    return dict(pair for _, pair in records)
 
 
 @collector_paused()

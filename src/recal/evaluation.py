@@ -3,18 +3,19 @@
 Every indicator required for the candidate's discipline must reach its
 minimum; the per-indicator score is the plain ratio value/minimum, so
 over-fulfillment earns proportionally more than 1.0. Scores are not combined
-into a composite.
+into a composite. A threshold file is read through ``corpus.read_cells``, as
+an APV table is, so both refuse a bad row or a repeated cell in the same words.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import (
-    LONE_SURROGATE, finite_float, has_lone_surrogate, required_string, required_text, text_not_kept, write_table,
+    LONE_SURROGATE, finite_float, has_lone_surrogate, misnamed_table, read_cells, required_string, required_text,
+    text_not_kept, write_table,
 )
 from .counting import CountingMethod, IndicatorKind
 
@@ -119,32 +120,17 @@ def evaluate_candidate(researcher_id: str, method: CountingMethod, values: Mappi
     )
 
 
-@dataclass(frozen=True)
-class CellDiff:
-    """Change of one threshold cell between two tables."""
-
-    delta: float | None  # None when the cell exists in only one table
-    added: bool = False
-    removed: bool = False
-
-
-def diff_tables(a: ThresholdTable, b: ThresholdTable) -> dict[tuple[str, IndicatorKind], CellDiff]:
-    """Per-cell signed change ``b - a``; cells present in only one table are
-    flagged added (only in b) or removed (only in a)."""
-    diffs: dict[tuple[str, IndicatorKind], CellDiff] = {}
-    for cell in sorted(set(a.minimums) | set(b.minimums), key=lambda c: (c[0], c[1].value)):
-        in_a, in_b = cell in a.minimums, cell in b.minimums
-        if in_a and in_b:
-            diffs[cell] = CellDiff(delta=b.minimums[cell] - a.minimums[cell])
-        elif in_b:
-            diffs[cell] = CellDiff(delta=None, added=True)
-        else:
-            diffs[cell] = CellDiff(delta=None, removed=True)
-    return diffs
+def diff_tables(a: ThresholdTable, b: ThresholdTable) -> dict[tuple[str, IndicatorKind], float | None]:
+    """Per cell of ``b``, the signed change ``b - a``, or None where ``a``
+    lacks the cell."""
+    return {cell: minimum - a.minimums[cell] if cell in a.minimums else None for cell, minimum in b.minimums.items()}
 
 
 # --------------------------------------------------------------------------
 # File format: a `label,<text>` line, a column header, then one row per cell.
+
+THRESHOLD_FIELDS = ("discipline", "kind", "minimum")
+
 
 def _format_minimum(value: float) -> str:
     text = f"{value:.6f}".rstrip("0").rstrip(".")
@@ -171,41 +157,31 @@ def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
             raise EvaluationError(f"minimum for ({discipline}, {kind.value}) is {minimum!r}, which saves as {text!r}:"
                                   " not a finite positive number")
         cells.append((discipline, kind.value, text))
+    if reason := misnamed_table(path, "dsv"):
+        raise EvaluationError(reason)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         write_table(handle, ("label", table.label), ())
-        write_table(handle, ("discipline", "kind", "minimum"), cells)
+        write_table(handle, THRESHOLD_FIELDS, cells)
 
 
 def load_threshold_table(path: str | Path) -> ThresholdTable:
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
-    except UnicodeDecodeError as exc:
-        raise EvaluationError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:  # a cell past the csv module's size limit: a quote left open
-        raise EvaluationError(f"{path}:{reader.line_num}: unreadable: {exc}") from None
-    if len(rows) < 2 or len(rows[0][1]) != 2 or rows[0][1][0] != "label":
-        raise EvaluationError(f"{path}: expected a 'label,<text>' first line")
-    label = rows[0][1][1]
-    if rows[1][1] != ["discipline", "kind", "minimum"]:
-        raise EvaluationError(f"{path}: expected header discipline,kind,minimum")
-    minimums: dict[tuple[str, IndicatorKind], float] = {}
-    line_of: dict[tuple[str, IndicatorKind], int] = {}
-    for i, cells in rows[2:]:
-        if len(cells) != 3:
-            raise EvaluationError(f"{path}:{i}: expected 3 cells")
-        try:
-            cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
-            minimum = finite_float(cells[2])
-            if refused := _refused_minimum(*cell, minimum):
-                raise ValueError(refused)
-        except ValueError as exc:
-            raise EvaluationError(f"{path}:{i}: {exc}") from exc
-        if cell in line_of:
-            raise EvaluationError(
-                f"{path}:{i}: repeats line {line_of[cell]}, the minimum of ({cell[0]}, {cell[1].value})"
-            )
-        minimums[cell], line_of[cell] = minimum, i
-    return ThresholdTable(label=label, minimums=minimums)
+    """Read what ``save_threshold_table`` writes, the label as written; the
+    first problem raises ``EvaluationError``."""
+    if reason := misnamed_table(path, "dsv"):
+        raise EvaluationError(reason)
+    label: list[str] = []
+
+    def label_line(cells: list[str] | None) -> None:
+        if not cells or len(cells) != 2 or cells[0] != "label":
+            raise EvaluationError(f"{path}: expected a 'label,<text>' first line")
+        label.append(cells[1])
+
+    def minimum_cell(cells: tuple) -> tuple[tuple[str, IndicatorKind], float]:
+        cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
+        if refused := _refused_minimum(*cell, minimum := finite_float(cells[2])):
+            raise ValueError(refused)
+        return cell, minimum
+
+    minimums = read_cells(path, THRESHOLD_FIELDS, minimum_cell, "the minimum of ({0}, {1.value})", EvaluationError,
+                          label_line)
+    return ThresholdTable(label=label[0], minimums=minimums)

@@ -30,8 +30,8 @@ from statistics import fmean
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import (
-    Corpus, Violation, YearWindow, finite_float, misnamed_table, read_records, required_string, required_text,
-    text_not_kept, write_table,
+    Corpus, YearWindow, finite_float, misnamed_table, read_cells, required_string, required_text, text_not_kept,
+    write_table,
 )
 from .counting import (
     CountingMethod,
@@ -381,11 +381,10 @@ RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_
 
 
 def read_apv_table(path: str | Path) -> dict[Cell, float]:
-    """Read a ``discipline,kind,method,apv`` table, DSV or JSONL as the corpus
-    files are (``write_apv_table`` output reads back); a cell may appear once
-    and its APV must be positive. The first problem in row order raises
-    ``RecalibrationError``."""
-    def apv_row(row: int, cells: tuple) -> tuple:
+    """Read a ``discipline,kind,method,apv`` table, DSV or JSONL, through
+    ``read_cells`` (``write_apv_table`` output reads back); each APV must be
+    positive, and the first problem raises ``RecalibrationError``."""
+    def apv_cell(cells: tuple) -> tuple[Cell, float]:
         discipline, kind, method, apv = cells
         try:
             key = (
@@ -396,23 +395,11 @@ def read_apv_table(path: str | Path) -> dict[Cell, float]:
             text = required_text(apv, "apv")
             if (value := finite_float(text)) <= 0:
                 raise ValueError(f"column 'apv': {text!r} is not positive")
-            return row, key, value
+            return key, value
         except ValueError as exc:
             raise ValueError(f"bad APV row: {exc}") from None
 
-    violations: list[Violation] = []
-    records = read_records(
-        Path(path), APV_FIELDS, str(path), violations,
-        lambda rows, columns: list(map(apv_row, rows, zip(*columns))), apv_row,
-    )
-    row_of: dict[Cell, int] = {}
-    for row, key, _ in records:
-        if row_of.setdefault(key, row) != row:
-            violations.append(Violation(str(path), row, f"repeats row {row_of[key]}, the APV of {_cell_text(key)}"))
-            break
-    if violations:  # a file-wide problem has no row and comes after every row read
-        raise RecalibrationError(str(min(violations, key=lambda v: v.row or math.inf)))
-    return {key: apv for _, key, apv in records}
+    return read_cells(path, APV_FIELDS, apv_cell, "the APV of ({0}, {1.value}, {2.value})", RecalibrationError)
 
 
 def write_apv_table(

@@ -44,6 +44,12 @@ class SynthError(Exception):
     pass
 
 
+#: The largest value the generator takes for each target that drives its work or its numbers. Each is past the
+#: shipped spec at 16x, and a discipline at one of them, its other targets as shipped, generates in seconds.
+SYNTH_LIMITS = {"researcher_count": 100_000, "pub_count": 100_000, "mean_coauthors_multi": 100, "citation_rate": 100,
+                "if_mean": 100}
+
+
 @dataclass(frozen=True)
 class SynthDisciplineParams:
     discipline: str
@@ -73,6 +79,9 @@ class SynthDisciplineParams:
                 raise SynthError(f"{self.discipline}: {name} outside [0, 1]")
         if self.citation_rate < 0 or self.if_mean < 0:
             raise SynthError(f"{self.discipline}: rates must be non-negative")
+        for name, limit in SYNTH_LIMITS.items():
+            if (value := getattr(self, name)) > limit:
+                raise SynthError(f"{self.discipline}: {name} is {value}, above the limit of {limit}")
 
 
 @dataclass(frozen=True)

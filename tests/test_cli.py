@@ -4,6 +4,7 @@ import argparse
 import functools
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -424,7 +425,7 @@ def test_evaluate_rejects_non_finite_minimum(tmp_path, capsys):
     assert run("evaluate", *paths, "--researcher", "cand", "--thresholds", thresholds) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{thresholds}:3:" in captured.err and "finite" in captured.err
+    assert f"{thresholds}:1:" in captured.err and "finite" in captured.err  # the first data row
 
 
 def test_evaluate_ignores_other_researchers_missing_degree_year(tmp_path, capsys):
@@ -897,6 +898,28 @@ def test_a_bad_config_is_refused_before_the_corpus_is_opened_or_an_out_dir_made(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name, text, code, message", [
+    ("thresholds.csv", "label,t\ndiscipline,kind,minimum\ngeology,publications,nan\n", 1,
+     "error: {path}:1: 'nan' is not a finite number"),
+    ("thresholds.csv", "discipline,kind,minimum\n", 1, "error: {path}: expected a 'label,<text>' first line"),
+    ("thresholds.jsonl", "label,t\ndiscipline,kind,minimum\n", 1,
+     "error: {path}: the readers would read it as jsonl, not dsv: a .jsonl, .ndjson, .json suffix means jsonl,"
+     " any other dsv"),
+    ("thresholds.csv", None, 2, "i/o error: [Errno 2] No such file or directory: '{path}'"),
+], ids=["bad_row", "no_label", "jsonl_suffix", "missing"])
+def test_a_bad_threshold_table_is_refused_before_the_corpus_is_opened_or_an_out_dir_made(
+    tmp_path, capsys, name, text, code, message
+):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    missing = [tmp_path / name for name in ("researchers.csv", "publications.csv", "citations.csv")]
+    out_dir = tmp_path / "out"
+    assert run("evaluate", *missing, "--researcher", "geology:r000", "--thresholds", path, "--out-dir", out_dir) == code
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("config, message", [
     ({"schema_version": 1, "disciplines": [{"key": "geo\nlogy"}]}, "no CMV for (geo\\nlogy, publications)"),
     ({"schema_version": 1, "disciplines": [{"key": "föld\ntan"}]}, "no CMV for (föld\\ntan, publications)"),
@@ -1107,7 +1130,7 @@ def test_corrupted_input_is_a_typed_failure(tmp_path, clean_corpus_files, capsys
 
 
 # --------------------------------------------------------------------------
-# no traceback from an extreme config leaf
+# no traceback from an extreme config or generator spec leaf
 
 SWEEP_LEAVES = [
     ("pub_window", 0), ("pub_window", 1), ("citation_window", 0), ("citation_window", 1),
@@ -1116,6 +1139,10 @@ SWEEP_LEAVES = [
                                                        "cumulative_if")),
     *(("current_minimums", "geology", kind) for kind in ("publications", "wos_articles", "independent_citations",
                                                           "cumulative_if")),
+    # a generator spec's numeric leaves, each run as synth --spec
+    ("spec", "seed"), ("spec", "pub_window", 0), ("spec", "pub_window", 1), ("spec", "citation_window", 0),
+    ("spec", "citation_window", 1),
+    *(("spec", "disciplines", "geology", field.name) for field in fields(SynthDisciplineParams)[1:]),
 ]
 SWEEP_VALUES = [1e308, 1.7e308, 1e-308, 5e-324, 2**63, 10**6, -1, 0]
 
@@ -1130,24 +1157,31 @@ def sweep_corpus(tmp_path_factory) -> list[Path]:
 
 @pytest.mark.parametrize("leaf", SWEEP_LEAVES, ids=lambda leaf: "/".join(map(str, leaf)))
 def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, capsys, sweep_corpus, leaf):
-    base = {**_two_discipline_config(), "pub_window": [2014, 2018], "citation_window": [2014, 2019],
-            "recalibration": {"top_fraction": 0.25, "ym_decimals": 3,
-                              "t_years": dict.fromkeys(("publications", "wos_articles", "independent_citations",
-                                                        "cumulative_if"), 5.0)}}
+    if leaf[0] == "spec":  # the spec the sweep corpus was generated from
+        base = json.loads((sweep_corpus[0].parent / "spec.json").read_text(encoding="utf-8"))
+        leaf, flag, commands = leaf[1:], "--spec", [["synth"]]
+    else:
+        base = {**_two_discipline_config(), "pub_window": [2014, 2018], "citation_window": [2014, 2019],
+                "recalibration": {"top_fraction": 0.25, "ym_decimals": 3,
+                                  "t_years": dict.fromkeys(("publications", "wos_articles", "independent_citations",
+                                                            "cumulative_if"), 5.0)}}
+        flag, commands = "--config", [
+            ["recalibrate", *sweep_corpus], ["recalibrate", "--apv-table", APV_TABLE],
+            ["derive", *sweep_corpus, "--method", "fractional"],
+            ["derive", "--apv-table", APV_TABLE, "--method", "fractional"],
+            ["evaluate", *sweep_corpus, "--method", "fractional", "--researcher", "geology:r000"],
+            ["validate", *sweep_corpus], ["stats", *sweep_corpus],
+        ]
     for value in SWEEP_VALUES:
-        config = json.loads(json.dumps(base))
+        document = json.loads(json.dumps(base))
         *parents, last = leaf
-        functools.reduce(lambda node, key: node[key], parents, config)[last] = value
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        for command in (["recalibrate", *sweep_corpus], ["recalibrate", "--apv-table", APV_TABLE],
-                        ["derive", *sweep_corpus, "--method", "fractional"],
-                        ["derive", "--apv-table", APV_TABLE, "--method", "fractional"],
-                        ["evaluate", *sweep_corpus, "--method", "fractional", "--researcher", "geology:r000"],
-                        ["validate", *sweep_corpus], ["stats", *sweep_corpus]):
+        functools.reduce(lambda node, key: node[key], parents, document)[last] = value
+        document_path = tmp_path / "document.json"
+        document_path.write_text(json.dumps(document), encoding="utf-8")
+        for command in commands:
             capsys.readouterr()
-            out_dir = ["--out-dir", tmp_path / "out"] if command[0] in ("recalibrate", "derive") else []
-            code = run(*command, "--config", config_path, *out_dir)
+            out_dir = ["--out-dir", tmp_path / "out"] if command[0] in ("recalibrate", "derive", "synth") else []
+            code = run(*command, flag, document_path, *out_dir)
             out, err = capsys.readouterr()
             where = f"{' '.join(map(str, command))} with {'/'.join(map(str, leaf))} = {value!r}"
             assert code in (0, 1, 2), where

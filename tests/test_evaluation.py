@@ -124,23 +124,26 @@ def published_recalibrated_table() -> ThresholdTable:
 
 def test_diff_against_published_recalibrated_table():
     deltas = diff_tables(current_table(), published_recalibrated_table())
-    assert deltas[("geology", K.PUBLICATIONS)].delta == pytest.approx(6.0)
-    assert deltas[("geodesy", K.INDEPENDENT_CITATIONS)].delta == pytest.approx(-46.0)
-    # h-index exists only in the current table
-    assert deltas[("geology", K.H_INDEX)].removed
+    assert deltas[("geology", K.PUBLICATIONS)] == pytest.approx(6.0)
+    assert deltas[("geodesy", K.INDEPENDENT_CITATIONS)] == pytest.approx(-46.0)
+    # the h-index exists only in the current table, so the diff, which has the new table's cells, lacks it
+    assert ("geology", K.H_INDEX) not in deltas
+    assert deltas.keys() == published_recalibrated_table().minimums.keys()
 
 
 def test_diff_identity_and_antisymmetry():
     a, b = current_table(), published_recalibrated_table()
-    self_diff = diff_tables(a, a)
-    assert all(cell.delta == 0.0 for cell in self_diff.values())
+    assert diff_tables(a, a) == dict.fromkeys(a.minimums, 0.0)
     forward, backward = diff_tables(a, b), diff_tables(b, a)
-    for cell, diff in forward.items():
-        if diff.delta is not None:
-            assert backward[cell].delta == pytest.approx(-diff.delta)
+    assert forward.keys() == b.minimums.keys() and backward.keys() == a.minimums.keys()
+    for cell, delta in forward.items():
+        if delta is None:  # only in b, so not a cell of the backward diff
+            assert cell not in a.minimums and cell not in backward
         else:
-            assert diff.added == backward[cell].removed
-            assert diff.removed == backward[cell].added
+            assert backward[cell] == pytest.approx(-delta)
+    assert [cell for cell, delta in backward.items() if delta is None] == [
+        cell for cell in a.minimums if cell not in b.minimums
+    ]
 
 
 def test_threshold_table_round_trip(tmp_path):
@@ -219,7 +222,7 @@ def test_threshold_table_refuses_a_repeated_cell(tmp_path):
     )
     with pytest.raises(EvaluationError) as caught:
         load_threshold_table(path)
-    assert str(caught.value) == f"{path}:5: repeats line 3, the minimum of (geology, publications)"
+    assert str(caught.value) == f"{path}:3: repeats row 1, the minimum of (geology, publications)"
 
 
 def test_threshold_table_strips_a_padded_discipline_and_kind(tmp_path):
@@ -231,13 +234,29 @@ def test_threshold_table_strips_a_padded_discipline_and_kind(tmp_path):
     assert table.required_kinds("geology") == [K.PUBLICATIONS, K.H_INDEX]
 
 
+def test_threshold_table_header_may_be_padded_or_reordered_and_the_label_is_read_as_written(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("label, as written \n minimum ,discipline,kind\n30,geology,publications\n", encoding="utf-8")
+    table = load_threshold_table(path)
+    assert table.label == " as written "
+    assert table.minimums == {("geology", K.PUBLICATIONS): 30.0}
+
+
+def test_threshold_table_save_refuses_a_path_the_reader_would_read_as_jsonl(tmp_path):
+    path = tmp_path / "thresholds.jsonl"
+    with pytest.raises(EvaluationError) as caught:
+        save_threshold_table(published_recalibrated_table(), path)
+    assert str(caught.value).startswith(f"{path}: the readers would read it as jsonl, not dsv")
+    assert not path.exists()
+
+
 def test_threshold_table_refuses_an_empty_discipline_naming_the_line(tmp_path):
     path = tmp_path / "thresholds.csv"
     path.write_text("label,t\ndiscipline,kind,minimum\ngeology,publications,1\n geology,h_index,99\n"
                     ",wos_articles,5\n", encoding="utf-8")
     with pytest.raises(EvaluationError) as caught:
         load_threshold_table(path)
-    assert str(caught.value) == f"{path}:5: column 'discipline' is empty"
+    assert str(caught.value) == f"{path}:3: column 'discipline' is empty"
 
 
 def test_threshold_table_refuses_a_non_positive_minimum_naming_the_line(tmp_path):
@@ -247,5 +266,5 @@ def test_threshold_table_refuses_a_non_positive_minimum_naming_the_line(tmp_path
     with pytest.raises(EvaluationError) as caught:
         load_threshold_table(path)
     assert str(caught.value) == (
-        f"{path}:5: minimum for (geochemistry, publications) must be a finite positive number, got 0.0"
+        f"{path}:3: minimum for (geochemistry, publications) must be a finite positive number, got 0.0"
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from recal.corpus import YearWindow, corpus_stats, load_corpus, save_corpus
 from recal.defaults import COAUTHORSHIP_PROFILE, DISCIPLINES
 from recal.synthgen import (
+    SYNTH_LIMITS,
     SynthDisciplineParams,
     SynthError,
     SynthSpec,
@@ -117,6 +119,19 @@ def test_non_finite_target_rejected(name, value):
     # NaN fails no `<` test: a NaN citation rate would give no Poisson draw
     with pytest.raises(SynthError, match=f"geology: {name} is not a finite number"):
         one_discipline_spec(**{name: value})
+
+
+@pytest.mark.parametrize("name, limit", SYNTH_LIMITS.items())
+def test_a_target_past_its_limit_is_refused_naming_the_discipline_and_the_field(name, limit):
+    one_discipline_spec(**{name: limit})
+    with pytest.raises(SynthError) as caught:
+        one_discipline_spec(**{name: limit * 10})
+    assert str(caught.value) == f"geology: {name} is {limit * 10}, above the limit of {limit}"
+
+
+def test_the_limits_admit_the_shipped_spec_at_16x():
+    for p in default_spec().params:
+        replace(p, researcher_count=p.researcher_count * 16, pub_count=p.pub_count * 16)
 
 
 def test_pubs_without_researchers_rejected():

@@ -1,7 +1,8 @@
-"""Byte-for-byte violation messages of the corpus and APV readers.
+"""Byte-for-byte violation messages of the corpus, APV and threshold readers.
 
 Each case replaces one input file and pins ``str()`` of every violation (or
-the one ``RecalibrationError`` of an APV table), in order. The expected texts
+the one ``RecalibrationError`` of an APV table, or ``EvaluationError`` of a
+threshold table), in order. The expected texts
 were recorded from the readers as they stood before the column tables
 replaced the per-cell helpers, except the cases of a JSON value other than a
 string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
@@ -9,7 +10,8 @@ string in a text column (``*_as_id``, ``*_as_discipline``, ``*_as_language``,
 (``*_as_authors``, ``*_as_citing``), which were written when those columns
 began refusing one, and the rows around the reader's 1024-row chunk boundary,
 a JSON ``1`` under a ``true``, the non-positive APVs and the lone surrogates,
-which were written with the checks that refuse them. A
+which were written with the checks that refuse them, and the threshold
+tables, written when their reader came to share the APV reader's rules. A
 change to any of them is a change to what users read on stderr and should be
 made on purpose.
 """
@@ -21,6 +23,7 @@ import pytest
 
 from recal.cli import main
 from recal.corpus import scan_corpus
+from recal.evaluation import EvaluationError, load_threshold_table
 from recal.recalibration import RecalibrationError, read_apv_table
 
 from conftest import write_corpus_files
@@ -422,6 +425,46 @@ def test_apv_table_messages_are_pinned(tmp_path, case):
     with pytest.raises(RecalibrationError) as caught:
         read_apv_table(path)
     assert str(caught.value).replace(str(path), "APV") == expected
+
+
+THRESHOLD_HEAD = "label,t\ndiscipline,kind,minimum\n"
+#: A threshold file's bytes and its refusal; the file is ``thresholds.csv``, or ``.jsonl`` in ``jsonl_suffix``.
+THRESHOLD_CASES = {
+    "not_utf8": ((THRESHOLD_HEAD + "geology,publications,30\n").encode() + b"mining,publications,\xff\n",
+                 "T: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 76: invalid start byte"),
+    "open_quote": ((THRESHOLD_HEAD + 'geology,publications,30\n"mining,publications,20\n' + "x" * 140_000).encode(),
+                   "T:2: unreadable from here on: field larger than field limit (131072)"),
+    "empty": (b"", "T: expected a 'label,<text>' first line"),
+    "missing_label": (b"discipline,kind,minimum\ngeology,pubs,30\n", "T: expected a 'label,<text>' first line"),
+    "three_cell_label": (b"label,t,u\ndiscipline,kind,minimum\ngeology,pubs,30\n",
+                         "T: expected a 'label,<text>' first line"),
+    "padded_label": (b" label,t\ndiscipline,kind,minimum\n", "T: expected a 'label,<text>' first line"),
+    "label_only": (b"label,t\n", "T: file is empty (missing header)"),
+    "missing_column": (b"label,t\ndiscipline,kind\ngeology,publications\n", "T: header is missing column(s) ['minimum']"),
+    "short_row": ((THRESHOLD_HEAD + "geology,publications,30\nmining,publications\n").encode(),
+                  "T:2: expected 3 cells, found 2"),
+    "bad_kind": ((THRESHOLD_HEAD + "geology,pubs,30\n").encode(), "T:1: 'pubs' is not a valid IndicatorKind"),
+    "nan": ((THRESHOLD_HEAD + "geology,publications,nan\n").encode(), "T:1: 'nan' is not a finite number"),
+    "zero": ((THRESHOLD_HEAD + "geology,publications,0\n").encode(),
+             "T:1: minimum for (geology, publications) must be a finite positive number, got 0.0"),
+    "repeat_after_blank_row": ((THRESHOLD_HEAD + "geology,publications,30\n\ngeology,publications,1\n").encode(),
+                               "T:3: repeats row 1, the minimum of (geology, publications)"),
+    "bad_cell_before_repeat": ((THRESHOLD_HEAD + "geology,publications,30\ngeology,pubs,1\n"
+                                "geology,publications,1\n").encode(), "T:2: 'pubs' is not a valid IndicatorKind"),
+    "jsonl_suffix": ((THRESHOLD_HEAD + "geology,publications,30\n").encode(),
+                     "T: the readers would read it as jsonl, not dsv: a .jsonl, .ndjson, .json suffix means jsonl,"
+                     " any other dsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLD_CASES))
+def test_threshold_table_messages_are_pinned(tmp_path, case):
+    data, expected = THRESHOLD_CASES[case]
+    path = tmp_path / ("thresholds.jsonl" if case == "jsonl_suffix" else "thresholds.csv")
+    path.write_bytes(data)
+    with pytest.raises(EvaluationError) as caught:
+        load_threshold_table(path)
+    assert str(caught.value).replace(str(path), "T") == expected
 
 
 #: The published APV table with one row edited: ``--apv-table`` refusals name the file.
