@@ -49,7 +49,7 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
-from operator import is_, itemgetter
+from operator import attrgetter, eq, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, get_args, get_origin, get_type_hints
 
@@ -155,11 +155,16 @@ class Corpus:
     @cached_property
     @collector_paused()
     def citations_of(self) -> Mapping[str, tuple[CitationLink, ...]]:
-        """Citation links grouped by cited publication, in file order."""
-        grouped: dict[str, list[CitationLink]] = {}
+        """Citation links grouped by cited publication, in file order, keyed
+        in the order each publication is first cited. Each group's list
+        becomes its tuple in place, in the one dict returned, so no second
+        copy of the grouping is held at its high-water mark."""
+        grouped: dict[str, list[CitationLink] | tuple[CitationLink, ...]] = {}
         for link in self.citations:
             grouped.setdefault(link.cited_pub_id, []).append(link)
-        return {pid: tuple(links) for pid, links in grouped.items()}
+        for pid, links in grouped.items():  # a value replaced, not a key added: the walk stays valid
+            grouped[pid] = tuple(links)
+        return grouped
 
     @cached_property
     def publications_of(self) -> Mapping[str, tuple[PublicationRecord, ...]]:
@@ -251,33 +256,63 @@ def corpus_stats(
 # --------------------------------------------------------------------------
 # Validation
 
+def _repeated(ids: Iterable, has_repeat: bool) -> Iterator[bool]:
+    """Whether each of ``ids``, in order, equals an earlier one. The seen-set
+    that tells is built only when ``has_repeat`` says that some id repeats;
+    otherwise every answer is False."""
+    def seen_before() -> Iterator[bool]:
+        seen: set = set()
+        for key in ids:
+            yield key in seen
+            seen.add(key)
+    return seen_before() if has_repeat else repeat(False)
+
+
+def _has_repeat(ids: list) -> bool:
+    """Whether two of ``ids`` are equal, tested on ``ids`` itself, sorted in
+    place, when every id is a ``str``; ids that do not sort take a set."""
+    if set(map(type, ids)) != {str}:
+        return len(set(ids)) != len(ids)
+    ids.sort()
+    return any(map(eq, ids, islice(ids, 1, None)))
+
+
 def validate_corpus(
     researchers: Sequence[ResearcherProfile],
     publications: Sequence[PublicationRecord],
     citations: Sequence[CitationLink],
     disciplines: Iterable[str],
+    researcher_index: Mapping[str, ResearcherProfile],
+    publication_index: Mapping[str, PublicationRecord],
 ) -> list[Violation]:
     """Cross-record checks: unique ids, resolvable references, registered
     disciplines, duplicate-free author lists, a finite non-negative impact
-    factor only on journal articles."""
+    factor only on journal articles. The violations come file by file, in
+    row order.
+
+    ``researcher_index`` and ``publication_index`` are the id-to-record
+    dicts of ``researchers`` and ``publications`` that the corpus keeps, so
+    no second copy of what the corpus holds is made at its high-water mark:
+    an id repeats in a file when its dict is shorter than its list, a cited
+    id resolves when it is a key of ``publication_index``, and citation ids
+    are tested on one sorted list of them. Only a file with a repeat gets a
+    seen-set, to name the rows that repeat an earlier id."""
     registry = set(disciplines)
     violations: list[Violation] = []
     if not registry:
         violations.append(Violation("registry", None, "discipline registry is empty"))
 
-    researcher_ids: set[str] = set()
-    for i, r in enumerate(researchers, start=1):
-        if r.researcher_id in researcher_ids:
+    repeats = _repeated(map(attrgetter("researcher_id"), researchers), len(researcher_index) != len(researchers))
+    for i, (r, repeats_an_id) in enumerate(zip(researchers, repeats), start=1):
+        if repeats_an_id:
             violations.append(Violation("researchers", i, f"duplicate researcher_id {r.researcher_id!r}"))
-        researcher_ids.add(r.researcher_id)
         if r.discipline not in registry:
             violations.append(Violation("researchers", i, f"unknown discipline {r.discipline!r}"))
 
-    pub_ids: set[str] = set()
-    for i, p in enumerate(publications, start=1):
-        if p.pub_id in pub_ids:
+    repeats = _repeated(map(attrgetter("pub_id"), publications), len(publication_index) != len(publications))
+    for i, (p, repeats_an_id) in enumerate(zip(publications, repeats), start=1):
+        if repeats_an_id:
             violations.append(Violation("publications", i, f"duplicate pub_id {p.pub_id!r}"))
-        pub_ids.add(p.pub_id)
         if p.discipline not in registry:
             violations.append(Violation("publications", i, f"unknown discipline {p.discipline!r}"))
         if not p.author_ids:
@@ -294,12 +329,12 @@ def validate_corpus(
             elif p.impact_factor < 0:
                 violations.append(Violation("publications", i, f"{p.pub_id!r} has negative impact_factor"))
 
-    citation_ids: set[str] = set()
-    for i, c in enumerate(citations, start=1):
-        if c.citation_id in citation_ids:
+    citation_id = attrgetter("citation_id")
+    repeats = _repeated(map(citation_id, citations), _has_repeat(list(map(citation_id, citations))))
+    for i, (c, repeats_an_id) in enumerate(zip(citations, repeats), start=1):
+        if repeats_an_id:
             violations.append(Violation("citations", i, f"duplicate citation_id {c.citation_id!r}"))
-        citation_ids.add(c.citation_id)
-        if c.cited_pub_id not in pub_ids:
+        if c.cited_pub_id not in publication_index:
             violations.append(
                 Violation("citations", i, f"cited_pub_id {c.cited_pub_id!r} does not resolve to a publication")
             )
@@ -317,15 +352,19 @@ def build_corpus(
     citations: Sequence[CitationLink],
     disciplines: Iterable[str],
 ) -> Corpus:
-    """Validate the record sets and assemble an immutable corpus."""
-    violations = validate_corpus(researchers, publications, citations, disciplines)
+    """Validate the record sets and assemble an immutable corpus.
+
+    The two id-to-record dicts that the corpus keeps are built first and
+    ``validate_corpus`` tests the records on them, so the corpus's
+    high-water mark holds no second copy of what it keeps: no set of its ids
+    beside the dicts."""
+    researcher_index = {r.researcher_id: r for r in researchers}
+    publication_index = {p.pub_id: p for p in publications}
+    violations = validate_corpus(researchers, publications, citations, disciplines, researcher_index,
+                                 publication_index)
     if violations:
         raise CorpusValidationError(violations)
-    return Corpus(
-        researchers={r.researcher_id: r for r in researchers},
-        publications={p.pub_id: p for p in publications},
-        citations=tuple(citations),
-    )
+    return Corpus(researchers=researcher_index, publications=publication_index, citations=tuple(citations))
 
 
 # --------------------------------------------------------------------------

@@ -153,7 +153,10 @@ def indicator_matrix(
 
     table: ValueTable = {}
     for researcher_id in researcher_ids:
-        _, citation_counts, sums = states[researcher_id]
+        # a researcher's working state goes as its rows are written; an id listed again already has them
+        if (state := states.pop(researcher_id, None)) is None:
+            continue
+        _, citation_counts, sums = state
         citation_counts.sort(reverse=True)
         h = float(sum(1 for rank, count in enumerate(citation_counts, start=1) if count >= rank))
         for m, method in enumerate(methods):

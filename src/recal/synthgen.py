@@ -44,10 +44,11 @@ class SynthError(Exception):
     pass
 
 
-#: The largest value the generator takes for each target that drives its work or its numbers. Each is past the
-#: shipped spec at 16x, and a discipline at one of them, its other targets as shipped, generates in seconds.
+#: The largest value the generator takes for each target that drives its work or its numbers, and for a
+#: discipline's total work: its author slots and its citations, the products named. Each is past the shipped spec
+#: at 16x, and a discipline at one of them, its other targets as shipped, generates in seconds.
 SYNTH_LIMITS = {"researcher_count": 100_000, "pub_count": 100_000, "mean_coauthors_multi": 100, "citation_rate": 100,
-                "if_mean": 100}
+                "if_mean": 100, "pub_count * mean_coauthors_multi": 1_000_000, "pub_count * citation_rate": 1_000_000}
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class SynthDisciplineParams:
         if self.citation_rate < 0 or self.if_mean < 0:
             raise SynthError(f"{self.discipline}: rates must be non-negative")
         for name, limit in SYNTH_LIMITS.items():
-            if (value := getattr(self, name)) > limit:
+            if (value := math.prod(getattr(self, target) for target in name.split(" * "))) > limit:
                 raise SynthError(f"{self.discipline}: {name} is {value}, above the limit of {limit}")
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import builtins
 import functools
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,7 +24,9 @@ from recal.counting import IndicatorKind
 from recal.recalibration import (
     DEFAULT_BASE_KINDS, DisciplinePerformance, discipline_performance, read_apv_table, write_apv_table,
 )
-from recal.synthgen import SynthDisciplineParams, SynthSpec, default_spec, generate_corpus, save_synth_spec
+from recal.synthgen import (
+    SYNTH_LIMITS, SynthDisciplineParams, SynthSpec, default_spec, generate_corpus, save_synth_spec,
+)
 
 from conftest import PUB_WINDOW, CITATION_WINDOW, social_geography_dossier
 
@@ -933,6 +940,34 @@ def test_a_refusal_is_one_line_with_unprintable_characters_escaped(tmp_path, cap
     assert capsys.readouterr().err == f"error: {config_path}: bad config: {message}\n"
 
 
+#: Exception classes that never reach ``main``, each with what becomes of it instead.
+LIBRARY_ONLY = {"recal.config.SchemaError": "read_document raises it again as the document's own error class"}
+
+
+def _handled_by_main() -> tuple[type, ...]:
+    """The classes named by ``main``'s ``except`` clauses, read from its source."""
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(main))):
+        if isinstance(node, ast.ExceptHandler):
+            names += node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return tuple(vars(recal.cli).get(name.id) or getattr(builtins, name.id) for name in names)
+
+
+def test_every_error_class_reaches_an_exit_code_or_is_library_only():
+    handled = _handled_by_main()
+    assert OSError in handled and len(handled) > 1
+    defined = {
+        f"{module.__name__}.{cls.__qualname__}": cls
+        for info in pkgutil.iter_modules(recal.__path__)
+        for module in [importlib.import_module(f"recal.{info.name}")]
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    }
+    assert set(LIBRARY_ONLY) <= set(defined)
+    for name, cls in defined.items():
+        assert issubclass(cls, handled) != (name in LIBRARY_ONLY), name
+
+
 # --------------------------------------------------------------------------
 # golden report bytes: exit code, stdout and every output file of the report
 # commands, recorded before the table writers were merged into one; the
@@ -1143,6 +1178,9 @@ SWEEP_LEAVES = [
     ("spec", "seed"), ("spec", "pub_window", 0), ("spec", "pub_window", 1), ("spec", "citation_window", 0),
     ("spec", "citation_window", 1),
     *(("spec", "disciplines", "geology", field.name) for field in fields(SynthDisciplineParams)[1:]),
+    # a total-work limit: the publication count, swept up to its own limit too, times a target held at its limit
+    *(("spec", "disciplines", "geology", "pub_count", "times", target)
+      for target in ("mean_coauthors_multi", "citation_rate")),
 ]
 SWEEP_VALUES = [1e308, 1.7e308, 1e-308, 5e-324, 2**63, 10**6, -1, 0]
 
@@ -1157,9 +1195,14 @@ def sweep_corpus(tmp_path_factory) -> list[Path]:
 
 @pytest.mark.parametrize("leaf", SWEEP_LEAVES, ids=lambda leaf: "/".join(map(str, leaf)))
 def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, capsys, sweep_corpus, leaf):
+    values, total_work = SWEEP_VALUES, None
     if leaf[0] == "spec":  # the spec the sweep corpus was generated from
         base = json.loads((sweep_corpus[0].parent / "spec.json").read_text(encoding="utf-8"))
         leaf, flag, commands = leaf[1:], "--spec", [["synth"]]
+        if "times" in leaf:
+            leaf, (_, target) = leaf[:-2], leaf[-2:]
+            base["disciplines"]["geology"][target] = SYNTH_LIMITS[target]
+            values, total_work = [*SWEEP_VALUES, SYNTH_LIMITS[leaf[-1]]], f"{leaf[-1]} * {target}"
     else:
         base = {**_two_discipline_config(), "pub_window": [2014, 2018], "citation_window": [2014, 2019],
                 "recalibration": {"top_fraction": 0.25, "ym_decimals": 3,
@@ -1172,7 +1215,7 @@ def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, cap
             ["evaluate", *sweep_corpus, "--method", "fractional", "--researcher", "geology:r000"],
             ["validate", *sweep_corpus], ["stats", *sweep_corpus],
         ]
-    for value in SWEEP_VALUES:
+    for value in values:
         document = json.loads(json.dumps(base))
         *parents, last = leaf
         functools.reduce(lambda node, key: node[key], parents, document)[last] = value
@@ -1185,6 +1228,8 @@ def test_an_extreme_config_leaf_exits_with_a_code_and_no_traceback(tmp_path, cap
             out, err = capsys.readouterr()
             where = f"{' '.join(map(str, command))} with {'/'.join(map(str, leaf))} = {value!r}"
             assert code in (0, 1, 2), where
+            if total_work and value == SYNTH_LIMITS[leaf[-1]]:  # both factors at their limits, the product past its own
+                assert code == 1 and f"geology: {total_work} is " in err, where
             if err:  # a refusal: one line, typed by its exit code
                 assert code != 0 and err.count("\n") == 1, where
                 assert err.startswith("i/o error: " if code == 2 else "error: "), where

@@ -23,7 +23,9 @@ from recal.corpus import (
     DisciplineCoauthorship,
     TABLE_SUFFIXES,
     PublicationRecord,
+    PubType,
     ResearcherProfile,
+    Violation,
     YearWindow,
     _CHUNK_ROWS,
     _CONVERSION_FAILURES,
@@ -202,6 +204,95 @@ def test_build_corpus_rejects_negative_or_non_finite_impact_factor(impact_factor
     with pytest.raises(CorpusValidationError, match=f"publications:1: 'p1' has {message}"):
         build_corpus([researcher("r1")], [publication("p1", ("r1",), impact_factor=impact_factor)], [],
                      ["geology"])
+
+
+def validate_oracle(researchers, publications, citations, disciplines) -> list[Violation]:
+    """The cross-record checks walked as ``validate_corpus`` once walked them:
+    one set of ids per file, built beside the records, row by row."""
+    registry = set(disciplines)
+    violations: list[Violation] = []
+    if not registry:
+        violations.append(Violation("registry", None, "discipline registry is empty"))
+    researcher_ids: set = set()
+    for i, r in enumerate(researchers, start=1):
+        if r.researcher_id in researcher_ids:
+            violations.append(Violation("researchers", i, f"duplicate researcher_id {r.researcher_id!r}"))
+        researcher_ids.add(r.researcher_id)
+        if r.discipline not in registry:
+            violations.append(Violation("researchers", i, f"unknown discipline {r.discipline!r}"))
+    pub_ids: set = set()
+    for i, p in enumerate(publications, start=1):
+        if p.pub_id in pub_ids:
+            violations.append(Violation("publications", i, f"duplicate pub_id {p.pub_id!r}"))
+        pub_ids.add(p.pub_id)
+        if p.discipline not in registry:
+            violations.append(Violation("publications", i, f"unknown discipline {p.discipline!r}"))
+        if not p.author_ids:
+            violations.append(Violation("publications", i, f"{p.pub_id!r} has an empty author list"))
+        elif len(set(p.author_ids)) != len(p.author_ids):
+            violations.append(Violation("publications", i, f"{p.pub_id!r} repeats an author id"))
+        if p.impact_factor is not None:
+            if p.pub_type is not PubType.JOURNAL_ARTICLE:
+                violations.append(
+                    Violation("publications", i, f"{p.pub_id!r} has impact_factor but is a {p.pub_type.value}"))
+            elif not math.isfinite(p.impact_factor):
+                violations.append(Violation("publications", i, f"{p.pub_id!r} has impact_factor {p.impact_factor}"))
+            elif p.impact_factor < 0:
+                violations.append(Violation("publications", i, f"{p.pub_id!r} has negative impact_factor"))
+    citation_ids: set = set()
+    for i, c in enumerate(citations, start=1):
+        if c.citation_id in citation_ids:
+            violations.append(Violation("citations", i, f"duplicate citation_id {c.citation_id!r}"))
+        citation_ids.add(c.citation_id)
+        if c.cited_pub_id not in pub_ids:
+            violations.append(
+                Violation("citations", i, f"cited_pub_id {c.cited_pub_id!r} does not resolve to a publication"))
+        if not c.citing_author_ids:
+            violations.append(Violation("citations", i, f"{c.citation_id!r} has an empty citing author list"))
+        elif len(set(c.citing_author_ids)) != len(c.citing_author_ids):
+            violations.append(Violation("citations", i, f"{c.citation_id!r} repeats a citing author id"))
+    return violations
+
+
+#: Ids drawn from a few values, so that ids repeat within a file and across files (a publication id equal to a
+#: researcher id); an example's ids are all ``str``, or also ints, a float equal to one and the one NaN.
+_ID_POOLS = (("a", "b", "c", "d"), ("a", "b", 1, 1.0, 2, math.nan))
+
+
+@st.composite
+def record_sets(draw):
+    """Researchers, publications and citations in a shuffled row order, and a discipline registry, with any of
+    validation's faults or none."""
+    ids = st.sampled_from(draw(st.sampled_from(_ID_POOLS)))
+    id_lists = st.lists(ids, max_size=3).map(tuple)  # empty or with a repeat at times
+    disciplines = st.sampled_from(("geology", "mining", "nope"))
+    researchers = draw(st.lists(st.builds(ResearcherProfile, ids, disciplines), max_size=4))
+    publications = draw(st.lists(st.builds(
+        PublicationRecord, ids, st.just(2015), st.sampled_from(PubType), st.just("hu"), st.booleans(), st.booleans(),
+        st.none() | st.floats(min_value=-2, max_value=9) | st.sampled_from((math.nan, math.inf)),
+        id_lists, disciplines,
+    ), max_size=4))
+    citations = draw(st.lists(st.builds(CitationLink, ids, ids, st.just(2016), id_lists, st.booleans()), max_size=5))
+    registry = draw(st.sets(st.sampled_from(("geology", "mining")), max_size=2))
+    return [draw(st.permutations(records)) for records in (researchers, publications, citations)], sorted(registry)
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=record_sets())
+@example(drawn=([[researcher("a")], [publication("a", ("a",))], [citation("c", "a"), citation("c", "b")]],
+                ["geology"]))  # a publication id that is a researcher id; a repeated and an unresolved citation
+def test_build_corpus_refuses_what_the_validation_oracle_refuses_in_its_order(drawn):
+    (researchers, publications, citations), disciplines = drawn
+    expected = validate_oracle(researchers, publications, citations, disciplines)
+    if expected:
+        with pytest.raises(CorpusValidationError) as caught:
+            build_corpus(researchers, publications, citations, disciplines)
+        assert caught.value.violations == expected
+        return
+    corpus = build_corpus(researchers, publications, citations, disciplines)
+    assert list(corpus.researchers.items()) == [(r.researcher_id, r) for r in researchers]
+    assert list(corpus.publications.items()) == [(p.pub_id, p) for p in publications]
+    assert corpus.citations == tuple(citations)
 
 
 def test_impact_factor_only_on_journal_articles(clean_corpus_files, tmp_path):
@@ -807,6 +898,20 @@ def test_window_filters_citing_years():
     )
     links = independent_citations(corpus, pub, YearWindow(2014, 2019))
     assert [link.citation_id for link in links] == ["c2"]
+
+
+@given(seed=st.integers(min_value=0, max_value=300), order=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_the_citation_index_holds_each_publications_links_as_a_tuple_in_file_order(seed, order):
+    corpus = random_corpus(seed=seed)
+    citations = list(corpus.citations)
+    order.shuffle(citations)  # the groups interleave in file order
+    corpus = Corpus(corpus.researchers, corpus.publications, tuple(citations))
+    first_cited = list(dict.fromkeys(link.cited_pub_id for link in citations))
+    assert list(corpus.citations_of) == first_cited
+    for pid, links in corpus.citations_of.items():
+        assert type(links) is tuple
+        assert links == tuple(link for link in citations if link.cited_pub_id == pid)
 
 
 def test_independent_subset_and_exclusion_reason():

@@ -480,6 +480,11 @@ def test_one_researcher_matrix_matches_whole_corpus_and_oracle(seed):
                     assert value == h_index_oracle(_independent_citation_counts(corpus, rid))
                 else:
                     assert value == expected[rid][kind], (rid, kind, method, settings)
+        # an id listed again adds no row and moves none: the table, in row order, of the call listing it once
+        once = list(corpus.researchers)[::-1]
+        twice = [*once, *once[:2], once[0]]
+        assert list(indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings, twice).items()) \
+            == list(indicator_matrix(corpus, kinds, [method], PUB_WINDOW, CITATION_WINDOW, settings, once).items())
 
 
 @given(st.integers(min_value=0, max_value=300))

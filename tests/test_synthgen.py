@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 from random import Random
 
@@ -123,9 +124,14 @@ def test_non_finite_target_rejected(name, value):
 
 @pytest.mark.parametrize("name, limit", SYNTH_LIMITS.items())
 def test_a_target_past_its_limit_is_refused_naming_the_discipline_and_the_field(name, limit):
-    one_discipline_spec(**{name: limit})
+    # a total-work limit, "pub_count * <target>": the publication count at its own limit, and the target where
+    # the product meets its limit; alone, a target is set to its limit
+    *counts, target = name.split(" * ")
+    at_limit = {count: SYNTH_LIMITS[count] for count in counts}
+    value = limit // math.prod(at_limit.values())
+    one_discipline_spec(**at_limit, **{target: value})
     with pytest.raises(SynthError) as caught:
-        one_discipline_spec(**{name: limit * 10})
+        one_discipline_spec(**at_limit, **{target: value * 10})
     assert str(caught.value) == f"geology: {name} is {limit * 10}, above the limit of {limit}"
 
 
