@@ -17,12 +17,11 @@ from typing import Sequence
 
 from .config import ConfigError, PipelineConfig, default_config, load_pipeline_config
 from .corpus import (
-    TABLE_SUFFIXES, Corpus, CorpusError, collector_paused, corpus_stats, load_corpus, save_corpus, scan_corpus,
+    TABLE_SUFFIXES, Corpus, RecalError, collector_paused, corpus_stats, load_corpus, save_corpus, scan_corpus,
     write_table,
 )
-from .counting import CountingError, CountingMethod, indicator_matrix
+from .counting import CountingMethod, indicator_matrix
 from .evaluation import (
-    EvaluationError,
     ThresholdTable,
     diff_tables,
     evaluate_candidate,
@@ -41,7 +40,7 @@ from .recalibration import (
     write_apv_table,
     write_recalibration_rows,
 )
-from .synthgen import SynthError, default_spec, generate_corpus, load_synth_spec
+from .synthgen import default_spec, generate_corpus, load_synth_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -316,14 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_IO
-    except (
-        ConfigError,
-        CorpusError,
-        CountingError,
-        EvaluationError,
-        RecalibrationError,
-        SynthError,
-    ) as exc:
+    except RecalError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_VALIDATION
 

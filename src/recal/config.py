@@ -17,15 +17,15 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import defaults
-from .corpus import LONE_SURROGATE, PubType, YearWindow, finite_float, has_lone_surrogate, text_not_kept
+from .corpus import LONE_SURROGATE, PubType, RecalError, YearWindow, finite_float, has_lone_surrogate, text_not_kept
 from .counting import CountingMethod, CountingSettings, IndicatorKind
-from .evaluation import EvaluationError, ThresholdTable
-from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RecalibrationError, RoundingMode
+from .evaluation import ThresholdTable
+from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RoundingMode
 
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
+class ConfigError(RecalError):
     pass
 
 
@@ -120,6 +120,12 @@ def _cell(text: str) -> str:
     return text
 
 
+def _number(value: int | float) -> float:
+    if (number := finite_float(value)) != value:  # an integer past 2**53 would load as its nearest float
+        raise ValueError(f"{value} is an integer that no float equals")
+    return number
+
+
 def _language(text: str) -> str:
     text = _cell(text)
     if text != text.lower():
@@ -128,7 +134,7 @@ def _language(text: str) -> str:
 
 
 INTEGER = Rule("an integer", lambda value: type(value) is int)  # a boolean is not an integer
-NUMBER = Rule("a number", lambda value: type(value) in (int, float), finite_float)
+NUMBER = Rule("a number", lambda value: type(value) in (int, float), _number)
 STRING = Rule("a string", lambda value: type(value) is str, _encodable)
 VERSION = Rule(f"the supported version {SCHEMA_VERSION}", lambda value: type(value) is int and value == SCHEMA_VERSION)
 CELL = Rule("a string", lambda value: type(value) is str, _cell)  # text that a corpus cell holds, as a discipline key
@@ -199,16 +205,24 @@ def _walk(rule: Rule, value: Any, where: str) -> Any:
         raise SchemaError(where, str(exc)) from None
 
 
-def read_document(path: str | Path, schema: Rule, error: type[Exception], what: str) -> Any:
-    """The JSON document at ``path`` as ``schema`` converts it. A defect raises
-    ``error`` naming the file, ``what`` the document is and the key path; a
-    file that cannot be read raises ``OSError``."""
+def read_document(path: str | Path, schema: Rule, error: type[Exception], what: str,
+                  build: Callable[[dict], Any]) -> Any:
+    """``build`` of the JSON document at ``path`` as ``schema`` converts it,
+    without its ``schema_version``. A defect, or a ``RecalError`` that
+    ``build`` raises, raises ``error`` naming the file and ``what`` the
+    document is, and a schema defect its key path too; a file that cannot be
+    read raises ``OSError``."""
     with Path(path).open(encoding="utf-8") as handle:
         try:
             doc = json.load(handle, object_pairs_hook=_json_object)
         except (RecursionError, ValueError) as exc:  # invalid JSON, nested too deep, or bytes that are not UTF-8
             raise error(f"{path}: bad {what}: invalid JSON: {exc}") from exc
-    return check_document(doc, schema, error, f"{path}: bad {what}")
+    doc = check_document(doc, schema, error, f"{path}: bad {what}")
+    del doc["schema_version"]
+    try:
+        return build(doc)
+    except RecalError as exc:
+        raise error(f"{path}: bad {what}: {exc}") from exc
 
 
 def check_document(doc: Any, schema: Rule, error: type[Exception], source: str) -> Any:
@@ -257,16 +271,15 @@ CONFIG_SCHEMA = table(
 )
 
 
-def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    doc = read_document(path, CONFIG_SCHEMA, ConfigError, "config")
-    del doc["schema_version"]
+def _config(doc: dict) -> PipelineConfig:
     base = default_config()
     knobs = doc.pop("recalibration", {})  # RecalibrationConfig fields, with t named t_years
     t = knobs.pop("t_years", base.recalibration.t)
-    try:
-        return replace(base, **doc, recalibration=replace(base.recalibration, t=t, **knobs))
-    except (ConfigError, EvaluationError, RecalibrationError) as exc:
-        raise ConfigError(f"{path}: bad config: {exc}") from exc
+    return replace(base, **doc, recalibration=replace(base.recalibration, t=t, **knobs))
+
+
+def load_pipeline_config(path: str | Path) -> PipelineConfig:
+    return read_document(path, CONFIG_SCHEMA, ConfigError, "config", _config)
 
 
 def save_pipeline_config(config: PipelineConfig, path: str | Path) -> None:

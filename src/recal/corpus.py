@@ -120,7 +120,11 @@ class Violation:
         return f"{where}: {self.message}"
 
 
-class CorpusError(Exception):
+class RecalError(Exception):
+    """The base of every refusal the package raises; the CLI exits 1 on one."""
+
+
+class CorpusError(RecalError):
     pass
 
 

@@ -9,18 +9,18 @@ an APV table is, so both refuse a bad row or a repeated cell in the same words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import (
     LONE_SURROGATE, finite_float, has_lone_surrogate, misnamed_table, read_cells, required_string, required_text,
-    text_not_kept, write_table,
+    RecalError, text_not_kept, write_table,
 )
 from .counting import CountingMethod, IndicatorKind
 
 
-class EvaluationError(Exception):
+class EvaluationError(RecalError):
     pass
 
 
@@ -65,23 +65,10 @@ class EvaluationResult:
     overall_fulfilled: bool
 
     def to_dict(self) -> dict:
-        return {
-            "researcher_id": self.researcher_id,
-            "discipline": self.discipline,
-            "method": self.method,
-            "table_label": self.table_label,
-            "overall_fulfilled": self.overall_fulfilled,
-            "indicators": [
-                {
-                    "kind": s.kind.value,
-                    "value": s.value,
-                    "minimum": s.minimum,
-                    "fulfilled": s.fulfilled,
-                    "score": s.score,
-                }
-                for s in self.scores
-            ],
-        }
+        """The evaluation document: the fields in order, ``scores`` last and named ``indicators``."""
+        document = asdict(self)
+        document["indicators"] = document.pop("scores")
+        return document
 
 
 def evaluate_candidate(researcher_id: str, method: CountingMethod, values: Mapping[IndicatorKind, float],

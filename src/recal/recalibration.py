@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
@@ -31,7 +32,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import (
     Corpus, YearWindow, finite_float, misnamed_table, read_cells, required_string, required_text, text_not_kept,
-    write_table,
+    RecalError, write_table,
 )
 from .counting import (
     CountingMethod,
@@ -42,7 +43,7 @@ from .counting import (
 )
 
 
-class RecalibrationError(Exception):
+class RecalibrationError(RecalError):
     pass
 
 
@@ -410,8 +411,9 @@ def write_apv_table(
     selection sizes. What the reader would refuse or change raises
     ``RecalibrationError`` naming its row before the file is opened: a
     discipline that ``text_not_kept`` names, an APV that is not a finite
-    positive number, or a cell that an earlier row holds; the first such row
-    is named, as the reader names the first row it refuses. After the rows, a
+    positive ``int`` or ``float`` that a float equals, or a cell that an
+    earlier row holds; the first such row is named, as the reader names the
+    first row it refuses. After the rows, a
     ``path`` that the reader would read in the other format, by its suffix,
     raises ``RecalibrationError`` naming it."""
     performance = list(performance)
@@ -421,8 +423,11 @@ def write_apv_table(
         where = f"row {row} ({p.discipline!r}, {p.kind.value}, {p.method.value})"
         if bad := text_not_kept([p.discipline]):
             raise RecalibrationError(f"{where}: the discipline {bad[1]}")
-        if not 0.0 < p.apv < math.inf:  # NaN fails too
+        # the type tested as the config's NUMBER rule tests it: a boolean's or a Decimal's repr does not read back
+        if type(p.apv) not in (int, float) or not 0.0 < p.apv <= sys.float_info.max:  # NaN fails too
             raise RecalibrationError(f"{where}: the apv is {p.apv!r}, not a finite positive number")
+        if float(p.apv) != p.apv:  # an integer past 2**53 would read back as its nearest float
+            raise RecalibrationError(f"{where}: the apv is {p.apv!r}, an integer that no float equals")
         if row_of.setdefault(cell, row) != row:
             raise RecalibrationError(f"{where}: repeats row {row_of[cell]}, the APV of the same cell")
     if reason := misnamed_table(path, fmt):

@@ -33,6 +33,7 @@ from .corpus import (
     Corpus,
     PublicationRecord,
     PubType,
+    RecalError,
     ResearcherProfile,
     YearWindow,
     build_corpus,
@@ -40,7 +41,7 @@ from .corpus import (
 )
 
 
-class SynthError(Exception):
+class SynthError(RecalError):
     pass
 
 
@@ -307,19 +308,15 @@ SPEC_SCHEMA = table(
 )
 
 
+def _spec(doc: dict) -> SynthSpec:
+    disciplines = doc.pop("disciplines")
+    return SynthSpec(params=tuple(SynthDisciplineParams(key, **targets) for key, targets in disciplines.items()), **doc)
+
+
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Read a generator spec from a JSON document; any defect in it raises
     ``SynthError`` naming the file."""
-    doc = read_document(path, SPEC_SCHEMA, SynthError, "generator spec")
-    del doc["schema_version"]
-    disciplines = doc.pop("disciplines")
-    try:
-        return SynthSpec(
-            params=tuple(SynthDisciplineParams(discipline, **targets) for discipline, targets in disciplines.items()),
-            **doc,
-        )
-    except SynthError as exc:
-        raise SynthError(f"{path}: bad generator spec: {exc}") from exc
+    return read_document(path, SPEC_SCHEMA, SynthError, "generator spec", _spec)
 
 
 def save_synth_spec(spec: SynthSpec, path: str | Path) -> None:

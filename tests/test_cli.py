@@ -143,6 +143,15 @@ def test_recalibrate_requires_exactly_one_input_mode(tmp_path, clean_corpus_file
     )
 
 
+@pytest.mark.parametrize("command", ["recalibrate", "derive"])
+@pytest.mark.parametrize("count", [1, 2])
+def test_corpus_mode_refuses_fewer_than_three_files(tmp_path, clean_corpus_files, capsys, command, count):
+    out_dir = tmp_path / "out"
+    assert run(command, *corpus_args(clean_corpus_files)[:count], "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err == "error: corpus mode needs all three files: researchers publications citations\n"
+    assert not out_dir.exists()
+
+
 def test_recalibrate_corpus_mode_runs_end_to_end(tmp_path):
     spec_path = tmp_path / "spec.json"
     save_synth_spec(_small_section_spec(seed=1), spec_path)
@@ -728,6 +737,9 @@ REGISTRY_REFUSALS = {
                                 "no CMV for (mining, publications)"),
     "zero_t_years_minimum": (_with_geology_minimum("publications", 0),
                              "minimum for (geology, publications) must be a finite positive number, got 0.0"),
+    "unregistered_minimum": ({**_two_discipline_config(), "current_minimums": {
+        **_two_discipline_config()["current_minimums"], "atlantis": {"publications": 1}}},
+        "minimum for unregistered discipline 'atlantis'"),
     "zero_derived_minimum": (_with_geology_minimum("first_author_publications", 0),
                              "minimum for (geology, first_author_publications) must be a finite positive"
                              " number, got 0.0"),

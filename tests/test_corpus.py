@@ -583,6 +583,13 @@ def test_save_refuses_a_file_the_readers_would_read_in_the_other_format(tmp_path
     assert not any(tmp_path.iterdir())
 
 
+def test_save_refuses_an_unknown_format_before_any_file_is_opened(tmp_path):
+    with pytest.raises(ValueError) as caught:
+        save_corpus(random_corpus(seed=7), *_corpus_paths(tmp_path, "dsv"), fmt="xml")
+    assert str(caught.value) == "unknown corpus format 'xml'"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("fmt, names", [("dsv", ("r", "p.txt", "c.CSV")), ("jsonl", ("r.ndjson", "p.JSON", "c.jsonl"))])
 def test_save_takes_any_name_the_readers_read_in_its_format(tmp_path, fmt, names):
     paths = [tmp_path / name for name in names]
@@ -898,6 +905,25 @@ def test_window_filters_citing_years():
     )
     links = independent_citations(corpus, pub, YearWindow(2014, 2019))
     assert [link.citation_id for link in links] == ["c2"]
+
+
+@pytest.mark.parametrize("other", [publication("p1", ("r1",)), publication("p2", ("r1",))], ids=["equal", "absent"])
+def test_independent_citations_refuse_a_publication_that_is_not_the_corpus_record(other):
+    corpus = small_corpus([researcher("r1")], [publication("p1", ("r1",))], [citation("c1", "p1")])
+    with pytest.raises(CorpusError) as caught:
+        independent_citations(corpus, other, CITATION_WINDOW)
+    assert str(caught.value) == f"publication {other.pub_id!r} does not belong to this corpus"
+
+
+@pytest.mark.parametrize("start, end, message", [
+    (2014.0, 2018, "year window bounds must be integers, got 2014.0 and 2018"),
+    (2014, "2018", "year window bounds must be integers, got 2014 and '2018'"),
+    (True, 2018, "year window bounds must be integers, got True and 2018"),
+])
+def test_a_year_window_refuses_bounds_that_are_not_integers(start, end, message):
+    with pytest.raises(TypeError) as caught:
+        YearWindow(start, end)
+    assert str(caught.value) == message
 
 
 @given(seed=st.integers(min_value=0, max_value=300), order=st.randoms(use_true_random=False))

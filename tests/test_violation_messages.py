@@ -330,6 +330,11 @@ CORPUS_CASES = {
     "cj_surrogate_citing": (jsonl("citations", citing_author_ids='["\\udfff\\ud800", "ext_b"]'), [  # a pair reversed
         "citations:1: column 'citing_author_ids': '\\udfff\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
     ]),
+    # a blank line sends its chunk row by row, and the rows after it keep their numbers
+    "rj_blank_line_before_a_bad_row": (("researchers.jsonl", jsonl("researchers")[1] + "\n"
+                                        + jsonl("researchers", researcher_id='"r2"', has_dsc='"yes"')[1]), [
+        "researchers:3: column 'has_dsc': 'yes' is not 'true'/'false'",
+    ]),
     "rj_deep_nesting": (("researchers.jsonl", "[" * 100_000 + "\n"), [
         f"researchers:1: invalid JSON: {DEEP_JSON}",
     ]),
