@@ -170,9 +170,7 @@ def _cmd_recalibrate(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
     method = CountingMethod(args.method)
     rows, _ = _recalibration_rows(args, config)
-    derived = derived_scaled_minimums(
-        rows, config.derived_cmv(), method=method, rounding=config.recalibration.rounding
-    )
+    derived = derived_scaled_minimums(rows, config.current_minimums, method, config.recalibration.rounding)
 
     # (raw, rounded) per cell. A rounded minimum below 1 is floored to 1: a
     # minimum of 0 asks for nothing, and the threshold table refuses it.

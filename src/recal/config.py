@@ -20,7 +20,7 @@ from . import defaults
 from .corpus import LONE_SURROGATE, PubType, RecalError, YearWindow, finite_float, has_lone_surrogate, text_not_kept
 from .counting import CountingMethod, CountingSettings, IndicatorKind
 from .evaluation import ThresholdTable
-from .recalibration import DEFAULT_BASE_KINDS, RecalibrationConfig, RoundingMode
+from .recalibration import RecalibrationConfig, RoundingMode
 
 SCHEMA_VERSION = 1
 
@@ -59,15 +59,6 @@ class PipelineConfig:
 
     def current_threshold_table(self) -> ThresholdTable:
         return ThresholdTable(label="current minimums", minimums=dict(self.current_minimums))
-
-    def derived_cmv(self) -> dict[tuple[str, IndicatorKind], float]:
-        """Current minimums of the indicators that scale off a recalibrated
-        base kind."""
-        return {
-            cell: value
-            for cell, value in self.current_minimums.items()
-            if DEFAULT_BASE_KINDS.get(cell[1]) in self.recalibration.t
-        }
 
 
 def default_config() -> PipelineConfig:

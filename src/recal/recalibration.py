@@ -51,10 +51,6 @@ class DegenerateDisciplineError(RecalibrationError):
     """A discipline whose population or APV makes the ratios undefined."""
 
 
-class MissingBaseRowError(RecalibrationError):
-    pass
-
-
 class MissingApvError(RecalibrationError):
     """A (discipline, kind, method) cell the APV table lacks."""
 
@@ -92,15 +88,18 @@ class RecalibrationConfig:
     def __post_init__(self) -> None:
         if self.ym_decimals is not None and (type(self.ym_decimals) is not int or self.ym_decimals < 0):
             raise RecalibrationError(f"ym_decimals must be a non-negative integer or None, got {self.ym_decimals!r}")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise RecalibrationError(f"top_fraction {self.top_fraction} outside (0, 1]")
+        for name, enum in (("ym_source_method", CountingMethod), ("rounding", RoundingMode)):
+            if not isinstance(getattr(self, name), enum):
+                raise RecalibrationError(f"{name} must be a {enum.__name__} member, got {getattr(self, name)!r}")
+        if type(self.top_fraction) not in (int, float) or not 0.0 < self.top_fraction <= 1.0:
+            raise RecalibrationError(f"top_fraction must be a number in (0, 1], got {self.top_fraction!r}")
         if not self.t:
             raise RecalibrationError("t_years is empty: it names no kind to recalibrate")
         if IndicatorKind.H_INDEX in self.t:
             raise RecalibrationError("h_index cannot be recalibrated: it is a rank statistic, not a sum over years")
         for kind, years in self.t.items():
-            if not 0 < years < math.inf:
-                raise RecalibrationError(f"t for {kind.value} must be a finite positive number, got {years}")
+            if type(years) not in (int, float) or not 0 < years < math.inf:
+                raise RecalibrationError(f"t for {kind.value} must be a finite positive number, got {years!r}")
 
     @property
     def kinds(self) -> tuple[IndicatorKind, ...]:
@@ -343,33 +342,26 @@ def recalibrate_all(
 
 def derived_scaled_minimums(
     base_rows: Sequence[RecalibrationRow],
-    derived_cmv: Mapping[tuple[str, IndicatorKind], float],
+    current_minimums: Mapping[tuple[str, IndicatorKind], float],
     method: CountingMethod = CountingMethod.INTEGER,
     rounding: RoundingMode = RoundingMode.HALF_AWAY_FROM_ZERO,
 ) -> dict[tuple[str, IndicatorKind], tuple[float, int | None]]:
-    """Scale derived indicators proportionally off their base kind's RMV.
+    """Scale each derivable current minimum proportionally off its base kind's RMV.
 
-    For each (discipline, derived kind) cell:
-    ``raw = base_rmv_raw * derived_cmv / base_cmv``, then presentation
-    rounding. Returns ``(discipline, kind) -> (raw, rounded)``. A kind
-    outside ``DEFAULT_BASE_KINDS``, or whose base row is absent, raises
-    ``MissingBaseRowError``; a raw minimum is checked as in ``recalibrate_all``.
+    A (discipline, kind) cell is derivable when its kind has a base kind in
+    ``DEFAULT_BASE_KINDS`` and ``base_rows`` hold that base's ``method`` row
+    for the discipline: ``raw = base_rmv_raw * cmv / base_cmv``, then
+    presentation rounding. Returns ``(discipline, kind) -> (raw, rounded)``
+    for the derivable cells, in the order of ``current_minimums``, and leaves
+    every other cell out; a raw minimum is checked as in ``recalibrate_all``.
     """
-    base_by_cell = {
-        (row.discipline, row.kind): row for row in base_rows if row.method is method
-    }
+    base_by_cell = {(row.discipline, row.kind): row for row in base_rows if row.method is method}
     out: dict[tuple[str, IndicatorKind], tuple[float, int | None]] = {}
-    for (discipline, kind), cmv in derived_cmv.items():
-        base_kind = DEFAULT_BASE_KINDS.get(kind)
-        if base_kind is None:
-            raise MissingBaseRowError(f"{kind.value} has no scaling base")
-        base = base_by_cell.get((discipline, base_kind))
-        if base is None:
-            raise MissingBaseRowError(
-                f"no {method.value} base row ({discipline}, {base_kind.value}) for {kind.value}"
-            )
-        raw = _carried({discipline: base.rmv_raw * cmv / base.cmv}, "rmv_raw", kind, method)[discipline]
-        out[(discipline, kind)] = (raw, _rounded(raw, (discipline, kind, method), rounding))
+    for (discipline, kind), cmv in current_minimums.items():
+        base = base_by_cell.get((discipline, DEFAULT_BASE_KINDS.get(kind)))
+        if base is not None:
+            raw = _carried({discipline: base.rmv_raw * cmv / base.cmv}, "rmv_raw", kind, method)[discipline]
+            out[(discipline, kind)] = (raw, _rounded(raw, (discipline, kind, method), rounding))
     return out
 
 

@@ -65,15 +65,14 @@ class SynthDisciplineParams:
     domestic_language_ratio: float
 
     def __post_init__(self) -> None:
+        targets = {field.name: getattr(self, field.name) for field in fields(self)[1:]}
+        check_document(targets, SPEC_SCHEMA.fields["disciplines"].item, SynthError, self.discipline)
         if self.researcher_count < 0 or self.pub_count < 0:
             raise SynthError(f"{self.discipline}: counts must be non-negative")
         if self.pub_count > 0 and self.researcher_count == 0:
             raise SynthError(f"{self.discipline}: publications need at least one researcher")
         if not 0.0 <= self.multi_ratio_target <= 100.0:
             raise SynthError(f"{self.discipline}: multi_ratio_target outside [0, 100]")
-        for name in ("mean_coauthors_multi", "citation_rate", "if_mean"):
-            if not math.isfinite(getattr(self, name)):
-                raise SynthError(f"{self.discipline}: {name} is not a finite number")
         if self.mean_coauthors_multi < 2.0:
             raise SynthError(f"{self.discipline}: mean_coauthors_multi must be >= 2")
         for name in ("wos_article_ratio", "domestic_language_ratio"):
@@ -97,6 +96,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not self.params:
             raise SynthError("no disciplines: a spec needs at least one")
+        check_document(self.seed, INTEGER, SynthError, "seed")
         if not 0 <= self.seed < 2**64:
             raise SynthError("seed must fit in 64 unsigned bits")
         seen = set()

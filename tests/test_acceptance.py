@@ -21,7 +21,6 @@ from recal.counting import (
 from recal.defaults import COAUTHORSHIP_PROFILE, CURRENT_MINIMUMS, DEFAULT_T, DISCIPLINES
 from recal.evaluation import ThresholdTable, evaluate_candidate
 from recal.recalibration import (
-    MissingBaseRowError,
     RecalibrationConfig,
     derived_scaled_minimums,
     discipline_performance,
@@ -138,12 +137,7 @@ def test_criterion_2_dsdr_reproduction():
 
 def test_criterion_3_derived_scaling_matches_published_table(capsys):
     rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
-    derived_cmv = {
-        (discipline, kind): CURRENT_MINIMUMS[(discipline, kind)]
-        for kind in ref.DERIVED_PUBLISHED
-        for discipline in ref.DERIVED_PUBLISHED[kind]
-    }
-    derived = derived_scaled_minimums(rows, derived_cmv)
+    derived = derived_scaled_minimums(rows, CURRENT_MINIMUMS)
 
     failures = []
     exact = off_by_one = 0
@@ -163,11 +157,10 @@ def test_criterion_3_derived_scaling_matches_published_table(capsys):
     print(f"    {exact} exact, {off_by_one} within one unit")
 
     # WoS-located citations have no scaling base in the published data.
-    try:
-        derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0})
+    if ("geology", K.WOS_INDEPENDENT_CITATIONS) in derived:
         failures.append("WoS-citation row unexpectedly derivable")
-    except MissingBaseRowError:
-        print("    wos_independent_citations: correctly reported non-derivable")
+    else:
+        print("    wos_independent_citations: correctly left out as non-derivable")
     _finish("criterion 3 (proportional scaling of derived indicators)", failures)
 
 

@@ -23,6 +23,7 @@ from recal.corpus import PubType, YearWindow, required_string
 from recal.corpus import _language as read_language
 from recal.counting import CountingMethod, IndicatorKind
 from recal.evaluation import EvaluationError, ThresholdTable, save_threshold_table
+from recal.recalibration import derived_scaled_minimums, read_apv_table, recalibrate_all
 
 APV_TABLE = Path(__file__).parent / "data" / "section_apv.csv"
 
@@ -185,8 +186,11 @@ def test_lone_surrogate_is_refused_naming_the_key_path(tmp_path, override, where
     assert str(caught.value) == f"{path}: bad config: {where}: {text} holds a lone surrogate, which UTF-8 cannot encode"
 
 
-def test_derived_cmv_excludes_core_and_unscalable_kinds():
-    derived = default_config().derived_cmv()
+def test_derived_minimums_exclude_core_and_unscalable_kinds():
+    config = default_config()
+    rows = recalibrate_all(read_apv_table(APV_TABLE), config.disciplines, config.current_minimums,
+                           config.recalibration)
+    derived = derived_scaled_minimums(rows, config.current_minimums)
     kinds = {kind for _, kind in derived}
     assert IndicatorKind.PUBLICATIONS not in kinds
     assert IndicatorKind.H_INDEX not in kinds

@@ -3,6 +3,7 @@ schema tables, the README examples of both, and a fuzz over every leaf."""
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import math
 import re
@@ -70,6 +71,14 @@ def test_readme_examples_load(tmp_path):
     assert spec.seed == 1 and [p.discipline for p in spec.params] == ["geology"]
     assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "r") == 0
     assert run("synth", "--spec", spec_path, "--out-dir", tmp_path / "s") == 0
+
+
+def test_every_module_name_the_readme_names_resolves():
+    # a deletion or rename in src/ that leaves the README naming the old name fails here
+    names = sorted(set(re.findall(r"\brecal\.(\w+)\.(\w+)", README.read_text(encoding="utf-8"))))
+    assert names
+    assert [f"recal.{module}.{name}" for module, name in names
+            if not hasattr(importlib.import_module(f"recal.{module}"), name)] == []
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from recal.config import ConfigError, default_config
 from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
+    DEFAULT_BASE_KINDS,
     DegenerateDisciplineError,
     DisciplinePerformance,
     MissingApvError,
-    MissingBaseRowError,
     RecalibrationConfig,
     RecalibrationError,
     RecalibrationRow,
@@ -202,6 +203,22 @@ def test_recalibration_config_refuses_a_t_that_is_not_finite_and_positive(years)
     assert str(caught.value) == f"t for wos_articles must be a finite positive number, got {years}"
 
 
+@pytest.mark.parametrize("knob, value, problem", [
+    ("rounding", "none", "rounding must be a RoundingMode member, got 'none'"),
+    ("ym_source_method", "integer", "ym_source_method must be a CountingMethod member, got 'integer'"),
+    ("top_fraction", True, "top_fraction must be a number in (0, 1], got True"),
+    ("top_fraction", Decimal("0.25"), "top_fraction must be a number in (0, 1], got Decimal('0.25')"),
+    ("top_fraction", 2, "top_fraction must be a number in (0, 1], got 2"),
+    ("t", {K.PUBLICATIONS: True}, "t for publications must be a finite positive number, got True"),
+    ("t", {K.PUBLICATIONS: "5"}, "t for publications must be a finite positive number, got '5'"),
+])
+def test_recalibration_config_refuses_a_knob_of_the_wrong_type(knob, value, problem):
+    # a string equal to an enum value is no member: "none" would still round; True would count as one year
+    with pytest.raises(RecalibrationError) as caught:
+        section_config(**{knob: value})
+    assert str(caught.value) == problem
+
+
 def test_config_requires_complete_cmv_coverage():
     config = default_config()
     with pytest.raises(ConfigError, match=r"^no CMV for \(b, publications\)$"):
@@ -313,13 +330,48 @@ def test_derived_scaling_published_examples():
 
 
 def test_derived_scaling_requires_base():
+    # a kind with no scaling base, and a derived kind whose base was not recalibrated, are left out
     rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
-    with pytest.raises(MissingBaseRowError):
-        derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0})
+    assert derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0}) == {}
     config = section_config(t={K.CUMULATIVE_IF: 5.0})
     if_only_rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, config)
-    with pytest.raises(MissingBaseRowError):
-        derived_scaled_minimums(if_only_rows, {("geology", K.FIRST_AUTHOR_PUBLICATIONS): 15.0})
+    assert derived_scaled_minimums(if_only_rows, {("geology", K.FIRST_AUTHOR_PUBLICATIONS): 15.0}) == {}
+
+
+def filtered_then_scaled(rows, minimums, t, method, rounding):
+    """The oracle: the derivable cells chosen first, by their kind's base kind
+    being in ``t``, then each of them scaled, and a chosen cell without its
+    base row refused."""
+    derivable = {cell: value for cell, value in minimums.items() if DEFAULT_BASE_KINDS.get(cell[1]) in t}
+    base_by_cell = {(row.discipline, row.kind): row for row in rows if row.method is method}
+    out = {}
+    for (discipline, kind), cmv in derivable.items():
+        base_kind = DEFAULT_BASE_KINDS.get(kind)
+        if base_kind is None:
+            raise LookupError(f"{kind.value} has no scaling base")
+        base = base_by_cell.get((discipline, base_kind))
+        if base is None:
+            raise LookupError(f"no {method.value} base row ({discipline}, {base_kind.value}) for {kind.value}")
+        raw = base.rmv_raw * cmv / base.cmv
+        out[(discipline, kind)] = (raw, round_minimum(raw, kind, method, rounding))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_derived_scaling_of_the_current_minimums_matches_filtering_them_first(data):
+    disciplines = data.draw(st.lists(st.sampled_from(("alpha", "beta", "gamma")), min_size=1, unique=True))
+    t = data.draw(st.dictionaries(st.sampled_from([kind for kind in K if kind is not K.H_INDEX]),
+                                  st.sampled_from((1.0, 3.0, 5.0)), min_size=1))
+    # each discipline has a minimum for every recalibrated kind, and for each other kind or not; in any order
+    cells = [(d, kind) for d in disciplines for kind in K if kind in t or data.draw(st.booleans())]
+    minimums = {cell: data.draw(MODERATE_FLOATS) for cell in data.draw(st.permutations(cells))}
+    table = {(d, kind, m): data.draw(MODERATE_FLOATS) for d in disciplines for kind in t for m in (INTEGER, FRACTIONAL)}
+    rounding = data.draw(st.sampled_from(RoundingMode))
+    rows = recalibrate_all(table, disciplines, minimums, RecalibrationConfig(t=t, rounding=rounding, ym_decimals=None))
+    for method in (INTEGER, FRACTIONAL):
+        derived = derived_scaled_minimums(rows, minimums, method, rounding)
+        assert list(derived.items()) == list(filtered_then_scaled(rows, minimums, t, method, rounding).items())
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +482,8 @@ def test_algebra_returns_finite_positive_values_or_refuses(data):
     inputs = {key: data.draw(MODERATE_FLOATS) for key in keys}
     for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
         inputs[key] = data.draw(ANY_POSITIVE_FLOATS)
-    table, cmv, t, derived_cmv = ({key: value for (part, key), value in inputs.items() if part == name}
-                                  for name in ("apv", "cmv", "t", "derived"))
+    table, cmv, t, derived_minimums = ({key: value for (part, key), value in inputs.items() if part == name}
+                                       for name in ("apv", "cmv", "t", "derived"))
     config = RecalibrationConfig(t=t, ym_decimals=data.draw(st.sampled_from((3, None))))
     # sometimes the minimums miss a cell
     missing = data.draw(st.none() | st.sampled_from(list(cmv)))
@@ -449,7 +501,7 @@ def test_algebra_returns_finite_positive_values_or_refuses(data):
             assert 0.0 < getattr(row, name) < math.inf, (row, name)
     for method in (INTEGER, FRACTIONAL):
         try:
-            derived = derived_scaled_minimums(rows, derived_cmv, method)
+            derived = derived_scaled_minimums(rows, derived_minimums, method)
         except RecalibrationError:
             continue
         for raw, _ in derived.values():

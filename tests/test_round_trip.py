@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import re
 import tempfile
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -33,6 +34,18 @@ TEXTS = st.one_of(
                      "x　", "x\ud800", "\x00", "HU", "İ"]),
     st.text(st.characters(blacklist_categories=()), max_size=4),  # surrogates included
 )
+
+
+def _mostly(usual: st.SearchStrategy, odd: st.SearchStrategy, one_in: int) -> st.SearchStrategy:
+    """A draw from ``usual``, and about one time in ``one_in`` from ``odd``, so
+    that most values reach the loader."""
+    return st.integers(1, one_in).flatmap(lambda n: odd if n == one_in else usual)
+
+
+#: Text that every reader gives back as written, lowercase as a language must be, or one time in twenty ``TEXTS``.
+TEXT = _mostly(st.text("abcdefghijklmnopqrstuvwxyz_é", min_size=1, max_size=8), TEXTS, 20)
+#: A positive ``int`` or ``float`` that a JSON number or a table cell holds exactly.
+POSITIVE = st.one_of(st.floats(min_value=0, exclude_min=True, allow_infinity=False), st.integers(1, 2**53))
 
 
 def _not_kept(text: str) -> bool:
@@ -63,9 +76,9 @@ WINDOWS = st.lists(st.integers(), min_size=2, max_size=2).map(sorted).map(lambda
 
 def _apv_pair(fmt: str) -> tuple:
     rows = st.lists(st.builds(
-        DisciplinePerformance, TEXTS, st.sampled_from(list(IndicatorKind)), st.sampled_from(list(CountingMethod)),
-        st.one_of(st.floats(), st.integers(), st.decimals(),
-                  st.sampled_from([0.0, -1.5, 5e-324, 0.1 + 0.2, 1.7e308, True, False, Decimal("1.5"), 2**53 + 1])),
+        DisciplinePerformance, TEXT, st.sampled_from(list(IndicatorKind)), st.sampled_from(list(CountingMethod)),
+        _mostly(POSITIVE, st.one_of(st.floats(), st.integers(), st.decimals(), st.sampled_from(
+            [0.0, -1.5, 5e-324, 0.1 + 0.2, 1.7e308, True, False, Decimal("1.5"), 2**53 + 1])), 20),
         st.integers(0, 99), st.integers(0, 99),
     ), max_size=4)
 
@@ -83,29 +96,28 @@ def _apv_pair(fmt: str) -> tuple:
     )
 
 
-#: The kinds a config may recalibrate, and any positive number that compares as finite, the ones past the floats and
-#: the booleans included, as ``RecalibrationConfig`` takes for ``t_years``.
+#: The kinds a config may recalibrate, and the numbers ``RecalibrationConfig`` takes for ``t_years``: any positive
+#: ``int`` or ``float`` that compares as finite, one time in twenty one past the floats, which save refuses.
 T_KINDS = [kind for kind in IndicatorKind if kind is not IndicatorKind.H_INDEX]
-T_YEARS = st.one_of(st.floats(min_value=0, exclude_min=True, allow_infinity=False), st.integers(min_value=1),
-                    st.sampled_from([True, 2**53 + 1, 10**400]))
+T_YEARS = _mostly(POSITIVE, st.sampled_from([2**53 + 1, 10**400]), 20)
 
 
 @st.composite
 def _configs(draw):
     base = default_config()
-    keys = draw(st.lists(TEXTS, min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
     minimums = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
     recalibration = RecalibrationConfig(
         t=draw(st.dictionaries(st.sampled_from(T_KINDS), T_YEARS, min_size=1)),
-        top_fraction=draw(st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True), st.sampled_from([1, True]))),
+        top_fraction=draw(st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True), st.just(1))),
         ym_source_method=draw(st.sampled_from(CountingMethod)),
         rounding=draw(st.sampled_from(RoundingMode)),
         ym_decimals=draw(st.one_of(st.none(), st.integers(min_value=0))),
     )
     return replace(
         base,
-        disciplines={key: draw(TEXTS) for key in keys},
-        domestic_language=draw(TEXTS),
+        disciplines={key: draw(TEXT) for key in keys},
+        domestic_language=draw(TEXT),
         pub_window=draw(WINDOWS),
         citation_window=draw(WINDOWS),
         current_minimums={(key, kind): draw(minimums) for key in keys for kind in recalibration.t},
@@ -124,14 +136,10 @@ def _config_refused(config) -> bool:
 
 def _target(low: float, high: float, integer: bool) -> st.SearchStrategy:
     """A value ``SynthDisciplineParams`` takes for a target in [low, high]:
-    one of its field's type, an integer for a float field too, or one time in
-    ten a value that save refuses: a float for an integer field, as 2.0, or a
-    boolean where one is in range."""
+    one of its field's type, or an integer for a float field; it refuses a
+    float for an integer field, as 2.0, and a boolean anywhere."""
     whole = st.integers(math.ceil(low), math.floor(high))
-    typed = whole if integer else st.one_of(whole, st.floats(low, high))
-    refused = st.one_of(whole.map(float) if integer else st.nothing(),
-                        *(st.just(value) for value in (False, True) if low <= value <= high))
-    return st.integers(0, 9).flatmap(lambda n: typed if n or refused.is_empty else refused)
+    return whole if integer else st.one_of(whole, st.floats(low, high))
 
 
 @st.composite
@@ -156,16 +164,14 @@ def _params(draw, discipline: str) -> SynthDisciplineParams:
 
 @st.composite
 def _specs(draw):
-    disciplines = draw(st.lists(TEXTS, min_size=1, max_size=3, unique=True))
+    disciplines = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
     return SynthSpec(seed=draw(st.integers(0, 2**64 - 1)), params=tuple(draw(_params(d)) for d in disciplines),
-                     pub_window=draw(WINDOWS), citation_window=draw(WINDOWS), domestic_language=draw(TEXTS))
+                     pub_window=draw(WINDOWS), citation_window=draw(WINDOWS), domestic_language=draw(TEXT))
 
 
 def _spec_refused(spec: SynthSpec) -> bool:
     language = spec.domestic_language
-    targets = [(field.type, type(getattr(p, field.name))) for p in spec.params for field in fields(p)[1:]]
-    return (_not_kept(language) or language != language.lower() or any(_not_kept(p.discipline) for p in spec.params)
-            or any(kind is bool or declared == "int" and kind is not int for declared, kind in targets))
+    return _not_kept(language) or language != language.lower() or any(_not_kept(p.discipline) for p in spec.params)
 
 
 PAIRS = {
@@ -180,23 +186,31 @@ PAIRS = {
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_a_saved_value_loads_back_equal_or_is_refused_at_save(pair, data):
+def test_a_saved_value_loads_back_equal_or_is_refused_at_save(pair):
     values, name, save, load, loaded_as, refused, refusal = PAIRS[pair]
-    value = data.draw(values)
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / name
-        try:
-            save(value, path)
-        except (ConfigError, RecalibrationError, SynthError) as exc:
-            assert refused(value), exc
-            # a key path holds its key as written, a newline too
-            assert re.match(refusal.format(path=re.escape(str(path))), str(exc), re.DOTALL), exc
-            assert not path.exists()
-            return
-        assert not refused(value)
-        assert load(path) == loaded_as(value)
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=values)
+    def saved_and_loaded(value):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / name
+            try:
+                save(value, path)
+            except (ConfigError, RecalibrationError, SynthError) as exc:
+                assert refused(value), exc
+                # a key path holds its key as written, a newline too
+                assert re.match(refusal.format(path=re.escape(str(path))), str(exc), re.DOTALL), exc
+                assert not path.exists()
+                outcomes["refused"] += 1
+                return
+            assert not refused(value)
+            assert load(path) == loaded_as(value)
+            outcomes["loaded"] += 1
+
+    saved_and_loaded()
+    # most examples reach the loader, so its leaves are checked, not only the refusals of odd text
+    assert outcomes["loaded"] >= outcomes["refused"], outcomes
 
 
 def test_a_spec_refuses_a_discipline_listed_twice():

@@ -118,8 +118,24 @@ def test_infeasible_mean_rejected():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_target_rejected(name, value):
     # NaN fails no `<` test: a NaN citation rate would give no Poisson draw
-    with pytest.raises(SynthError, match=f"geology: {name} is not a finite number"):
+    with pytest.raises(SynthError) as caught:
         one_discipline_spec(**{name: value})
+    assert str(caught.value) == f"geology: {name}: {value} is not a finite number"
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"researcher_count": 2.0}, "geology: researcher_count: 2.0 is not an integer"),
+    ({"pub_count": 5.5}, "geology: pub_count: 5.5 is not an integer"),
+    ({"pub_count": True}, "geology: pub_count: true is not an integer"),
+    ({"if_mean": True}, "geology: if_mean: true is not a number"),
+    ({"seed": 1.5}, "seed: 1.5 is not an integer"),
+    ({"seed": True}, "seed: true is not an integer"),
+])
+def test_a_target_or_seed_of_the_wrong_type_is_refused_as_the_spec_schema_refuses_it(overrides, problem):
+    # the generator's range() takes no float, and a boolean count or a float seed is no spec save writes
+    with pytest.raises(SynthError) as caught:
+        one_discipline_spec(**overrides)
+    assert str(caught.value) == problem
 
 
 @pytest.mark.parametrize("name, limit", SYNTH_LIMITS.items())
