@@ -538,12 +538,16 @@ def _language(cell: object, column: str) -> str:
 def _distinct(convert):
     """The column converter that runs the cell converter ``convert`` once per
     distinct cell. ``convert`` must refuse every float, as ``-0.0 == 0.0``; a
-    column of two cell types besides null is refused, as JSON ``true == 1``."""
+    column of two cell types besides null is refused, as JSON ``true == 1``.
+    Equal values are one object across the chunks the converter takes; only
+    a column of JSON booleans and nulls, objects already shared, is kept."""
+    shared: dict = {}  # each value converted so far, to itself
+
     def convert_column(column: Sequence, column_name: str) -> Sequence:
-        if len(set(map(type, column)) - {type(None)}) > 1:
+        if len(kinds := set(map(type, column)) - {type(None)}) > 1:
             raise ValueError
-        value_of = {cell: convert(cell, column_name) for cell in set(column)}
-        if all(map(is_, value_of, value_of.values())):  # JSON cells that are already the values
+        value_of = {cell: shared.setdefault(value := convert(cell, column_name), value) for cell in set(column)}
+        if kinds <= {bool} and all(map(is_, value_of, value_of.values())):
             return column
         return list(map(value_of.__getitem__, column))
     return convert_column
@@ -954,11 +958,21 @@ def _dsv_text(rows: list[Sequence], columns: list[_Column] | None, fields: Seque
     return text
 
 
-def _json_text(rows: list[Sequence], columns: list[_Column] | None, fields: Sequence[str], line: str) -> str:
+def _json_text(rows: list[Sequence], columns: list[_Column] | None, fields: Sequence[str],
+               leads: Sequence[str]) -> str:
     """The JSONL lines of a chunk of rows, whose typed columns are given or
-    None, converted a column at a time and put into ``line``, a ``%``
-    template with one ``%s`` per field."""
-    return "".join(map(line.__mod__, zip(*map(_json_column, columns or _typed_columns(rows), fields))))
+    None: one join of each field's lead (``{"pub_id": ``, ``, "year": ``,
+    ...) interleaved with its column's texts, then ``}\n``. A text column
+    that one ``encode_basestring`` call over its cells joined leaves
+    unescaped goes in as it is, its quotes put in the leads around it."""
+    parts, quote = [], ""  # quote closes a text column that went in as it is
+    for lead, column, field in zip(leads, columns or _typed_columns(rows), fields):
+        as_is = all(issubclass(kind, str) for kind in column.kinds) and \
+            encode_basestring(joined := "".join(column.cells)) == '"' + joined + '"'
+        parts += repeat(quote + lead + '"' * as_is), column.cells if as_is else _json_column(column, field)
+        quote = '"' * as_is
+    parts.append(repeat(quote + "}\n"))
+    return "".join(chain.from_iterable(zip(*parts)))
 
 
 def _write_rows(out: str | os.PathLike | TextIO, fields: Sequence[str], rows: Iterable[Sequence], fmt: str,
@@ -967,8 +981,8 @@ def _write_rows(out: str | os.PathLike | TextIO, fields: Sequence[str], rows: It
     or None, as ``save_corpus`` tests each chunk before it is written."""
     if fmt == "jsonl":
         head = ""
-        line = "{" + ", ".join(encode_basestring(field).replace("%", "%%") + ": %s" for field in fields) + "}\n"
-        text_of = partial(_json_text, fields=fields, line=line)
+        leads = [("{" if i == 0 else ", ") + encode_basestring(field) + ": " for i, field in enumerate(fields)]
+        text_of = partial(_json_text, fields=fields, leads=leads)
     else:
         head, text_of = _dsv_line(fields), partial(_dsv_text, fields=fields)
     rows = iter(rows)

@@ -95,6 +95,8 @@ class RecalibrationConfig:
             raise RecalibrationError(f"top_fraction must be a number in (0, 1], got {self.top_fraction!r}")
         if not self.t:
             raise RecalibrationError("t_years is empty: it names no kind to recalibrate")
+        if keys := [kind for kind in self.t if not isinstance(kind, IndicatorKind)]:
+            raise RecalibrationError(f"t keys must be IndicatorKind members, got {', '.join(map(repr, keys))}")
         if IndicatorKind.H_INDEX in self.t:
             raise RecalibrationError("h_index cannot be recalibrated: it is a rank statistic, not a sum over years")
         for kind, years in self.t.items():

@@ -158,9 +158,9 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
     """Generate a valid corpus; a pure function of (seed, spec).
 
     Each draw is one ``random()`` call with its sampler's formula inline: a
-    Bernoulli(p) draw is ``random() < p``, and each
-    ``lo + min(span - 1, int(random() * span))`` is the formula of
-    ``_uniform_int``, inlined."""
+    Bernoulli(p) draw is ``random() < p``, and a uniform one is
+    ``_uniform_int``'s with its ``min`` clamp made cheaper: a pick indexes a
+    table padded with its last item, and a year is clamped inline."""
     rng = Random(spec.seed)
     random = rng.random
     new = tuple.__new__  # builds a record in C; the named tuple's own __new__ is a Python call
@@ -180,12 +180,14 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         ids = [f"{d}:r{i:03d}" for i in range(params.researcher_count)]
         for rid in ids:
             researchers.append(new(ResearcherProfile, (
-                rid, d, random() < 0.25, degree_start + min(degree_span - 1, int(random() * degree_span))
+                rid, d, random() < 0.25,
+                degree_start + (k if (k := int(random() * degree_span)) < degree_span else degree_span - 1),
             )))
 
         multi_count = min(params.pub_count, round(params.pub_count * params.multi_ratio_target / 100.0))
         author_plan = _author_count_plan(rng, multi_count, params.mean_coauthors_multi)
         id_count = len(ids)
+        picks = ids + ids[-1:]  # index id_count is the last id
         wos_ratio = params.wos_article_ratio
         domestic_ratio = params.domestic_language_ratio
         if_mean = params.if_mean
@@ -195,7 +197,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         citing_serial = 0
 
         for i in range(params.pub_count):
-            first = ids[min(id_count - 1, int(random() * id_count))]
+            first = picks[int(random() * id_count)]
             if i < multi_count:
                 authors = [first]
                 taken = {first}  # corpus researchers only: external ids are fresh by construction
@@ -203,7 +205,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                     picked = None
                     if random() < 0.5 and len(taken) < id_count:
                         for _attempt in range(4):
-                            candidate = ids[min(id_count - 1, int(random() * id_count))]
+                            candidate = picks[int(random() * id_count)]
                             if candidate not in taken:
                                 picked = candidate
                                 taken.add(picked)
@@ -230,7 +232,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
             pub_id = f"{d}:p{i:05d}"
             publications.append(new(PublicationRecord, (
                 pub_id,
-                pub_start + min(pub_span - 1, int(random() * pub_span)),
+                pub_start + (k if (k := int(random() * pub_span)) < pub_span else pub_span - 1),
                 pub_type,
                 language if random() < domestic_ratio else "en",
                 wos_article,
@@ -247,13 +249,13 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                 count += 1
                 product *= random()
             for _ in range(count):
-                citing_count = 1 + min(2, int(random() * 3))  # 1 to 3 citing authors
+                citing_count = (1, 2, 3, 3)[int(random() * 3)]  # 1 to 3 citing authors
                 citing = tuple([f"{d}:c{serial:06d}" for serial in range(citing_serial, citing_serial + citing_count)])
                 citing_serial += citing_count
                 citations.append(new(CitationLink, (
                     f"{d}:cit{citing_serial:06d}",
                     pub_id,
-                    citing_start + min(citing_span - 1, int(random() * citing_span)),
+                    citing_start + (k if (k := int(random() * citing_span)) < citing_span else citing_span - 1),
                     citing,
                     random() < wos_ratio,
                 )))

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -627,6 +628,19 @@ def test_jsonl_id_lists_write_what_json_dumps_writes(odd):
     assert lines == [json.dumps(dict(zip(fields, row)), ensure_ascii=False) for row in rows] + [""]
 
 
+@pytest.mark.parametrize("odd", ['a"b', "a\\b", "a\x01b", "a\nb", "é "])
+def test_jsonl_text_columns_write_what_json_dumps_writes(odd):
+    """A text column with one cell that needs escaping, or none, between
+    columns of publication types, each in a chunk of its own."""
+    fields = ("type", "text", "last")
+    plain = [(PubType.BOOK, f"x{i}", PubType.MAP) for i in range(_CHUNK_ROWS)]
+    rows = [*plain, *plain[:-1], (PubType.OTHER, odd, PubType.MAP)]
+    stream = io.StringIO()
+    write_table(stream, fields, rows, "jsonl")
+    lines = stream.getvalue().split("\n")
+    assert lines == [json.dumps(dict(zip(fields, row)), ensure_ascii=False) for row in rows] + [""]
+
+
 def test_save_writes_jsonl_id_lists_as_json_dumps_does(tmp_path):
     corpus = _citations_past_a_chunk(citation("c-last", "p1", citing=('say "hi"', "back\\slash", "tab\tin")))
     paths = _corpus_paths(tmp_path, "jsonl")
@@ -1054,6 +1068,30 @@ def test_loaded_author_and_cited_ids_are_the_named_records_own_ids(synth_load):
     for link in synth_load.citations:
         assert link.cited_pub_id is publications[link.cited_pub_id].pub_id
     assert synth_load.citations
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
+@pytest.mark.parametrize("divisor", [30, 1], ids=["one chunk", "many chunks"])
+def test_a_loaded_repeated_column_holds_one_object_per_distinct_value(tmp_path, fmt, divisor):
+    spec = default_spec(1)
+    spec = replace(spec, params=tuple(
+        replace(p, researcher_count=-(-p.researcher_count // divisor), pub_count=p.pub_count // divisor)
+        for p in spec.params
+    ))
+    generated = generate_corpus(spec)
+    rows = max(len(generated.publications), len(generated.citations))
+    assert rows <= _CHUNK_ROWS if divisor > 1 else rows > 10 * _CHUNK_ROWS
+    paths = _corpus_paths(tmp_path, fmt)
+    save_corpus(generated, *paths, fmt=fmt)
+    loaded = load_corpus(*paths, default_config().disciplines)
+    for records, names in (
+        (loaded.researchers.values(), ("discipline", "last_degree_year")),
+        (loaded.publications.values(), ("discipline", "year", "language")),
+        (loaded.citations, ("citing_year",)),
+    ):
+        for name in names:
+            cells = [getattr(record, name) for record in records]
+            assert len(set(map(id, cells))) == len(set(cells)) < len(cells), name
 
 
 def test_loaded_records_are_of_their_record_class_exactly(synth_load):

@@ -203,6 +203,17 @@ def test_recalibration_config_refuses_a_t_that_is_not_finite_and_positive(years)
     assert str(caught.value) == f"t for wos_articles must be a finite positive number, got {years}"
 
 
+@pytest.mark.parametrize("t, keys", [
+    ({"publications": 5.0}, "'publications'"),
+    ({"publications": -1.0}, "'publications'"),  # the value's refusal would name the key by its .value
+    ({K.PUBLICATIONS: 5.0, 3: 5.0, "h_index": 1.0}, "3, 'h_index'"),
+])
+def test_recalibration_config_refuses_a_t_key_that_is_not_a_kind(t, keys):
+    with pytest.raises(RecalibrationError) as caught:
+        RecalibrationConfig(t=t)
+    assert str(caught.value) == f"t keys must be IndicatorKind members, got {keys}"
+
+
 @pytest.mark.parametrize("knob, value, problem", [
     ("rounding", "none", "rounding must be a RoundingMode member, got 'none'"),
     ("ym_source_method", "integer", "ym_source_method must be a CountingMethod member, got 'integer'"),

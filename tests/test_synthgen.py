@@ -274,3 +274,31 @@ def test_generator_draws_through_random_only(monkeypatch):
     monkeypatch.setattr("recal.synthgen.Random", _CountingRandom)
     generate_corpus(default_spec(1))
     assert [rng.draws for rng in _CountingRandom.made] == [241_164]
+
+
+class _LastDraw(Random):
+    """``Random`` whose every draw is the largest ``random()`` returns."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+def test_the_largest_draw_gives_each_year_and_pick_that_min_would_give(monkeypatch):
+    # The largest draw on the CLI sweep's window (2014, 2**63), where int(r * span) rounds through a float of
+    # the span. No citation or co-author is drawn: with every draw this large their loops would not end.
+    monkeypatch.setattr("recal.synthgen.Random", _LastDraw)
+    r, window = 1 - 2**-53, YearWindow(2014, 2**63)
+    spec = replace(
+        one_discipline_spec(researcher_count=7, pub_count=30, multi_ratio_target=0, citation_rate=0),
+        pub_window=window,
+    )
+    corpus = generate_corpus(spec)
+
+    def drawn(start):
+        span = window.end - start + 1
+        return start + min(span - 1, int(r * span))
+
+    assert {p.year for p in corpus.publications.values()} == {drawn(window.start)}
+    assert {x.last_degree_year for x in corpus.researchers.values()} == {drawn(window.start - 12)}
+    assert len(corpus.publications) == 30
+    assert all(set(p.author_ids) <= set(corpus.researchers) for p in corpus.publications.values())
