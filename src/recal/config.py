@@ -3,9 +3,9 @@ recalibration knobs, loadable from a versioned JSON document.
 
 Every key except ``schema_version`` is optional; omitted keys fall back to
 the shipped defaults (the nine-discipline section, 2014-2018 publications,
-2014-2019 citations, top quarter, t=5 years). ``check_document`` checks it,
-and the generator spec, against a schema table, on load and before a save;
-every error names the file and the key path.
+2014-2019 citations, top quarter, t=5 years). ``check_document`` checks it
+against a schema table on load, and the generator spec likewise on load and
+before a save; every error names the file and the key path.
 """
 from __future__ import annotations
 
@@ -271,38 +271,3 @@ def _config(doc: dict) -> PipelineConfig:
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     return read_document(path, CONFIG_SCHEMA, ConfigError, "config", _config)
-
-
-def save_pipeline_config(config: PipelineConfig, path: str | Path) -> None:
-    """Write the config as a JSON document. One that ``load_pipeline_config``
-    would refuse raises ``ConfigError`` naming the key path before the file
-    is opened."""
-    minimums: dict[str, dict[str, float]] = {}
-    for (discipline, kind), value in config.current_minimums.items():
-        minimums.setdefault(discipline, {})[kind.value] = value
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "disciplines": [
-            {"key": key, "name": name} for key, name in config.disciplines.items()
-        ],
-        "domestic_language": config.domestic_language,
-        "pub_window": [config.pub_window.start, config.pub_window.end],
-        "citation_window": [config.citation_window.start, config.citation_window.end],
-        "current_minimums": minimums,
-        "recalibration": {
-            "top_fraction": config.recalibration.top_fraction,
-            "t_years": {k.value: v for k, v in config.recalibration.t.items()},
-            "ym_source_method": config.recalibration.ym_source_method.value,
-            "ym_decimals": config.recalibration.ym_decimals,
-            "rounding": config.recalibration.rounding.value,
-        },
-        "counted_publication_types": (
-            None
-            if config.counted_publication_types is None
-            else sorted(t.value for t in config.counted_publication_types)
-        ),
-    }
-    check_document(doc, CONFIG_SCHEMA, ConfigError, f"{path}: bad config")
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")

@@ -536,21 +536,25 @@ def _language(cell: object, column: str) -> str:
 
 
 def _distinct(convert):
-    """The column converter that runs the cell converter ``convert`` once per
-    distinct cell. ``convert`` must refuse every float, as ``-0.0 == 0.0``; a
-    column of two cell types besides null is refused, as JSON ``true == 1``.
-    Equal values are one object across the chunks the converter takes; only
-    a column of JSON booleans and nulls, objects already shared, is kept."""
+    """A cell converter and a column converter that give equal values of
+    ``convert`` as one object, across the chunks of a load and whichever way
+    a chunk is read. The column converter runs ``convert`` once per distinct
+    cell. ``convert`` must refuse every float, as ``-0.0 == 0.0``; a column
+    of two cell types besides null is refused, as JSON ``true == 1``. Only a
+    column of JSON booleans and nulls, objects already shared, is kept."""
     shared: dict = {}  # each value converted so far, to itself
+
+    def convert_cell(cell: object, column_name: str):
+        return shared.setdefault(value := convert(cell, column_name), value)
 
     def convert_column(column: Sequence, column_name: str) -> Sequence:
         if len(kinds := set(map(type, column)) - {type(None)}) > 1:
             raise ValueError
-        value_of = {cell: shared.setdefault(value := convert(cell, column_name), value) for cell in set(column)}
+        value_of = {cell: convert_cell(cell, column_name) for cell in set(column)}
         if kinds <= {bool} and all(map(is_, value_of, value_of.values())):
             return column
         return list(map(value_of.__getitem__, column))
-    return convert_column
+    return convert_cell, convert_column
 
 
 def _strings(column: Sequence, column_name: str) -> list[str]:
@@ -614,19 +618,19 @@ def _columns(ids: dict[str, str]) -> tuple[tuple, tuple, tuple]:
     not: they name no record."""
     get = ids.get
     return ((
-        ("researcher_id", required_string, _strings), ("discipline", required_string, _distinct(required_string)),
-        ("has_dsc", _bool, _distinct(_bool)), ("last_degree_year", _opt_int, _distinct(_opt_int)),
+        ("researcher_id", required_string, _strings), ("discipline", *_distinct(required_string)),
+        ("has_dsc", *_distinct(_bool)), ("last_degree_year", *_distinct(_opt_int)),
     ), (
-        ("pub_id", required_string, _strings), ("year", _int, _distinct(_int)),
-        ("pub_type", _pub_type, _distinct(_pub_type)), ("language", _language, _distinct(_language)),
-        ("wos_indexed", _bool, _distinct(_bool)), ("scopus_indexed", _bool, _distinct(_bool)),
+        ("pub_id", required_string, _strings), ("year", *_distinct(_int)),
+        ("pub_type", *_distinct(_pub_type)), ("language", *_distinct(_language)),
+        ("wos_indexed", *_distinct(_bool)), ("scopus_indexed", *_distinct(_bool)),
         ("impact_factor", _opt_float, _opt_floats),
         ("author_ids", partial(_id_list, get=get), partial(_id_lists, get=get)),
-        ("discipline", _string, _distinct(required_string)),  # an empty one, to inherit, is left to cell converters
+        ("discipline", *_distinct(required_string)),  # an empty one is inherited before the cell converter runs
     ), (
         ("citation_id", required_string, _strings), ("cited_pub_id", partial(_id, get=get), partial(_ids, get=get)),
-        ("citing_year", _int, _distinct(_int)), ("citing_author_ids", _id_list, _id_lists),
-        ("citing_wos_indexed", _bool, _distinct(_bool)),
+        ("citing_year", *_distinct(_int)), ("citing_author_ids", _id_list, _id_lists),
+        ("citing_wos_indexed", *_distinct(_bool)),
     ))
 
 

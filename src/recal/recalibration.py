@@ -144,9 +144,7 @@ Cell = tuple[str, IndicatorKind, CountingMethod]
 ApvTable = Mapping[Cell, float]
 
 
-def top_quartile_apv(
-    values: Mapping[str, float], top_fraction: float = 0.25
-) -> tuple[float, int]:
+def top_quartile_apv(values: Mapping[str, float], top_fraction: float) -> tuple[float, int]:
     """Mean of the top ``top_fraction`` share of a researcher-id -> value
     mapping, and the number of researchers selected.
 

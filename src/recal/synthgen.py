@@ -110,32 +110,27 @@ class SynthSpec:
 # Samplers built on rng.random() only, for cross-version reproducibility.
 # generate_corpus draws the rest inline: one draw is one rng.random() call.
 
-def _uniform_int(rng: Random, lo: int, hi: int) -> int:
-    span = hi - lo + 1
-    return lo + min(span - 1, int(rng.random() * span))
-
-
 def _author_count_plan(rng: Random, multi_count: int, mean: float) -> list[int]:
     """Author counts in {2, 3, ...} of the multi-authored publications:
     shifted geometric draws with the given mean, repaired by single steps
     until they sum to the rounded target, pinning the realized mean."""
     if multi_count == 0:
         return []
+    random = rng.random
     if mean <= 2.0:
         counts = [2] * multi_count
     else:
-        random = rng.random
         log_q = math.log(1.0 - 1.0 / (mean - 1.0))  # 1.0 / (mean - 1.0) is the success probability
         counts = [2 + int(math.log(1.0 - random()) / log_q) for _ in range(multi_count)]
     target = max(round(mean * multi_count), 2 * multi_count)
     total = sum(counts)
     while total > target:
-        i = _uniform_int(rng, 0, multi_count - 1)
+        i = int(random() * multi_count)
         if counts[i] > 2:
             counts[i] -= 1
             total -= 1
     while total < target:
-        i = _uniform_int(rng, 0, multi_count - 1)
+        i = int(random() * multi_count)
         counts[i] += 1
         total += 1
     return counts
@@ -158,9 +153,9 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
     """Generate a valid corpus; a pure function of (seed, spec).
 
     Each draw is one ``random()`` call with its sampler's formula inline: a
-    Bernoulli(p) draw is ``random() < p``, and a uniform one is
-    ``_uniform_int``'s with its ``min`` clamp made cheaper: a pick indexes a
-    table padded with its last item, and a year is clamped inline."""
+    Bernoulli(p) draw is ``random() < p``, and a uniform index below ``n`` is
+    ``int(random() * n)``: ``random()`` is at most ``1 - 2**-53``, and that
+    times a positive integer ``n`` never rounds up to ``n``."""
     rng = Random(spec.seed)
     random = rng.random
     new = tuple.__new__  # builds a record in C; the named tuple's own __new__ is a Python call
@@ -181,13 +176,12 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         for rid in ids:
             researchers.append(new(ResearcherProfile, (
                 rid, d, random() < 0.25,
-                degree_start + (k if (k := int(random() * degree_span)) < degree_span else degree_span - 1),
+                degree_start + int(random() * degree_span),
             )))
 
         multi_count = min(params.pub_count, round(params.pub_count * params.multi_ratio_target / 100.0))
         author_plan = _author_count_plan(rng, multi_count, params.mean_coauthors_multi)
         id_count = len(ids)
-        picks = ids + ids[-1:]  # index id_count is the last id
         wos_ratio = params.wos_article_ratio
         domestic_ratio = params.domestic_language_ratio
         if_mean = params.if_mean
@@ -197,7 +191,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         citing_serial = 0
 
         for i in range(params.pub_count):
-            first = picks[int(random() * id_count)]
+            first = ids[int(random() * id_count)]
             if i < multi_count:
                 authors = [first]
                 taken = {first}  # corpus researchers only: external ids are fresh by construction
@@ -205,7 +199,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                     picked = None
                     if random() < 0.5 and len(taken) < id_count:
                         for _attempt in range(4):
-                            candidate = picks[int(random() * id_count)]
+                            candidate = ids[int(random() * id_count)]
                             if candidate not in taken:
                                 picked = candidate
                                 taken.add(picked)
@@ -232,7 +226,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
             pub_id = f"{d}:p{i:05d}"
             publications.append(new(PublicationRecord, (
                 pub_id,
-                pub_start + (k if (k := int(random() * pub_span)) < pub_span else pub_span - 1),
+                pub_start + int(random() * pub_span),
                 pub_type,
                 language if random() < domestic_ratio else "en",
                 wos_article,
@@ -249,13 +243,13 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                 count += 1
                 product *= random()
             for _ in range(count):
-                citing_count = (1, 2, 3, 3)[int(random() * 3)]  # 1 to 3 citing authors
+                citing_count = 1 + int(random() * 3)  # 1 to 3 citing authors
                 citing = tuple([f"{d}:c{serial:06d}" for serial in range(citing_serial, citing_serial + citing_count)])
                 citing_serial += citing_count
                 citations.append(new(CitationLink, (
                     f"{d}:cit{citing_serial:06d}",
                     pub_id,
-                    citing_start + (k if (k := int(random() * citing_span)) < citing_span else citing_span - 1),
+                    citing_start + int(random() * citing_span),
                     citing,
                     random() < wos_ratio,
                 )))

@@ -18,9 +18,10 @@ import recal.cli
 import recal.counting
 import recal.recalibration
 from recal.cli import build_parser, main
-from recal.config import default_config, save_pipeline_config
+from recal.config import default_config, load_pipeline_config
 from recal.corpus import load_corpus, save_corpus
 from recal.counting import IndicatorKind
+from recal.defaults import CURRENT_MINIMUMS, DEFAULT_T
 from recal.recalibration import (
     DEFAULT_BASE_KINDS, DisciplinePerformance, discipline_performance, read_apv_table, write_apv_table,
 )
@@ -760,13 +761,21 @@ def test_registry_and_minimum_refusals_are_pinned(tmp_path, capsys, command, cas
 
 def _default_config_with(path: Path, leaves: dict) -> Path:
     """The default config with each leaf, named by its key path, set to its
-    value, saved at ``path``."""
-    save_pipeline_config(default_config(), path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    value, written at ``path``: its minimums and ``t_years`` in full, the
+    other keys left to their defaults."""
+    minimums: dict[str, dict[str, float]] = {}
+    for (discipline, kind), value in CURRENT_MINIMUMS.items():
+        minimums.setdefault(discipline, {})[kind.value] = value
+    doc = {"schema_version": 1, "current_minimums": minimums,
+           "recalibration": {"t_years": {kind.value: t for kind, t in DEFAULT_T.items()}}}
     for (*parents, leaf), value in leaves.items():
         functools.reduce(dict.__getitem__, parents, doc)[leaf] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def test_the_default_config_document_loads_as_the_default_config(tmp_path):
+    assert load_pipeline_config(_default_config_with(tmp_path / "config.json", {})) == default_config()
 
 
 GEOCHEMISTRY_PUBLICATIONS = ("current_minimums", "geochemistry", "publications")

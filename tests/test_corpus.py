@@ -1033,11 +1033,15 @@ def test_stats_ranges_hold(seed):
 # One object per researcher and publication id across a load
 
 @pytest.fixture(scope="module", params=["dsv", "jsonl"])
-def synth_load(request, tmp_path_factory):
+def fmt(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def synth_load(fmt, tmp_path_factory):
     """The seed-1 synth corpus saved in a format and loaded back, with its
     first publication's discipline left empty, so the first chunk of the
     publication file is read row by row and the others a column at a time."""
-    fmt = request.param
     generated = generate_corpus(default_spec(1))
     first = next(iter(generated.publications.values()))
     assert first.author_ids[0] in generated.researchers
@@ -1070,20 +1074,22 @@ def test_loaded_author_and_cited_ids_are_the_named_records_own_ids(synth_load):
     assert synth_load.citations
 
 
-@pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
-@pytest.mark.parametrize("divisor", [30, 1], ids=["one chunk", "many chunks"])
-def test_a_loaded_repeated_column_holds_one_object_per_distinct_value(tmp_path, fmt, divisor):
-    spec = default_spec(1)
-    spec = replace(spec, params=tuple(
-        replace(p, researcher_count=-(-p.researcher_count // divisor), pub_count=p.pub_count // divisor)
-        for p in spec.params
-    ))
-    generated = generate_corpus(spec)
-    rows = max(len(generated.publications), len(generated.citations))
-    assert rows <= _CHUNK_ROWS if divisor > 1 else rows > 10 * _CHUNK_ROWS
-    paths = _corpus_paths(tmp_path, fmt)
-    save_corpus(generated, *paths, fmt=fmt)
-    loaded = load_corpus(*paths, default_config().disciplines)
+@pytest.mark.parametrize("divisor", [30, 1, None], ids=["one chunk", "many chunks", "a chunk row by row"])
+def test_a_loaded_repeated_column_holds_one_object_per_distinct_value(tmp_path, fmt, divisor, synth_load):
+    if divisor is None:
+        loaded = synth_load
+    else:
+        spec = default_spec(1)
+        spec = replace(spec, params=tuple(
+            replace(p, researcher_count=-(-p.researcher_count // divisor), pub_count=p.pub_count // divisor)
+            for p in spec.params
+        ))
+        generated = generate_corpus(spec)
+        rows = max(len(generated.publications), len(generated.citations))
+        assert rows <= _CHUNK_ROWS if divisor > 1 else rows > 10 * _CHUNK_ROWS
+        paths = _corpus_paths(tmp_path, fmt)
+        save_corpus(generated, *paths, fmt=fmt)
+        loaded = load_corpus(*paths, default_config().disciplines)
     for records, names in (
         (loaded.researchers.values(), ("discipline", "last_degree_year")),
         (loaded.publications.values(), ("discipline", "year", "language")),

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from recal.cli import main
-from recal.config import CONFIG_SCHEMA, ConfigError, Rule, load_pipeline_config, save_pipeline_config
-from recal.synthgen import SPEC_SCHEMA, SynthError, load_synth_spec, save_synth_spec
+from recal.config import CONFIG_SCHEMA, ConfigError, PipelineConfig, Rule, load_pipeline_config
+from recal.counting import IndicatorKind
+from recal.synthgen import SPEC_SCHEMA, SynthError, SynthSpec, load_synth_spec, save_synth_spec
 
 APV_TABLE = Path(__file__).parent / "data" / "section_apv.csv"
 README = Path(__file__).parents[1] / "README.md"
@@ -84,12 +85,43 @@ def test_every_module_name_the_readme_names_resolves():
 # --------------------------------------------------------------------------
 # fuzz: every leaf of each README example, given a value of another type
 
+def config_leaf(config: PipelineConfig, leaf: tuple, saved: Path) -> object:
+    """The value a loaded config keeps for a leaf of ``README_CONFIG``, as
+    the document spells it."""
+    match leaf:
+        case ("disciplines", i, "key"):
+            return list(config.disciplines)[i]
+        case ("disciplines", i, "name"):
+            return list(config.disciplines.values())[i]
+        case ("pub_window" | "citation_window" as name,):
+            return [getattr(config, name).start, getattr(config, name).end]
+        case ("current_minimums", discipline, kind):
+            return config.current_minimums[discipline, IndicatorKind(kind)]
+        case ("recalibration", "t_years", kind):
+            return config.recalibration.t[IndicatorKind(kind)]
+        case ("recalibration", "ym_source_method" | "rounding" as name):
+            return getattr(config.recalibration, name).value
+        case ("recalibration", name):
+            return getattr(config.recalibration, name)
+        case ("counted_publication_types",) if config.counted_publication_types is not None:
+            return sorted(pub_type.value for pub_type in config.counted_publication_types)
+        case (name,):
+            return getattr(config, name)
+
+
+def saved_spec_leaf(spec: SynthSpec, leaf: tuple, saved: Path) -> object:
+    """The value a loaded spec keeps for a leaf, as ``save_synth_spec``
+    writes it to ``saved``; a spec that it refuses raises."""
+    save_synth_spec(spec, saved)
+    return value_at(json.loads(saved.read_text(encoding="utf-8")), leaf)
+
+
 SUBSTITUTES = (True, 1.5, "x", [], {}, math.nan, math.inf)
 DOCUMENTS = {
-    # example, load, save, command reading the file, the document's name in errors
-    "config": (README_CONFIG, load_pipeline_config, save_pipeline_config,
+    # example, load, the kept value of a leaf, command reading the file, the document's name in errors
+    "config": (README_CONFIG, load_pipeline_config, config_leaf,
                ["recalibrate", "--apv-table", APV_TABLE, "--config"], "config"),
-    "spec": (README_SPEC, load_synth_spec, save_synth_spec, ["synth", "--spec"], "generator spec"),
+    "spec": (README_SPEC, load_synth_spec, saved_spec_leaf, ["synth", "--spec"], "generator spec"),
 }
 
 
@@ -119,7 +151,7 @@ def json_type(value: object) -> str:
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_every_leaf_given_another_value_is_refused_by_key_path_or_loaded_as_given(tmp_path, capsys, name):
-    example, load, save, command, what = DOCUMENTS[name]
+    example, load, kept, command, what = DOCUMENTS[name]
     path, saved, out_dir = tmp_path / "document.json", tmp_path / "saved.json", tmp_path / "out"
     failures = []
     for leaf in leaves(example):
@@ -129,7 +161,7 @@ def test_every_leaf_given_another_value_is_refused_by_key_path_or_loaded_as_give
             path.write_text(json.dumps(doc), encoding="utf-8")
             case = f"{key_path(leaf)} = {json.dumps(substitute)}"
             try:
-                save(load(path), saved)
+                loaded = kept(load(path), leaf, saved)
             except (ConfigError, SynthError) as exc:
                 message = str(exc)
                 code = run(*command, path, "--out-dir", out_dir)
@@ -140,7 +172,7 @@ def test_every_leaf_given_another_value_is_refused_by_key_path_or_loaded_as_give
                         and not message.startswith(f"{path}: bad {what}: {key_path(leaf)}"):
                     failures.append(f"{case}: refused without naming the key path: {message}")
                 continue
-            loaded, original = value_at(json.loads(saved.read_text(encoding="utf-8")), leaf), value_at(example, leaf)
+            original = value_at(example, leaf)
             if isinstance(substitute, float) and not math.isfinite(substitute):
                 failures.append(f"{case}: a non-finite number loaded")
             elif json.dumps(loaded) != json.dumps(substitute):

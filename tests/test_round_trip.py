@@ -2,11 +2,14 @@
 
 Whatever a save function writes, its loader reads back equal; a value that
 the loader would refuse or change is refused at save, naming its row or key
-path, before the file is opened. The corpus and the threshold table have
-their own properties in ``test_corpus.py`` and ``test_evaluation.py``.
+path, before the file is opened. The config has no writer: a document of
+drawn values loads as the config of those values, or is refused naming the
+key path. The corpus and the threshold table have their own properties in
+``test_corpus.py`` and ``test_evaluation.py``.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import tempfile
@@ -18,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recal.config import ConfigError, default_config, load_pipeline_config, save_pipeline_config
+from recal.config import ConfigError, PipelineConfig, load_pipeline_config
 from recal.corpus import PubType, YearWindow
 from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
@@ -103,27 +106,32 @@ T_YEARS = _mostly(POSITIVE, st.sampled_from([2**53 + 1, 10**400]), 20)
 
 
 @st.composite
-def _configs(draw):
-    base = default_config()
+def _config_documents(draw) -> tuple[dict, PipelineConfig]:
+    """A config document of drawn values, and the config of the same values."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
-    minimums = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
-    recalibration = RecalibrationConfig(
-        t=draw(st.dictionaries(st.sampled_from(T_KINDS), T_YEARS, min_size=1)),
-        top_fraction=draw(st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True), st.just(1))),
-        ym_source_method=draw(st.sampled_from(CountingMethod)),
-        rounding=draw(st.sampled_from(RoundingMode)),
-        ym_decimals=draw(st.one_of(st.none(), st.integers(min_value=0))),
-    )
-    return replace(
-        base,
-        disciplines={key: draw(TEXT) for key in keys},
-        domestic_language=draw(TEXT),
-        pub_window=draw(WINDOWS),
-        citation_window=draw(WINDOWS),
-        current_minimums={(key, kind): draw(minimums) for key in keys for kind in recalibration.t},
-        recalibration=recalibration,
-        counted_publication_types=draw(st.one_of(st.none(), st.frozensets(st.sampled_from(PubType)))),
-    )
+    disciplines = {key: draw(TEXT) for key in keys}
+    language, pub_window, citation_window = draw(TEXT), draw(WINDOWS), draw(WINDOWS)
+    t = draw(st.dictionaries(st.sampled_from(T_KINDS), T_YEARS, min_size=1))
+    minimums = {(key, kind): draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+                for key in keys for kind in t}
+    top_fraction = draw(st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True), st.just(1)))
+    method, rounding = draw(st.sampled_from(CountingMethod)), draw(st.sampled_from(RoundingMode))
+    decimals = draw(st.one_of(st.none(), st.integers(min_value=0)))
+    types = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(PubType))))
+    document = {
+        "schema_version": 1,
+        "disciplines": [{"key": key, "name": name} for key, name in disciplines.items()],
+        "domestic_language": language,
+        "pub_window": [pub_window.start, pub_window.end],
+        "citation_window": [citation_window.start, citation_window.end],
+        "current_minimums": {key: {kind.value: minimums[key, kind] for kind in t} for key in keys},
+        "recalibration": {"top_fraction": top_fraction, "t_years": {kind.value: years for kind, years in t.items()},
+                          "ym_source_method": method.value, "ym_decimals": decimals, "rounding": rounding.value},
+        "counted_publication_types": None if types is None else [pub_type.value for pub_type in types],
+    }
+    recalibration = RecalibrationConfig(t=t, top_fraction=top_fraction, ym_source_method=method, rounding=rounding,
+                                        ym_decimals=decimals)
+    return document, PipelineConfig(disciplines, language, pub_window, citation_window, minimums, recalibration, types)
 
 
 def _config_refused(config) -> bool:
@@ -177,9 +185,6 @@ def _spec_refused(spec: SynthSpec) -> bool:
 PAIRS = {
     "apv_dsv": _apv_pair("dsv"),
     "apv_jsonl": _apv_pair("jsonl"),
-    "config": (_configs(), "config.json", save_pipeline_config, load_pipeline_config, lambda config: config,
-               _config_refused, r"{path}: bad config: (disciplines\[\d\]\.(key|name)|domestic_language"
-                                 r"|recalibration\.(top_fraction|t_years\.\w+)): "),
     "spec": (_specs(), "spec.json", save_synth_spec, load_synth_spec, lambda spec: spec, _spec_refused,
              r"{path}: bad generator spec: (disciplines\..*|domestic_language): "),
 }
@@ -210,6 +215,34 @@ def test_a_saved_value_loads_back_equal_or_is_refused_at_save(pair):
 
     saved_and_loaded()
     # most examples reach the loader, so its leaves are checked, not only the refusals of odd text
+    assert outcomes["loaded"] >= outcomes["refused"], outcomes
+
+
+def test_a_config_document_loads_as_its_values_or_is_refused_naming_the_key_path():
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_config_documents())
+    def written_and_loaded(drawn):
+        document, config = drawn
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "config.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            try:
+                loaded = load_pipeline_config(path)
+            except ConfigError as exc:
+                assert _config_refused(config), exc
+                # a key path holds its key as written, a newline too
+                assert re.match(rf"{re.escape(str(path))}: bad config: (disciplines\[\d\]\.(key|name)|domestic_language"
+                                r"|recalibration\.(top_fraction|t_years\.\w+)): ", str(exc), re.DOTALL), exc
+                outcomes["refused"] += 1
+                return
+        assert not _config_refused(config)
+        assert loaded == config
+        outcomes["loaded"] += 1
+
+    written_and_loaded()
+    # most examples load, so every leaf is checked, not only the refusals of odd text
     assert outcomes["loaded"] >= outcomes["refused"], outcomes
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recal.corpus import YearWindow, corpus_stats, load_corpus, save_corpus
 from recal.defaults import COAUTHORSHIP_PROFILE, DISCIPLINES
@@ -302,3 +303,20 @@ def test_the_largest_draw_gives_each_year_and_pick_that_min_would_give(monkeypat
     assert {x.last_degree_year for x in corpus.researchers.values()} == {drawn(window.start - 12)}
     assert len(corpus.publications) == 30
     assert all(set(p.author_ids) <= set(corpus.researchers) for p in corpus.publications.values())
+
+
+#: The largest value ``random()`` returns. The generator draws a uniform index below a span as
+#: ``int(random() * span)``, with no clamp: these two tests show that the index is always below the span.
+LARGEST_DRAW = 1 - 2**-53
+
+
+@settings(max_examples=500, deadline=None)
+@given(span=st.integers(1, 2**80))
+def test_the_largest_draw_times_a_span_is_below_the_span(span):
+    assert int(LARGEST_DRAW * span) < span
+
+
+def test_the_largest_draw_times_a_span_near_a_power_of_two_is_below_the_span():
+    # near a power of two the float of a span is furthest above it, relative to the span
+    spans = {span for power in range(75) for span in range(max(1, 2**power - 3000), 2**power + 3001)}
+    assert [span for span in sorted(spans) if int(LARGEST_DRAW * span) >= span] == []
