@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .config import ConfigError, PipelineConfig, default_config, load_pipeline_config
 from .corpus import (
@@ -29,6 +29,7 @@ from .evaluation import (
     save_threshold_table,
 )
 from .recalibration import (
+    Cell,
     DisciplinePerformance,
     MissingApvError,
     RecalibrationError,
@@ -94,11 +95,11 @@ def _cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> int:
         "avg_coauthors_per_multi",
     )
     rows = []
-    for row in stats.values():
+    for discipline, row in stats.items():
         avg = row.avg_coauthors_per_multi
         rows.append(
             (
-                row.discipline,
+                discipline,
                 str(row.pub_count),
                 str(row.multi_authored_count),
                 f"{row.multi_ratio:.2f}",
@@ -113,7 +114,7 @@ def _cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _recalibration_rows(
     args: argparse.Namespace, config: PipelineConfig
-) -> tuple[list[RecalibrationRow], list[DisciplinePerformance] | None]:
+) -> tuple[dict[Cell, RecalibrationRow], dict[Cell, DisciplinePerformance] | None]:
     """Rows plus, in corpus mode, the computed per-discipline performance."""
     if bool(args.apv_table) == (args.researchers is not None):
         raise ConfigError("provide exactly one input: the three corpus files or --apv-table")
@@ -127,23 +128,22 @@ def _recalibration_rows(
         raise ConfigError("corpus mode needs all three files: researchers publications citations")
     performance = discipline_performance(_corpus_from_args(args, config), config.disciplines, config.recalibration,
                                          config.pub_window, config.citation_window, config.counting_settings())
-    apvs = {(p.discipline, p.kind, p.method): p.apv for p in performance}
+    apvs = {cell: p.apv for cell, p in performance.items()}
     rows = recalibrate_all(apvs, config.disciplines, config.current_minimums, config.recalibration)
     return rows, performance
 
 
 def _write_figure_data(
-    rows: Sequence[RecalibrationRow], out_dir: Path, fmt: str, disciplines: Sequence[str]
+    rows: Mapping[Cell, RecalibrationRow], out_dir: Path, fmt: str, disciplines: Sequence[str]
 ) -> None:
     """One plottable file per kind: current share vs actual shares per method."""
-    by_cell = {(r.kind, r.method, r.discipline): r for r in rows}
-    kinds = sorted({r.kind for r in rows}, key=lambda k: k.value)
+    kinds = sorted({kind for _, kind, _ in rows}, key=lambda k: k.value)
     for kind in kinds:
         header = ("discipline", "dsdr_current", "dsdr_actual_integer", "dsdr_actual_fractional")
         table = []
         for discipline in disciplines:
-            integer = by_cell[(kind, CountingMethod.INTEGER, discipline)]
-            fractional = by_cell[(kind, CountingMethod.FRACTIONAL, discipline)]
+            integer = rows[discipline, kind, CountingMethod.INTEGER]
+            fractional = rows[discipline, kind, CountingMethod.FRACTIONAL]
             table.append(
                 (
                     discipline,
@@ -174,7 +174,7 @@ def _cmd_derive(args: argparse.Namespace, config: PipelineConfig) -> int:
 
     # (raw, rounded) per cell. A rounded minimum below 1 is floored to 1: a
     # minimum of 0 asks for nothing, and the threshold table refuses it.
-    cells = {(row.discipline, row.kind): (row.rmv_raw, row.rmv_rounded) for row in rows if row.method is method}
+    cells = {(d, kind): (row.rmv_raw, row.rmv_rounded) for (d, kind, m), row in rows.items() if m is method}
     cells.update(derived)
     floored = {cell for cell, (_, rounded) in cells.items() if rounded is not None and rounded < 1}
     minimums = {cell: raw if rounded is None else float(max(rounded, 1)) for cell, (raw, rounded) in cells.items()}

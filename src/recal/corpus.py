@@ -188,9 +188,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class DisciplineCoauthorship:
-    """Co-authorship profile of one discipline over a window."""
+    """Co-authorship profile of one discipline over a window, the key it is held under."""
 
-    discipline: str
     pub_count: int
     multi_authored_count: int
     coauthor_total: int
@@ -254,7 +253,7 @@ def corpus_stats(
         if (count := len(pub.author_ids)) >= 2:
             row[1] += 1
             row[2] += count
-    return {d: DisciplineCoauthorship(d, *counts[d]) for d in disciplines}
+    return {d: DisciplineCoauthorship(*counts[d]) for d in disciplines}
 
 
 # --------------------------------------------------------------------------

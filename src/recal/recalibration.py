@@ -28,7 +28,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from pathlib import Path
 from statistics import fmean
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping
 
 from .corpus import (
     Corpus, YearWindow, finite_float, misnamed_table, read_cells, required_string, required_text, text_not_kept,
@@ -37,7 +37,6 @@ from .corpus import (
 from .counting import (
     CountingMethod,
     CountingSettings,
-    DEFAULT_SETTINGS,
     IndicatorKind,
     indicator_matrix,
 )
@@ -110,11 +109,8 @@ class RecalibrationConfig:
 
 @dataclass(frozen=True)
 class DisciplinePerformance:
-    """Top-quartile mean of one (discipline, kind, method) cell."""
+    """Top-quartile mean of one (discipline, kind, method) cell, the key it is held under."""
 
-    discipline: str
-    kind: IndicatorKind
-    method: CountingMethod
     apv: float
     population: int
     selected: int
@@ -122,9 +118,6 @@ class DisciplinePerformance:
 
 @dataclass(frozen=True)
 class RecalibrationRow:
-    discipline: str
-    kind: IndicatorKind
-    method: CountingMethod
     cmv: float
     apv: float
     y_i: float
@@ -192,12 +185,7 @@ def _round_half_away_from_zero(value: float) -> int:
     return int(Decimal(repr(value)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-def round_minimum(
-    raw: float,
-    kind: IndicatorKind,
-    method: CountingMethod,
-    mode: RoundingMode = RoundingMode.HALF_AWAY_FROM_ZERO,
-) -> int | None:
+def round_minimum(raw: float, kind: IndicatorKind, method: CountingMethod, mode: RoundingMode) -> int | None:
     """Presentation rounding of a raw minimum.
 
     Count kinds (and the integer-method cumulative impact factor) round half
@@ -214,10 +202,13 @@ def round_minimum(
 
 
 def _quantize(value: float, decimals: int | None) -> float:
-    if decimals is None:
+    """``value`` rounded half up to ``decimals`` places, or as it is if its
+    repr has no more places than that: rounding then never needs more digits
+    than a repr holds, however many places are asked for."""
+    exact = Decimal(repr(value))
+    if decimals is None or exact.as_tuple().exponent >= -decimals:
         return value
-    exponent = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(exponent, rounding=ROUND_HALF_UP))
+    return float(exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
 
 
 def discipline_performance(
@@ -226,10 +217,10 @@ def discipline_performance(
     config: RecalibrationConfig,
     pub_window: YearWindow,
     citation_window: YearWindow,
-    settings: CountingSettings = DEFAULT_SETTINGS,
-) -> list[DisciplinePerformance]:
-    """Compute APVs from a corpus: per discipline, kind and counting method,
-    the top-quartile mean over all of the discipline's researchers
+    settings: CountingSettings,
+) -> dict[Cell, DisciplinePerformance]:
+    """Compute APVs from a corpus, keyed by cell, by discipline, then kind, then
+    method: the top-quartile mean over all of the discipline's researchers
     (researchers with zero output included)."""
     members: dict[str, list[str]] = {d: [] for d in disciplines}
     for researcher in corpus.researchers.values():
@@ -243,11 +234,11 @@ def discipline_performance(
         corpus, config.kinds, METHODS, pub_window, citation_window, settings,
         [rid for ids in members.values() for rid in ids],
     )
-    performance: list[DisciplinePerformance] = []
+    performance: dict[Cell, DisciplinePerformance] = {}
     for discipline, ids in members.items():
         for kind, method in itertools.product(config.kinds, METHODS):
             apv, selected = top_quartile_apv({rid: values[rid, method][kind] for rid in ids}, config.top_fraction)
-            performance.append(DisciplinePerformance(discipline, kind, method, apv, len(ids), selected))
+            performance[discipline, kind, method] = DisciplinePerformance(apv, len(ids), selected)
     return performance
 
 
@@ -277,13 +268,13 @@ def recalibrate_all(
     disciplines: Collection[str],
     cmv: Mapping[tuple[str, IndicatorKind], float],
     config: RecalibrationConfig,
-) -> list[RecalibrationRow]:
+) -> dict[Cell, RecalibrationRow]:
     """Run the full recalibration over every (kind, method, discipline) cell
     of an APV table; ``cmv`` has a positive minimum per discipline and kind
     in ``config.t``, as ``PipelineConfig`` checks.
 
     Per kind, Y_m comes from the ``ym_source_method`` Y_i values and applies
-    to both methods. Rows come out grouped by kind, then method, then
+    to both methods. Rows are keyed by cell, by kind, then method, then
     discipline. Before any row is built, a (discipline, kind) with no CMV, a
     cell with no APV (``MissingApvError``) and a non-positive APV are refused;
     then a Y_i, Y_m, r_y, DSDR or raw minimum that is not a finite positive
@@ -298,7 +289,7 @@ def recalibrate_all(
         if apv <= 0:
             raise DegenerateDisciplineError(f"apv for {_cell_text(cell)} is {apv}")
 
-    rows: list[RecalibrationRow] = []
+    rows: dict[Cell, RecalibrationRow] = {}
     source = config.ym_source_method
     for kind in config.kinds:
         t = config.t[kind]
@@ -308,7 +299,7 @@ def recalibrate_all(
         source_years = {d: years_to_fulfill(cmvs[d], apv_table[(d, kind, source)], t) for d in disciplines}
         try:
             y_m = _quantize(mean_years(_carried(source_years, "y_i", kind, source)), config.ym_decimals)
-        except ArithmeticError:  # a sum past the float range, or more digits than the Decimal context keeps
+        except ArithmeticError:  # fmean's sum past the float range
             raise RecalibrationError(f"(*, {kind.value}, {source.value}): y_m, the y_i mean, is too large") from None
         _carried({"*": y_m}, "y_m", kind, source)
 
@@ -321,30 +312,26 @@ def recalibrate_all(
             _carried(dsdr_current, "dsdr_current", kind, method)
             dsdr_actual = _carried(dsdr(apvs), "dsdr_actual", kind, method)
             for discipline in disciplines:
-                rows.append(
-                    RecalibrationRow(
-                        discipline=discipline,
-                        kind=kind,
-                        method=method,
-                        cmv=cmvs[discipline],
-                        apv=apvs[discipline],
-                        y_i=years[discipline],
-                        y_m=y_m,
-                        r_y=r_y[discipline],
-                        dsdr_current=dsdr_current[discipline],
-                        dsdr_actual=dsdr_actual[discipline],
-                        rmv_raw=rmv_raw[discipline],
-                        rmv_rounded=_rounded(rmv_raw[discipline], (discipline, kind, method), config.rounding),
-                    )
+                cell = (discipline, kind, method)
+                rows[cell] = RecalibrationRow(
+                    cmv=cmvs[discipline],
+                    apv=apvs[discipline],
+                    y_i=years[discipline],
+                    y_m=y_m,
+                    r_y=r_y[discipline],
+                    dsdr_current=dsdr_current[discipline],
+                    dsdr_actual=dsdr_actual[discipline],
+                    rmv_raw=rmv_raw[discipline],
+                    rmv_rounded=_rounded(rmv_raw[discipline], cell, config.rounding),
                 )
     return rows
 
 
 def derived_scaled_minimums(
-    base_rows: Sequence[RecalibrationRow],
+    base_rows: Mapping[Cell, RecalibrationRow],
     current_minimums: Mapping[tuple[str, IndicatorKind], float],
-    method: CountingMethod = CountingMethod.INTEGER,
-    rounding: RoundingMode = RoundingMode.HALF_AWAY_FROM_ZERO,
+    method: CountingMethod,
+    rounding: RoundingMode,
 ) -> dict[tuple[str, IndicatorKind], tuple[float, int | None]]:
     """Scale each derivable current minimum proportionally off its base kind's RMV.
 
@@ -355,10 +342,9 @@ def derived_scaled_minimums(
     for the derivable cells, in the order of ``current_minimums``, and leaves
     every other cell out; a raw minimum is checked as in ``recalibrate_all``.
     """
-    base_by_cell = {(row.discipline, row.kind): row for row in base_rows if row.method is method}
     out: dict[tuple[str, IndicatorKind], tuple[float, int | None]] = {}
     for (discipline, kind), cmv in current_minimums.items():
-        base = base_by_cell.get((discipline, DEFAULT_BASE_KINDS.get(kind)))
+        base = base_rows.get((discipline, DEFAULT_BASE_KINDS.get(kind), method))
         if base is not None:
             raw = _carried({discipline: base.rmv_raw * cmv / base.cmv}, "rmv_raw", kind, method)[discipline]
             out[(discipline, kind)] = (raw, _rounded(raw, (discipline, kind, method), rounding))
@@ -396,57 +382,52 @@ def read_apv_table(path: str | Path) -> dict[Cell, float]:
 
 
 def write_apv_table(
-    performance: Iterable[DisciplinePerformance], path: str | Path, fmt: str = "dsv"
+    performance: Mapping[Cell, DisciplinePerformance], path: str | Path, fmt: str = "dsv"
 ) -> None:
-    """Write each cell's APV, at full float precision so that a replay through
-    ``read_apv_table`` reproduces it bit for bit, with its population and
-    selection sizes. What the reader would refuse or change raises
-    ``RecalibrationError`` naming its row before the file is opened: a
-    discipline that ``text_not_kept`` names, an APV that is not a finite
-    positive ``int`` or ``float`` that a float equals, or a cell that an
-    earlier row holds; the first such row is named, as the reader names the
-    first row it refuses. After the rows, a
-    ``path`` that the reader would read in the other format, by its suffix,
-    raises ``RecalibrationError`` naming it."""
-    performance = list(performance)
-    row_of: dict[Cell, int] = {}
-    for row, p in enumerate(performance, 1):
-        cell = (p.discipline, p.kind, p.method)
-        where = f"row {row} ({p.discipline!r}, {p.kind.value}, {p.method.value})"
-        if bad := text_not_kept([p.discipline]):
+    """Write each cell's APV, in key order, at full float precision so that a
+    replay through ``read_apv_table`` reproduces it bit for bit, with its
+    population and selection sizes. What the reader would refuse or change
+    raises ``RecalibrationError`` naming its row before the file is opened: a
+    discipline that ``text_not_kept`` names, or an APV that is not a finite
+    positive ``int`` or ``float`` that a float equals; the first such row is
+    named, as the reader names the first row it refuses. A mapping holds one
+    APV per cell, so no row repeats another's. After the rows, a ``path``
+    that the reader would read in the other format, by its suffix, raises
+    ``RecalibrationError`` naming it."""
+    for row, ((discipline, kind, method), p) in enumerate(performance.items(), 1):
+        where = f"row {row} ({discipline!r}, {kind.value}, {method.value})"
+        if bad := text_not_kept([discipline]):
             raise RecalibrationError(f"{where}: the discipline {bad[1]}")
         # the type tested as the config's NUMBER rule tests it: a boolean's or a Decimal's repr does not read back
         if type(p.apv) not in (int, float) or not 0.0 < p.apv <= sys.float_info.max:  # NaN fails too
             raise RecalibrationError(f"{where}: the apv is {p.apv!r}, not a finite positive number")
         if float(p.apv) != p.apv:  # an integer past 2**53 would read back as its nearest float
             raise RecalibrationError(f"{where}: the apv is {p.apv!r}, an integer that no float equals")
-        if row_of.setdefault(cell, row) != row:
-            raise RecalibrationError(f"{where}: repeats row {row_of[cell]}, the APV of the same cell")
     if reason := misnamed_table(path, fmt):
         raise RecalibrationError(reason)
-    rows = ((p.discipline, p.kind.value, p.method.value, repr(p.apv), str(p.population), str(p.selected))
-            for p in performance)
+    rows = ((discipline, kind.value, method.value, repr(p.apv), str(p.population), str(p.selected))
+            for (discipline, kind, method), p in performance.items())
     write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)
 
 
 def write_recalibration_rows(
-    rows: Iterable[RecalibrationRow], path: str | Path, fmt: str = "dsv"
+    rows: Mapping[Cell, RecalibrationRow], path: str | Path, fmt: str = "dsv"
 ) -> None:
-    """Write rows with ratios to 6 decimals and years/minimums to 3; JSONL
-    keeps CMV and APV unrounded."""
+    """Write each cell's row, in key order, with ratios to 6 decimals and
+    years/minimums to 3; JSONL keeps CMV and APV unrounded."""
     if fmt == "jsonl":
         records = (
-            (r.discipline, r.kind.value, r.method.value, r.cmv, r.apv, round(r.y_i, 3),
+            (discipline, kind.value, method.value, r.cmv, r.apv, round(r.y_i, 3),
              round(r.y_m, 3), round(r.r_y, 6), round(r.dsdr_current, 6), round(r.dsdr_actual, 6),
              round(r.rmv_raw, 3), r.rmv_rounded)
-            for r in rows
+            for (discipline, kind, method), r in rows.items()
         )
     else:
         records = (
-            (r.discipline, r.kind.value, r.method.value, f"{r.cmv:.3f}", f"{r.apv:.3f}",
+            (discipline, kind.value, method.value, f"{r.cmv:.3f}", f"{r.apv:.3f}",
              f"{r.y_i:.3f}", f"{r.y_m:.3f}", f"{r.r_y:.6f}", f"{r.dsdr_current:.6f}",
              f"{r.dsdr_actual:.6f}", f"{r.rmv_raw:.3f}",
              "" if r.rmv_rounded is None else str(r.rmv_rounded))
-            for r in rows
+            for (discipline, kind, method), r in rows.items()
         )
     write_table(path, RECALIBRATION_FIELDS, records, fmt)

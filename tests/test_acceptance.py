@@ -22,6 +22,7 @@ from recal.defaults import COAUTHORSHIP_PROFILE, CURRENT_MINIMUMS, DEFAULT_T, DI
 from recal.evaluation import ThresholdTable, evaluate_candidate
 from recal.recalibration import (
     RecalibrationConfig,
+    RoundingMode,
     derived_scaled_minimums,
     discipline_performance,
     read_apv_table,
@@ -55,23 +56,23 @@ def _finish(label: str, failures: list[str]) -> None:
 
 def _recalibration_invariants(rows, t_by_kind, failures, tag=""):
     """The shared invariant battery over a set of recalibration rows."""
-    kinds = {r.kind for r in rows}
+    kinds = {kind for _, kind, _ in rows}
     for kind in kinds:
         for method in (INTEGER, FRACTIONAL):
-            subset = [r for r in rows if r.kind is kind and r.method is method]
-            if abs(sum(r.dsdr_current for r in subset) - 1.0) > 1e-9:
+            subset = {d: r for (d, k, m), r in rows.items() if k is kind and m is method}
+            if abs(sum(r.dsdr_current for r in subset.values()) - 1.0) > 1e-9:
                 failures.append(f"{tag}{kind.value}/{method.value}: current DSDRs do not sum to 1")
-            if abs(sum(r.dsdr_actual for r in subset) - 1.0) > 1e-9:
+            if abs(sum(r.dsdr_actual for r in subset.values()) - 1.0) > 1e-9:
                 failures.append(f"{tag}{kind.value}/{method.value}: actual DSDRs do not sum to 1")
-            total_rmv = sum(r.rmv_raw for r in subset)
+            total_rmv = sum(r.rmv_raw for r in subset.values())
             t = t_by_kind[kind]
-            for r in subset:
+            for d, r in subset.items():
                 if abs(r.rmv_raw - r.apv * r.y_m / t) > 1e-9 * max(1.0, abs(r.rmv_raw)):
-                    failures.append(f"{tag}{r.discipline}/{kind.value}/{method.value}: closed form mismatch")
+                    failures.append(f"{tag}{d}/{kind.value}/{method.value}: closed form mismatch")
                 if abs(r.rmv_raw / total_rmv - r.dsdr_actual) > 1e-9:
-                    failures.append(f"{tag}{r.discipline}/{kind.value}/{method.value}: RMV share != actual DSDR")
+                    failures.append(f"{tag}{d}/{kind.value}/{method.value}: RMV share != actual DSDR")
                 if abs(r.rmv_raw / r.apv * t - r.y_m) > 1e-9 * max(1.0, r.y_m):
-                    failures.append(f"{tag}{r.discipline}/{kind.value}/{method.value}: equal-time broken")
+                    failures.append(f"{tag}{d}/{kind.value}/{method.value}: equal-time broken")
 
 
 # --------------------------------------------------------------------------
@@ -82,31 +83,30 @@ def test_criterion_1_golden_pipeline_reproduction():
     elapsed = perf_counter() - start
 
     failures: list[str] = []
-    by_cell = {(r.discipline, r.kind, r.method): r for r in rows}
     if len(rows) != 9 * 4 * 2:
         failures.append(f"expected 72 rows, got {len(rows)}")
 
     for (kind, method), cells in ref.YEARS_PUBLISHED.items():
         for discipline, published in cells.items():
-            y_i = by_cell[(discipline, kind, method)].y_i
+            y_i = rows[(discipline, kind, method)].y_i
             if abs(y_i - published) > 0.005:
                 failures.append(f"Y_i {discipline}/{kind.value}/{method.value}: {y_i:.4f} vs {published}")
 
     for kind, published in ref.MEAN_YEARS_PUBLISHED.items():
-        y_m = by_cell[("geology", kind, INTEGER)].y_m
+        y_m = rows[("geology", kind, INTEGER)].y_m
         if abs(y_m - published) > 0.005:
             failures.append(f"Y_m {kind.value}: {y_m:.4f} vs {published}")
 
     for (kind, method), cells in ref.RMV_RAW_PUBLISHED.items():
         for discipline, published in cells.items():
-            raw = by_cell[(discipline, kind, method)].rmv_raw
+            raw = rows[(discipline, kind, method)].rmv_raw
             if abs(raw - published) > 0.005:
                 failures.append(f"RMV {discipline}/{kind.value}/{method.value}: {raw:.4f} vs {published}")
 
     rounded_checked = 0
     for kind in CORE:
         for discipline, published in ref.RMV_ROUNDED_PUBLISHED[(kind, INTEGER)].items():
-            rounded = by_cell[(discipline, kind, INTEGER)].rmv_rounded
+            rounded = rows[(discipline, kind, INTEGER)].rmv_rounded
             rounded_checked += 1
             if rounded != published:
                 failures.append(f"rounded RMV {discipline}/{kind.value}: {rounded} vs {published}")
@@ -120,7 +120,6 @@ def test_criterion_1_golden_pipeline_reproduction():
 
 def test_criterion_2_dsdr_reproduction():
     rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
-    by_cell = {(r.discipline, r.kind, r.method): r for r in rows}
     failures = []
     checks = [
         ("geology", "dsdr_current", 0.107143),
@@ -129,7 +128,7 @@ def test_criterion_2_dsdr_reproduction():
         ("geodesy", "dsdr_actual", 0.080511),
     ]
     for discipline, attribute, published in checks:
-        value = getattr(by_cell[(discipline, K.PUBLICATIONS, INTEGER)], attribute)
+        value = getattr(rows[(discipline, K.PUBLICATIONS, INTEGER)], attribute)
         if abs(value - published) > 5e-6:
             failures.append(f"{attribute} {discipline}: {value:.7f} vs {published}")
     _finish("criterion 2 (publication DSDR reproduction)", failures)
@@ -137,7 +136,7 @@ def test_criterion_2_dsdr_reproduction():
 
 def test_criterion_3_derived_scaling_matches_published_table(capsys):
     rows = recalibrate_all(read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS, section_config())
-    derived = derived_scaled_minimums(rows, CURRENT_MINIMUMS)
+    derived = derived_scaled_minimums(rows, CURRENT_MINIMUMS, INTEGER, RoundingMode.HALF_AWAY_FROM_ZERO)
 
     failures = []
     exact = off_by_one = 0
@@ -204,10 +203,11 @@ def test_criterion_4_property_suite():
             read_apv_table(APV_TABLE_PATH), DISCIPLINES, CURRENT_MINIMUMS,
             section_config(ym_decimals=None, t={k: v * c for k, v in DEFAULT_T.items()}),
         )
-        for r_base, r_scaled in zip(base, scaled):
+        for (discipline, kind, method), r_base in base.items():
+            r_scaled = scaled[discipline, kind, method]
             if abs(r_scaled.rmv_raw - r_base.rmv_raw) > 1e-9 * max(1.0, r_base.rmv_raw):
                 failures.append(
-                    f"t-invariance broken at c={c}: {r_base.discipline}/{r_base.kind.value}"
+                    f"t-invariance broken at c={c}: {discipline}/{kind.value}"
                 )
                 break
             if abs(r_scaled.y_i - r_base.y_i * c) > 1e-9 * max(1.0, r_base.y_i * c):
@@ -262,8 +262,9 @@ def test_criterion_5_synthetic_end_to_end():
                 failures.append(
                     f"seed {seed} {discipline}: mean co-authors {realized_mean} vs target {mean}"
                 )
-        performance = discipline_performance(corpus, DISCIPLINES, config, spec.pub_window, spec.citation_window)
-        apvs = {(p.discipline, p.kind, p.method): p.apv for p in performance}
+        performance = discipline_performance(corpus, DISCIPLINES, config, spec.pub_window, spec.citation_window,
+                                             CountingSettings())
+        apvs = {cell: p.apv for cell, p in performance.items()}
         rows = recalibrate_all(apvs, DISCIPLINES, CURRENT_MINIMUMS, config)
         _recalibration_invariants(rows, DEFAULT_T, failures, tag=f"seed {seed} ")
     _finish("criterion 5 (synthetic corpora, seeds 1-10)", failures)

@@ -785,9 +785,9 @@ GEOCHEMISTRY_PUBLICATIONS = ("current_minimums", "geochemistry", "publications")
 #: The message names the cell; only a cell the table lacks names the table.
 OUT_OF_RANGE = {
     "minimum_1e30": ({GEOCHEMISTRY_PUBLICATIONS: 1e30},
-                     "(*, publications, integer): y_m, the y_i mean, is too large"),
+                     "(geochemistry, publications, integer): rmv_raw is 1.111111111111111e+29, too large to round"),
     "minimum_1.7e308": ({GEOCHEMISTRY_PUBLICATIONS: 1.7e308},
-                        "(*, publications, integer): y_m, the y_i mean, is too large"),
+                        "(geochemistry, publications, integer): rmv_raw is inf, not a finite positive number"),
     "minimum_5e-324": ({GEOCHEMISTRY_PUBLICATIONS: 5e-324},
                        "(geochemistry, publications, integer): y_i is 0.0, not a finite positive number"),
     "t_years_1e308": ({("recalibration", "t_years", "publications"): 1e308},
@@ -1117,7 +1117,7 @@ def _fuzz_input(name: str, tmp_path: Path, clean_corpus_files) -> tuple[Path, li
         return paths[1], ["validate", *paths], "2.5"
     if name in ("apv_dsv", "apv_jsonl"):
         path = tmp_path / ("apv.csv" if name == "apv_dsv" else "apv.jsonl")
-        performance = [DisciplinePerformance(*cell, apv, 8, 2) for cell, apv in read_apv_table(APV_TABLE).items()]
+        performance = {cell: DisciplinePerformance(apv, 8, 2) for cell, apv in read_apv_table(APV_TABLE).items()}
         write_apv_table(performance, path, "dsv" if name == "apv_dsv" else "jsonl")
         return path, ["recalibrate", "--apv-table", path, *out], "8.854"
     if name == "thresholds":

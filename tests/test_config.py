@@ -176,7 +176,8 @@ def test_derived_minimums_exclude_core_and_unscalable_kinds():
     config = default_config()
     rows = recalibrate_all(read_apv_table(APV_TABLE), config.disciplines, config.current_minimums,
                            config.recalibration)
-    derived = derived_scaled_minimums(rows, config.current_minimums)
+    derived = derived_scaled_minimums(rows, config.current_minimums, CountingMethod.INTEGER,
+                                      config.recalibration.rounding)
     kinds = {kind for _, kind in derived}
     assert IndicatorKind.PUBLICATIONS not in kinds
     assert IndicatorKind.H_INDEX not in kinds

@@ -993,7 +993,6 @@ def test_stats_all_single_authored():
 
 def test_stats_published_section_row():
     row = DisciplineCoauthorship(
-        discipline="social_geography",
         pub_count=3277,
         multi_authored_count=2199,
         coauthor_total=8173,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recal.config import ConfigError, default_config
-from recal.counting import CountingMethod, IndicatorKind
+from recal.counting import CountingMethod, CountingSettings, IndicatorKind
 from recal.recalibration import (
     DEFAULT_BASE_KINDS,
     DegenerateDisciplineError,
@@ -19,6 +19,7 @@ from recal.recalibration import (
     RecalibrationRow,
     RoundingMode,
     derived_scaled_minimums,
+    discipline_performance,
     dsdr,
     mean_years,
     read_apv_table,
@@ -27,23 +28,22 @@ from recal.recalibration import (
     round_minimum,
     top_quartile_apv,
     write_apv_table,
+    write_recalibration_rows,
     years_to_fulfill,
 )
 from recal.defaults import CURRENT_MINIMUMS, DEFAULT_T, DISCIPLINES
 
 import reference_section as ref
+from conftest import CITATION_WINDOW, PUB_WINDOW, publication, researcher, small_corpus
 
 INTEGER = CountingMethod.INTEGER
 FRACTIONAL = CountingMethod.FRACTIONAL
 K = IndicatorKind
+HALF_UP = RoundingMode.HALF_AWAY_FROM_ZERO
 
 
 def section_config(**overrides) -> RecalibrationConfig:
     return RecalibrationConfig(**{"t": DEFAULT_T, **overrides})
-
-
-def rows_by_cell(rows):
-    return {(r.discipline, r.kind, r.method): r for r in rows}
 
 
 # --------------------------------------------------------------------------
@@ -131,16 +131,16 @@ def test_recalibrated_minimum_published_examples():
 
 
 def test_round_minimum_published_cases():
-    assert round_minimum(2.521, K.CUMULATIVE_IF, INTEGER) == 3
-    assert round_minimum(22.934, K.PUBLICATIONS, INTEGER) == 23
-    assert round_minimum(0.916, K.CUMULATIVE_IF, FRACTIONAL) is None
-    assert round_minimum(13.478, K.PUBLICATIONS, FRACTIONAL) == 13
+    assert round_minimum(2.521, K.CUMULATIVE_IF, INTEGER, HALF_UP) == 3
+    assert round_minimum(22.934, K.PUBLICATIONS, INTEGER, HALF_UP) == 23
+    assert round_minimum(0.916, K.CUMULATIVE_IF, FRACTIONAL, HALF_UP) is None
+    assert round_minimum(13.478, K.PUBLICATIONS, FRACTIONAL, HALF_UP) == 13
 
 
 def test_round_minimum_half_away_from_zero_and_none_mode():
-    assert round_minimum(0.5, K.PUBLICATIONS, INTEGER) == 1
-    assert round_minimum(2.5, K.PUBLICATIONS, INTEGER) == 3
-    assert round_minimum(2.4999999, K.PUBLICATIONS, INTEGER) == 2
+    assert round_minimum(0.5, K.PUBLICATIONS, INTEGER, HALF_UP) == 1
+    assert round_minimum(2.5, K.PUBLICATIONS, INTEGER, HALF_UP) == 3
+    assert round_minimum(2.4999999, K.PUBLICATIONS, INTEGER, HALF_UP) == 2
     assert round_minimum(7.7, K.PUBLICATIONS, INTEGER, RoundingMode.NONE) is None
 
 
@@ -148,7 +148,7 @@ def test_round_minimum_half_away_from_zero_and_none_mode():
 # Full pipeline, fixture mode
 
 def test_recalibrate_published_spot_checks():
-    rows = rows_by_cell(recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config()))
+    rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     cell = rows[("geochemistry", K.CUMULATIVE_IF, INTEGER)]
     assert cell.rmv_raw == pytest.approx(14.840, abs=5e-3)
     assert cell.y_m == pytest.approx(1.430, abs=5e-3)
@@ -168,13 +168,13 @@ def test_recalibrate_uniform_table_is_symmetric():
     table = {
         (d, K.PUBLICATIONS, m): 45.0 for d in disciplines for m in (INTEGER, FRACTIONAL)
     }
-    for row in recalibrate_all(table, disciplines, cmv, config):
+    for row in recalibrate_all(table, disciplines, cmv, config).values():
         assert row.rmv_raw == pytest.approx(row.cmv, rel=1e-12)
         assert row.dsdr_current == pytest.approx(0.25)
         assert row.dsdr_actual == pytest.approx(0.25)
     # with presentation quantization of y_m the identity still holds to ~1e-3
     quantized = RecalibrationConfig(t={K.PUBLICATIONS: 5.0})
-    for row in recalibrate_all(table, disciplines, cmv, quantized):
+    for row in recalibrate_all(table, disciplines, cmv, quantized).values():
         assert row.rmv_raw == pytest.approx(row.cmv, rel=1e-3)
 
 
@@ -244,13 +244,13 @@ def test_config_requires_complete_cmv_coverage():
 def test_apv_table_round_trip(tmp_path):
     for table in (ref.apv_table(), {('a,"b" földtan', K.PUBLICATIONS, INTEGER): 0.1 + 0.2}):
         for path, fmt in ((tmp_path / "apv.csv", "dsv"), (tmp_path / "apv.jsonl", "jsonl")):
-            performance = [DisciplinePerformance(*cell, apv, 8, 2) for cell, apv in table.items()]
+            performance = {cell: DisciplinePerformance(apv, 8, 2) for cell, apv in table.items()}
             write_apv_table(performance, path, fmt)
             assert read_apv_table(path) == table
 
 
 def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
-    cell = [DisciplinePerformance('a,"b" földtan', K.PUBLICATIONS, INTEGER, 1.5, 8, 2)]
+    cell = {('a,"b" földtan', K.PUBLICATIONS, INTEGER): DisciplinePerformance(1.5, 8, 2)}
     write_apv_table(cell, tmp_path / "apv.csv")
     write_apv_table(cell, tmp_path / "apv.jsonl", "jsonl")
     assert (tmp_path / "apv.csv").read_bytes() == (
@@ -270,10 +270,10 @@ def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
 ])
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
 def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, discipline, reason):
-    performance = [
-        DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2),
-        DisciplinePerformance(discipline, K.PUBLICATIONS, INTEGER, 1.5, 8, 2),
-    ]
+    performance = {
+        ("mining", K.PUBLICATIONS, INTEGER): DisciplinePerformance(2.5, 8, 2),
+        (discipline, K.PUBLICATIONS, INTEGER): DisciplinePerformance(1.5, 8, 2),
+    }
     path = tmp_path / "apv"
     with pytest.raises(RecalibrationError) as caught:
         write_apv_table(performance, path, fmt)
@@ -287,31 +287,51 @@ def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, d
 def test_apv_table_refuses_a_path_the_reader_would_read_in_the_other_format(tmp_path, name, fmt, read_as):
     path = tmp_path / name
     with pytest.raises(RecalibrationError) as caught:
-        write_apv_table([DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2)], path, fmt)
+        write_apv_table({("mining", K.PUBLICATIONS, INTEGER): DisciplinePerformance(2.5, 8, 2)}, path, fmt)
     assert str(caught.value) == (f"{path}: the readers would read it as {read_as}, not {fmt}: "
                                  "a .jsonl, .ndjson, .json suffix means jsonl, any other dsv")
     assert not path.exists()
 
 
-@pytest.mark.parametrize("second, problem", [
-    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, 0.0, 8, 2),
-     "the apv is 0.0, not a finite positive number"),
-    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, -1.5, 8, 2),
-     "the apv is -1.5, not a finite positive number"),
-    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, math.nan, 8, 2),
-     "the apv is nan, not a finite positive number"),
-    (DisciplinePerformance("geology", K.PUBLICATIONS, INTEGER, math.inf, 8, 2),
-     "the apv is inf, not a finite positive number"),
-    (DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 3.5, 8, 2), "repeats row 1, the APV of the same cell"),
-], ids=["zero", "negative", "nan", "inf", "repeated"])
+@pytest.mark.parametrize("apv, problem", [
+    (0.0, "the apv is 0.0, not a finite positive number"),
+    (-1.5, "the apv is -1.5, not a finite positive number"),
+    (math.nan, "the apv is nan, not a finite positive number"),
+    (math.inf, "the apv is inf, not a finite positive number"),
+], ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
-def test_apv_table_refuses_a_row_the_reader_would_refuse(tmp_path, fmt, second, problem):
-    performance = [DisciplinePerformance("mining", K.PUBLICATIONS, INTEGER, 2.5, 8, 2), second]
+def test_apv_table_refuses_a_row_the_reader_would_refuse(tmp_path, fmt, apv, problem):
+    performance = {
+        ("mining", K.PUBLICATIONS, INTEGER): DisciplinePerformance(2.5, 8, 2),
+        ("geology", K.PUBLICATIONS, INTEGER): DisciplinePerformance(apv, 8, 2),
+    }
     path = tmp_path / "apv"
     with pytest.raises(RecalibrationError) as caught:
         write_apv_table(performance, path, fmt)
-    assert str(caught.value) == f"row 2 ({second.discipline!r}, publications, integer): {problem}"
+    assert str(caught.value) == f"row 2 ('geology', publications, integer): {problem}"
     assert not path.exists()
+
+
+def test_tables_are_keyed_by_cell_in_output_order(tmp_path):
+    rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
+    assert list(rows) == [(d, kind, m) for kind in DEFAULT_T for m in (INTEGER, FRACTIONAL) for d in DISCIPLINES]
+
+    disciplines = ("mining", "geology")
+    corpus = small_corpus([researcher("r1"), researcher("r2", "mining")], [publication("p1", ("r1", "r2"), wos=True)],
+                          disciplines=disciplines)
+    kinds = (K.WOS_ARTICLES, K.PUBLICATIONS)
+    performance = discipline_performance(corpus, disciplines, RecalibrationConfig(t=dict.fromkeys(kinds, 5.0)),
+                                         PUB_WINDOW, CITATION_WINDOW, CountingSettings())
+    assert list(performance) == [(d, kind, m) for d in disciplines for kind in kinds for m in (INTEGER, FRACTIONAL)]
+
+    # a writer keeps the order of the keys it is given, whatever it is
+    reversed_rows = dict(reversed(rows.items()))
+    write_recalibration_rows(reversed_rows, tmp_path / "recalibration.csv")
+    reversed_performance = dict(reversed(performance.items()))
+    write_apv_table(reversed_performance, tmp_path / "apv.csv")
+    for table, path in ((reversed_rows, "recalibration.csv"), (reversed_performance, "apv.csv")):
+        written = [tuple(line.split(",")[:3]) for line in (tmp_path / path).read_text().splitlines()[1:]]
+        assert written == [(d, kind.value, m.value) for d, kind, m in table]
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +346,8 @@ def test_derived_scaling_published_examples():
             ("geochemistry", K.FIRST_AUTHOR_PUBLICATIONS): 15.0,
             ("social_geography", K.FOREIGN_LANGUAGE_PUBLICATIONS): 35.0,
         },
+        INTEGER,
+        HALF_UP,
     )
     raw, rounded = derived[("geology", K.FIRST_AUTHOR_PUBLICATIONS)]
     assert raw == pytest.approx(18.10, abs=5e-3)
@@ -343,10 +365,11 @@ def test_derived_scaling_published_examples():
 def test_derived_scaling_requires_base():
     # a kind with no scaling base, and a derived kind whose base was not recalibrated, are left out
     rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
-    assert derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0}) == {}
+    assert derived_scaled_minimums(rows, {("geology", K.WOS_INDEPENDENT_CITATIONS): 50.0}, INTEGER, HALF_UP) == {}
     config = section_config(t={K.CUMULATIVE_IF: 5.0})
     if_only_rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, config)
-    assert derived_scaled_minimums(if_only_rows, {("geology", K.FIRST_AUTHOR_PUBLICATIONS): 15.0}) == {}
+    assert derived_scaled_minimums(if_only_rows, {("geology", K.FIRST_AUTHOR_PUBLICATIONS): 15.0}, INTEGER,
+                                   HALF_UP) == {}
 
 
 def filtered_then_scaled(rows, minimums, t, method, rounding):
@@ -354,13 +377,12 @@ def filtered_then_scaled(rows, minimums, t, method, rounding):
     being in ``t``, then each of them scaled, and a chosen cell without its
     base row refused."""
     derivable = {cell: value for cell, value in minimums.items() if DEFAULT_BASE_KINDS.get(cell[1]) in t}
-    base_by_cell = {(row.discipline, row.kind): row for row in rows if row.method is method}
     out = {}
     for (discipline, kind), cmv in derivable.items():
         base_kind = DEFAULT_BASE_KINDS.get(kind)
         if base_kind is None:
             raise LookupError(f"{kind.value} has no scaling base")
-        base = base_by_cell.get((discipline, base_kind))
+        base = rows.get((discipline, base_kind, method))
         if base is None:
             raise LookupError(f"no {method.value} base row ({discipline}, {base_kind.value}) for {kind.value}")
         raw = base.rmv_raw * cmv / base.cmv
@@ -412,7 +434,7 @@ def test_recalibration_identities(table_data, cmv_values):
     disciplines, table = table_data
     rows = recalibrate_all(table, *tiny_inputs(disciplines, cmv_values))
     for method in (INTEGER, FRACTIONAL):
-        subset = [r for r in rows if r.method is method]
+        subset = [r for (_, _, m), r in rows.items() if m is method]
         assert sum(r.dsdr_current for r in subset) == pytest.approx(1.0, abs=1e-9)
         assert sum(r.dsdr_actual for r in subset) == pytest.approx(1.0, abs=1e-9)
         total_rmv = sum(r.rmv_raw for r in subset)
@@ -434,8 +456,8 @@ def test_t_invariance_with_exact_mean(table_data, cmv_values, factor):
     disciplines, table = table_data
     base = tiny_inputs(disciplines, cmv_values, ym_decimals=None)
     scaled = tiny_inputs(disciplines, cmv_values, t=5.0 * factor, ym_decimals=None)
-    rows_base = rows_by_cell(recalibrate_all(table, *base))
-    rows_scaled = rows_by_cell(recalibrate_all(table, *scaled))
+    rows_base = recalibrate_all(table, *base)
+    rows_scaled = recalibrate_all(table, *scaled)
     for cell, row in rows_base.items():
         other = rows_scaled[cell]
         assert other.rmv_raw == pytest.approx(row.rmv_raw, rel=1e-9)
@@ -454,8 +476,8 @@ def test_scale_equivariance_of_one_discipline():
     boosted = dict(table)
     for m in (INTEGER, FRACTIONAL):
         boosted[("beta", K.PUBLICATIONS, m)] *= 1.6
-    before = rows_by_cell(recalibrate_all(table, *inputs))
-    after = rows_by_cell(recalibrate_all(boosted, *inputs))
+    before = recalibrate_all(table, *inputs)
+    after = recalibrate_all(boosted, *inputs)
     for m in (INTEGER, FRACTIONAL):
         assert after[("beta", K.PUBLICATIONS, m)].apv > before[("beta", K.PUBLICATIONS, m)].apv
         assert after[("beta", K.PUBLICATIONS, m)].dsdr_actual > before[("beta", K.PUBLICATIONS, m)].dsdr_actual
@@ -465,10 +487,18 @@ def test_scale_equivariance_of_one_discipline():
 
 
 def test_fractional_rows_share_integer_mean_years():
-    rows = rows_by_cell(recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config()))
+    rows = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config())
     for kind in (K.PUBLICATIONS, K.WOS_ARTICLES, K.INDEPENDENT_CITATIONS, K.CUMULATIVE_IF):
         for d in ref.DISCIPLINES:
             assert rows[(d, kind, FRACTIONAL)].y_m == rows[(d, kind, INTEGER)].y_m
+
+
+@pytest.mark.parametrize("decimals", [28, 400])
+def test_more_places_than_y_m_holds_keep_it_as_it_is(decimals):
+    # Y_m is about 5 years: rounding it to 28 places would ask Decimal for more digits than its context keeps
+    exact = recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS, section_config(ym_decimals=None))
+    assert recalibrate_all(ref.apv_table(), DISCIPLINES, CURRENT_MINIMUMS,
+                           section_config(ym_decimals=decimals)) == exact
 
 
 #: Inputs in the range the published tables use, and positive finite floats
@@ -507,12 +537,12 @@ def test_algebra_returns_finite_positive_values_or_refuses(data):
         rows = recalibrate_all(table, disciplines, cmv, config)
     except RecalibrationError:
         return
-    for row in rows:
+    for row in rows.values():
         for name in ROW_FLOAT_FIELDS:
             assert 0.0 < getattr(row, name) < math.inf, (row, name)
     for method in (INTEGER, FRACTIONAL):
         try:
-            derived = derived_scaled_minimums(rows, derived_minimums, method)
+            derived = derived_scaled_minimums(rows, derived_minimums, method, HALF_UP)
         except RecalibrationError:
             continue
         for raw, _ in derived.values():

@@ -25,7 +25,7 @@ from recal.config import ConfigError, PipelineConfig, load_pipeline_config
 from recal.corpus import PubType, YearWindow
 from recal.counting import CountingMethod, IndicatorKind
 from recal.recalibration import (
-    DisciplinePerformance, RecalibrationConfig, RecalibrationError, RoundingMode, read_apv_table, write_apv_table,
+    Cell, DisciplinePerformance, RecalibrationConfig, RecalibrationError, RoundingMode, read_apv_table, write_apv_table,
 )
 from recal.synthgen import (
     SYNTH_LIMITS, SynthDisciplineParams, SynthError, SynthSpec, default_spec, load_synth_spec, save_synth_spec,
@@ -78,23 +78,27 @@ WINDOWS = st.lists(st.integers(), min_size=2, max_size=2).map(sorted).map(lambda
 # changes the value, and the pattern of a refusal's start
 
 def _apv_pair(fmt: str) -> tuple:
-    rows = st.lists(st.builds(
-        DisciplinePerformance, TEXT, st.sampled_from(list(IndicatorKind)), st.sampled_from(list(CountingMethod)),
-        _mostly(POSITIVE, st.one_of(st.floats(), st.integers(), st.decimals(), st.sampled_from(
-            [0.0, -1.5, 5e-324, 0.1 + 0.2, 1.7e308, True, False, Decimal("1.5"), 2**53 + 1])), 20),
-        st.integers(0, 99), st.integers(0, 99),
-    ), max_size=4)
+    rows = st.dictionaries(
+        st.tuples(TEXT, st.sampled_from(list(IndicatorKind)), st.sampled_from(list(CountingMethod))),
+        st.builds(
+            DisciplinePerformance,
+            _mostly(POSITIVE, st.one_of(st.floats(), st.integers(), st.decimals(), st.sampled_from(
+                [0.0, -1.5, 5e-324, 0.1 + 0.2, 1.7e308, True, False, Decimal("1.5"), 2**53 + 1])), 20),
+            st.integers(0, 99), st.integers(0, 99),
+        ),
+        max_size=4,
+    )
 
-    def refused(performance: list[DisciplinePerformance]) -> bool:
-        cells = [(p.discipline, p.kind, p.method) for p in performance]
-        return len(set(cells)) < len(cells) or any(
-            _not_kept(p.discipline) or _number_not_kept(p.apv) or p.apv <= 0 for p in performance
+    def refused(performance: dict[Cell, DisciplinePerformance]) -> bool:
+        return any(
+            _not_kept(discipline) or _number_not_kept(p.apv) or p.apv <= 0
+            for (discipline, _, _), p in performance.items()
         )
 
     return (
         rows, f"performance.{'csv' if fmt == 'dsv' else fmt}",
         lambda performance, path: write_apv_table(performance, path, fmt), read_apv_table,
-        lambda performance: {(p.discipline, p.kind, p.method): p.apv for p in performance},
+        lambda performance: {cell: p.apv for cell, p in performance.items()},
         refused, r"row \d+ \(",
     )
 
