@@ -26,12 +26,13 @@ every table the program writes. ``save_corpus`` refuses, with a
 ``CorpusError`` naming the record, a field not of the type its record class
 declares, a non-finite float, and a text cell the reader would change, testing
 each chunk on the columns it then writes. ``text_not_kept`` states the one
-rule for text that loads back as written, and ``save_corpus``, the config and
-the threshold- and APV-table writers all ask it: the text is not empty,
-has no surrounding whitespace (every text cell is stripped on load) and holds
-no lone surrogate (UTF-8 cannot encode one). Two rules belong to one column or
-one format: a ``language`` must be lowercase, and a DSV id-list member may not
-hold ``;``.
+rule for text that loads back as written, and ``save_corpus`` and the config
+ask it: the text is not empty, has no surrounding whitespace (every text cell
+is stripped on load) and holds no lone surrogate (UTF-8 cannot encode one).
+Two rules belong to one column or one format: a ``language`` must be
+lowercase, and a DSV id-list member may not hold ``;``. A table of cells is
+read by ``read_cells`` and written by ``write_cells``, which refuses a row by
+the reader's own row rule.
 
 A loaded corpus is immutable and safe to share across threads.
 """
@@ -633,9 +634,6 @@ def _columns(ids: dict[str, str]) -> tuple[tuple, tuple, tuple]:
     ))
 
 
-RESEARCHER_FIELDS, PUBLICATION_FIELDS, CITATION_FIELDS = (
-    tuple(name for name, _, _ in columns) for columns in _columns({})
-)
 _CONVERSION_FAILURES = (ArithmeticError, LookupError, RecursionError, TypeError, ValueError)
 
 
@@ -792,6 +790,35 @@ def read_cells(path: str | os.PathLike, fields: Sequence[str], cell_of, noun: st
     if violations:  # a file-wide problem has no row and comes after every row read
         raise error(str(min(violations, key=lambda v: v.row or math.inf)))
     return dict(pair for _, pair in records)
+
+
+def _cell_words(cell: tuple) -> str:
+    """A cell as a writer's refusal names it: text as its repr, an enum as its value."""
+    return f"({', '.join(part.value if isinstance(part, Enum) else repr(part) for part in cell)})"
+
+
+def write_cells(path: str | os.PathLike, fields: Sequence[str], rows: Iterable[Sequence], pairs: Iterable[tuple],
+                fmt: str, cell_of, error: type[Exception], lead: Sequence[str] | None = None) -> None:
+    """The writer half of ``read_cells``: ``rows`` under the header
+    ``fields``, the reader's fields first, each to be read back by the same
+    ``cell_of`` as its ``(cell, value)`` pair of ``pairs``. Before the file is
+    opened, the first row that ``cell_of`` refuses or reads back as another
+    pair raises ``error`` naming the row and its cell, in the reader's words,
+    and then so does a ``path`` the readers would read in the other format.
+    The ``lead`` line, if any, comes before the header."""
+    rows = list(rows)
+    for row, (cells, pair) in enumerate(zip(rows, pairs), 1):
+        try:
+            if (read := cell_of(cells)) != pair:
+                raise ValueError(f"reads back as {_cell_words(read[0])} with {read[1]!r}")
+        except ValueError as exc:
+            raise error(f"row {row} {_cell_words(pair[0])}: {exc}") from None
+    if reason := misnamed_table(path, fmt):
+        raise error(reason)
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        if lead:
+            write_table(handle, lead, ())
+        write_table(handle, fields, rows, fmt)
 
 
 @collector_paused()

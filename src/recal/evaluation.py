@@ -3,19 +3,20 @@
 Every indicator required for the candidate's discipline must reach its
 minimum; the per-indicator score is the plain ratio value/minimum, so
 over-fulfillment earns proportionally more than 1.0. Scores are not combined
-into a composite. A threshold file is read through ``corpus.read_cells``, as
-an APV table is, so both refuse a bad row or a repeated cell in the same words.
+into a composite. A threshold file is read through ``corpus.read_cells`` and
+written through ``corpus.write_cells``, as an APV table is, so both refuse a
+bad row or a repeated cell in the same words, when written or when read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .corpus import (
     LONE_SURROGATE, finite_float, has_lone_surrogate, misnamed_table, read_cells, required_string, required_text,
-    RecalError, text_not_kept, write_table,
+    RecalError, write_cells,
 )
 from .counting import CountingMethod, IndicatorKind
 
@@ -120,40 +121,37 @@ THRESHOLD_FIELDS = ("discipline", "kind", "minimum")
 
 
 def _format_minimum(value: float) -> str:
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
+    return f"{value:.6f}".rstrip("0").rstrip(".") or "0"
+
+
+def minimum_cell(cells: Sequence) -> tuple[tuple[str, IndicatorKind], float]:
+    """The cell and minimum of a threshold table row, its cells in
+    ``THRESHOLD_FIELDS`` order; a cell that is not a row of the table, or a
+    minimum that ``ThresholdTable`` refuses, raises ``ValueError``."""
+    cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
+    if refused := _refused_minimum(*cell, minimum := finite_float(cells[2])):
+        raise ValueError(refused)
+    return cell, minimum
 
 
 def save_threshold_table(table: ThresholdTable, path: str | Path) -> None:
-    """Write the table: its ``label,<text>`` line, as a table with no rows,
-    then the ``discipline,kind,minimum`` table, each minimum to 6 decimals.
-    A cell that ``load_threshold_table`` would change or refuse raises
-    ``EvaluationError`` naming it before the file is opened: a discipline
-    that ``text_not_kept`` names, a lone surrogate in the label (UTF-8 cannot
-    encode one), or a minimum that rounds to ``0`` at 6 decimals, as ``1e-7``
-    does."""
+    """Write the table: its ``label,<text>`` line, then the
+    ``discipline,kind,minimum`` table, each minimum to 6 decimals, through
+    ``write_cells`` with the reader's ``minimum_cell``, which refuses a
+    minimum that rounds to ``0``; each refusal is an ``EvaluationError``. The
+    reader takes the label as written, so only a lone surrogate in it, which
+    UTF-8 cannot encode, is refused, first."""
     if has_lone_surrogate(table.label):
         raise EvaluationError(f"label {table.label!r} {LONE_SURROGATE}")
-    if bad := text_not_kept([discipline for discipline, _ in table.minimums]):
-        kind = next(kind for discipline, kind in table.minimums if discipline == bad[0])
-        raise EvaluationError(f"({bad[0]!r}, {kind.value}): the discipline {bad[1]}")
-    cells = []
-    for (discipline, kind), minimum in table.minimums.items():
-        text = _format_minimum(minimum)
-        if text == "0":  # a finite positive minimum saves as a finite number, and the reader refuses 0
-            raise EvaluationError(f"minimum for ({discipline}, {kind.value}) is {minimum!r}, which saves as {text!r}:"
-                                  " not a finite positive number")
-        cells.append((discipline, kind.value, text))
-    if reason := misnamed_table(path, "dsv"):
-        raise EvaluationError(reason)
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        write_table(handle, ("label", table.label), ())
-        write_table(handle, THRESHOLD_FIELDS, cells)
+    rows = [(discipline, kind.value, _format_minimum(value)) for (discipline, kind), value in table.minimums.items()]
+    write_cells(path, THRESHOLD_FIELDS, rows, ((cell, float(row[2])) for cell, row in zip(table.minimums, rows)),
+                "dsv", minimum_cell, EvaluationError, ("label", table.label))
 
 
 def load_threshold_table(path: str | Path) -> ThresholdTable:
-    """Read what ``save_threshold_table`` writes, the label as written; the
-    first problem raises ``EvaluationError``."""
+    """Read what ``save_threshold_table`` writes, the label as written, each
+    row through ``minimum_cell``; the first problem raises
+    ``EvaluationError``."""
     if reason := misnamed_table(path, "dsv"):
         raise EvaluationError(reason)
     label: list[str] = []
@@ -162,12 +160,6 @@ def load_threshold_table(path: str | Path) -> ThresholdTable:
         if not cells or len(cells) != 2 or cells[0] != "label":
             raise EvaluationError(f"{path}: expected a 'label,<text>' first line")
         label.append(cells[1])
-
-    def minimum_cell(cells: tuple) -> tuple[tuple[str, IndicatorKind], float]:
-        cell = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")))
-        if refused := _refused_minimum(*cell, minimum := finite_float(cells[2])):
-            raise ValueError(refused)
-        return cell, minimum
 
     minimums = read_cells(path, THRESHOLD_FIELDS, minimum_cell, "the minimum of ({0}, {1.value})", EvaluationError,
                           label_line)

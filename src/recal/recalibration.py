@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from pathlib import Path
 from statistics import fmean
-from typing import Collection, Mapping
+from typing import Collection, Mapping, Sequence
 
 from .corpus import (
-    Corpus, YearWindow, finite_float, misnamed_table, read_cells, required_string, required_text, text_not_kept,
-    RecalError, write_table,
+    Corpus, YearWindow, finite_float, read_cells, required_string, required_text, RecalError, write_cells, write_table,
 )
 from .counting import (
     CountingMethod,
@@ -359,60 +357,41 @@ RECALIBRATION_FIELDS = ("discipline", "kind", "method", "cmv", "apv", "y_i", "y_
                         "dsdr_current", "dsdr_actual", "rmv_raw", "rmv_rounded")
 
 
+def apv_cell(cells: Sequence) -> tuple[Cell, float]:
+    """The cell and APV of an APV table row, its cells in ``APV_FIELDS``
+    order; any cells after those are not read. A cell that is not a row of
+    the table, or an APV that is not positive, raises ``ValueError``."""
+    try:
+        key = (required_string(cells[0], "discipline"), IndicatorKind(required_text(cells[1], "kind")),
+               CountingMethod(required_text(cells[2], "method")))
+        if (value := finite_float(text := required_text(cells[3], "apv"))) <= 0:
+            raise ValueError(f"column 'apv': {text!r} is not positive")
+        return key, value
+    except ValueError as exc:
+        raise ValueError(f"bad APV row: {exc}") from None
+
+
 def read_apv_table(path: str | Path) -> dict[Cell, float]:
     """Read a ``discipline,kind,method,apv`` table, DSV or JSONL, through
-    ``read_cells`` (``write_apv_table`` output reads back); each APV must be
-    positive, and the first problem raises ``RecalibrationError``."""
-    def apv_cell(cells: tuple) -> tuple[Cell, float]:
-        discipline, kind, method, apv = cells
-        try:
-            key = (
-                required_string(discipline, "discipline"),
-                IndicatorKind(required_text(kind, "kind")),
-                CountingMethod(required_text(method, "method")),
-            )
-            text = required_text(apv, "apv")
-            if (value := finite_float(text)) <= 0:
-                raise ValueError(f"column 'apv': {text!r} is not positive")
-            return key, value
-        except ValueError as exc:
-            raise ValueError(f"bad APV row: {exc}") from None
-
+    ``read_cells`` and ``apv_cell`` (``write_apv_table`` output reads back);
+    the first problem raises ``RecalibrationError``."""
     return read_cells(path, APV_FIELDS, apv_cell, "the APV of ({0}, {1.value}, {2.value})", RecalibrationError)
 
 
-def write_apv_table(
-    performance: Mapping[Cell, DisciplinePerformance], path: str | Path, fmt: str = "dsv"
-) -> None:
+def write_apv_table(performance: Mapping[Cell, DisciplinePerformance], path: str | Path, fmt: str) -> None:
     """Write each cell's APV, in key order, at full float precision so that a
     replay through ``read_apv_table`` reproduces it bit for bit, with its
-    population and selection sizes. What the reader would refuse or change
-    raises ``RecalibrationError`` naming its row before the file is opened: a
-    discipline that ``text_not_kept`` names, or an APV that is not a finite
-    positive ``int`` or ``float`` that a float equals; the first such row is
-    named, as the reader names the first row it refuses. A mapping holds one
-    APV per cell, so no row repeats another's. After the rows, a ``path``
-    that the reader would read in the other format, by its suffix, raises
-    ``RecalibrationError`` naming it."""
-    for row, ((discipline, kind, method), p) in enumerate(performance.items(), 1):
-        where = f"row {row} ({discipline!r}, {kind.value}, {method.value})"
-        if bad := text_not_kept([discipline]):
-            raise RecalibrationError(f"{where}: the discipline {bad[1]}")
-        # the type tested as the config's NUMBER rule tests it: a boolean's or a Decimal's repr does not read back
-        if type(p.apv) not in (int, float) or not 0.0 < p.apv <= sys.float_info.max:  # NaN fails too
-            raise RecalibrationError(f"{where}: the apv is {p.apv!r}, not a finite positive number")
-        if float(p.apv) != p.apv:  # an integer past 2**53 would read back as its nearest float
-            raise RecalibrationError(f"{where}: the apv is {p.apv!r}, an integer that no float equals")
-    if reason := misnamed_table(path, fmt):
-        raise RecalibrationError(reason)
+    population and selection sizes, through ``write_cells``: a row that
+    ``apv_cell`` would refuse or read back as another cell or APV, and then a
+    ``path`` that the reader would read in the other format, raise
+    ``RecalibrationError`` naming it before the file is opened."""
     rows = ((discipline, kind.value, method.value, repr(p.apv), str(p.population), str(p.selected))
             for (discipline, kind, method), p in performance.items())
-    write_table(path, (*APV_FIELDS, "population", "selected"), rows, fmt)
+    write_cells(path, (*APV_FIELDS, "population", "selected"), rows,
+                ((cell, p.apv) for cell, p in performance.items()), fmt, apv_cell, RecalibrationError)
 
 
-def write_recalibration_rows(
-    rows: Mapping[Cell, RecalibrationRow], path: str | Path, fmt: str = "dsv"
-) -> None:
+def write_recalibration_rows(rows: Mapping[Cell, RecalibrationRow], path: str | Path, fmt: str) -> None:
     """Write each cell's row, in key order, with ratios to 6 decimals and
     years/minimums to 3; JSONL keeps CMV and APV unrounded."""
     if fmt == "jsonl":

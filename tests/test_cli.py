@@ -353,7 +353,7 @@ def test_fractional_derive_from_corpus_apvs_succeeds(tmp_path, seed):
         generate_corpus(default_spec(seed)), config.disciplines, config.recalibration, config.pub_window,
         config.citation_window, config.counting_settings(),
     )
-    write_apv_table(performance, tmp_path / "performance.csv")
+    write_apv_table(performance, tmp_path / "performance.csv", "dsv")
     out_dir = tmp_path / "out"
     assert run("derive", "--apv-table", tmp_path / "performance.csv", "--method", "fractional",
                "--out-dir", out_dir) == 0
@@ -794,9 +794,6 @@ OUT_OF_RANGE = {
                       "(*, publications, integer): y_m, the y_i mean, is too large"),
     "t_years_1e-9": ({("recalibration", "t_years", "publications"): 1e-9},
                      "(*, publications, integer): y_m is 0.0, not a finite positive number"),
-    "minimum_1e30_exact_mean": ({GEOCHEMISTRY_PUBLICATIONS: 1e30, ("recalibration", "ym_decimals"): None},
-                                "(geochemistry, publications, integer): rmv_raw is 1.111111111111111e+29, "
-                                "too large to round"),
 }
 
 
@@ -809,6 +806,20 @@ def test_out_of_range_algebra_is_refused_naming_the_cell(tmp_path, capsys, argv,
     assert run(*argv, "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_exact_mean_algebra_takes_a_t_whose_quantized_mean_is_refused(tmp_path):
+    # t_years_1e-9 above: Y_m rounds to 0.0 at 3 decimals. The exact mean keeps it, and a raw minimum,
+    # apv * y_m / t, does not depend on t, so both minimum columns are those of the default t of 5 years
+    columns = []
+    for name, t in (("tiny", 1e-9), ("default", DEFAULT_T[IndicatorKind.PUBLICATIONS])):
+        config_path = _default_config_with(tmp_path / f"{name}.json", {
+            ("recalibration", "t_years", "publications"): t, ("recalibration", "ym_decimals"): None})
+        assert run("recalibrate", "--apv-table", APV_TABLE, "--config", config_path, "--out-dir", tmp_path / name) == 0
+        lines = (tmp_path / name / "recalibration.csv").read_text(encoding="utf-8").splitlines()
+        columns.append([line.split(",")[-2:] for line in lines])
+    assert len(columns[0]) == 1 + 72
+    assert columns[0] == columns[1]
 
 
 def test_out_of_range_apv_is_refused_naming_the_cell(tmp_path, capsys):

@@ -158,15 +158,16 @@ def test_threshold_table_round_trip(tmp_path):
 
 @pytest.mark.parametrize("table, message", [
     (ThresholdTable("t", {("", K.PUBLICATIONS): 3.0}),
-     "('', publications): the discipline is empty, which no reader gives back"),
+     "row 1 ('', publications): column 'discipline' is empty"),
     (ThresholdTable("t", {(" geology", K.PUBLICATIONS): 3.0}),
-     "(' geology', publications): the discipline has surrounding whitespace, which the readers strip"),
+     "row 1 (' geology', publications): reads back as ('geology', publications) with 3.0"),
     (ThresholdTable("t", {("geology\ud800", K.PUBLICATIONS): 3.0}),
-     "('geology\\ud800', publications): the discipline holds a lone surrogate, which UTF-8 cannot encode"),
+     "row 1 ('geology\\ud800', publications): column 'discipline': 'geology\\ud800' holds a lone surrogate,"
+     " which UTF-8 cannot encode"),
     (ThresholdTable("t\udfff", {("geology", K.PUBLICATIONS): 3.0}),
      "label 't\\udfff' holds a lone surrogate, which UTF-8 cannot encode"),
-    (ThresholdTable("t", {("geology", K.PUBLICATIONS): 3.0, ("mining", K.H_INDEX): 1e-7}),
-     "minimum for (mining, h_index) is 1e-07, which saves as '0': not a finite positive number"),
+    (ThresholdTable("t", {("geology", K.PUBLICATIONS): 3.0, ("mining", K.H_INDEX): 1e-7}),  # saves as '0'
+     "row 2 ('mining', h_index): minimum for (mining, h_index) must be a finite positive number, got 0.0"),
 ], ids=["empty", "padded", "surrogate", "label_surrogate", "rounds_to_zero"])
 def test_threshold_table_save_refuses_a_cell_that_would_not_load_back(tmp_path, table, message):
     path = tmp_path / "thresholds.csv"

@@ -251,7 +251,7 @@ def test_apv_table_round_trip(tmp_path):
 
 def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
     cell = {('a,"b" földtan', K.PUBLICATIONS, INTEGER): DisciplinePerformance(1.5, 8, 2)}
-    write_apv_table(cell, tmp_path / "apv.csv")
+    write_apv_table(cell, tmp_path / "apv.csv", "dsv")
     write_apv_table(cell, tmp_path / "apv.jsonl", "jsonl")
     assert (tmp_path / "apv.csv").read_bytes() == (
         'discipline,kind,method,apv,population,selected\n'
@@ -263,13 +263,13 @@ def test_apv_table_quotes_dsv_cells_and_writes_utf8_jsonl(tmp_path):
     ).encode("utf-8")
 
 
-@pytest.mark.parametrize("discipline, reason", [
-    (" geology", "has surrounding whitespace, which the readers strip"),
-    ("", "is empty, which no reader gives back"),
-    ("geo\ud800", "holds a lone surrogate, which UTF-8 cannot encode"),
-])
+@pytest.mark.parametrize("discipline, problem", [
+    (" geology", "reads back as ('geology', publications, integer) with 1.5"),
+    ("", "bad APV row: column 'discipline' is empty"),
+    ("geo\ud800", "bad APV row: column 'discipline': 'geo\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+], ids=["padded", "empty", "surrogate"])
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
-def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, discipline, reason):
+def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, discipline, problem):
     performance = {
         ("mining", K.PUBLICATIONS, INTEGER): DisciplinePerformance(2.5, 8, 2),
         (discipline, K.PUBLICATIONS, INTEGER): DisciplinePerformance(1.5, 8, 2),
@@ -277,7 +277,7 @@ def test_apv_table_refuses_a_discipline_the_reader_would_change(tmp_path, fmt, d
     path = tmp_path / "apv"
     with pytest.raises(RecalibrationError) as caught:
         write_apv_table(performance, path, fmt)
-    assert str(caught.value) == f"row 2 ({discipline!r}, publications, integer): the discipline {reason}"
+    assert str(caught.value) == f"row 2 ({discipline!r}, publications, integer): {problem}"
     assert not path.exists()
 
 
@@ -294,10 +294,10 @@ def test_apv_table_refuses_a_path_the_reader_would_read_in_the_other_format(tmp_
 
 
 @pytest.mark.parametrize("apv, problem", [
-    (0.0, "the apv is 0.0, not a finite positive number"),
-    (-1.5, "the apv is -1.5, not a finite positive number"),
-    (math.nan, "the apv is nan, not a finite positive number"),
-    (math.inf, "the apv is inf, not a finite positive number"),
+    (0.0, "bad APV row: column 'apv': '0.0' is not positive"),
+    (-1.5, "bad APV row: column 'apv': '-1.5' is not positive"),
+    (math.nan, "bad APV row: 'nan' is not a finite number"),
+    (math.inf, "bad APV row: 'inf' is not a finite number"),
 ], ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("fmt", ["dsv", "jsonl"])
 def test_apv_table_refuses_a_row_the_reader_would_refuse(tmp_path, fmt, apv, problem):
@@ -326,9 +326,9 @@ def test_tables_are_keyed_by_cell_in_output_order(tmp_path):
 
     # a writer keeps the order of the keys it is given, whatever it is
     reversed_rows = dict(reversed(rows.items()))
-    write_recalibration_rows(reversed_rows, tmp_path / "recalibration.csv")
+    write_recalibration_rows(reversed_rows, tmp_path / "recalibration.csv", "dsv")
     reversed_performance = dict(reversed(performance.items()))
-    write_apv_table(reversed_performance, tmp_path / "apv.csv")
+    write_apv_table(reversed_performance, tmp_path / "apv.csv", "dsv")
     for table, path in ((reversed_rows, "recalibration.csv"), (reversed_performance, "apv.csv")):
         written = [tuple(line.split(",")[:3]) for line in (tmp_path / path).read_text().splitlines()[1:]]
         assert written == [(d, kind.value, m.value) for d, kind, m in table]

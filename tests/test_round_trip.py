@@ -22,10 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recal.config import ConfigError, PipelineConfig, load_pipeline_config
-from recal.corpus import PubType, YearWindow
+from recal.corpus import PubType, YearWindow, read_cells
 from recal.counting import CountingMethod, IndicatorKind
+from recal.evaluation import (
+    THRESHOLD_FIELDS, EvaluationError, ThresholdTable, load_threshold_table, minimum_cell, save_threshold_table,
+)
 from recal.recalibration import (
-    Cell, DisciplinePerformance, RecalibrationConfig, RecalibrationError, RoundingMode, read_apv_table, write_apv_table,
+    APV_FIELDS, Cell, DisciplinePerformance, RecalibrationConfig, RecalibrationError, RoundingMode, read_apv_table,
+    write_apv_table,
 )
 from recal.synthgen import (
     SYNTH_LIMITS, SynthDisciplineParams, SynthError, SynthSpec, default_spec, load_synth_spec, save_synth_spec,
@@ -256,3 +260,69 @@ def test_a_spec_refuses_a_discipline_listed_twice():
         replace(base, params=(*base.params, replace(base.params[0], researcher_count=1)))
     discipline = base.params[0].discipline
     assert str(caught.value) == f"{discipline}: listed twice; a spec has one set of targets per discipline"
+
+
+# --------------------------------------------------------------------------
+# A table writer refuses a row by its reader's own rule. Each row that the APV
+# and threshold writers' refusal tests pin, written by hand and read, is
+# refused in the words after the writer's "row <n> (<cell>): ", or read back
+# as the cell and value that the writer names. A lone surrogate fits in no
+# UTF-8 file and only a JSON escape holds one, so such a row is written as
+# JSONL; the threshold table is read as JSONL through ``read_cells`` with its
+# reader's row rule.
+
+def _apv_refusal(fmt: str, discipline: str = "geology", apv: float = 1.5) -> tuple:
+    """The writer's call and format, then the reader's fields, lead lines and
+    rows as the writer would write them, and the reader."""
+    cells = (("mining", 2.5), (discipline, apv))
+    performance = {(d, IndicatorKind.PUBLICATIONS, CountingMethod.INTEGER): DisciplinePerformance(value, 8, 2)
+                   for d, value in cells}
+    return (lambda path: write_apv_table(performance, path, fmt), fmt, APV_FIELDS, [],
+            [(d, "publications", "integer", repr(value)) for d, value in cells], read_apv_table)
+
+
+def _read_thresholds(path: Path) -> dict:
+    if path.suffix == ".jsonl":
+        return read_cells(path, THRESHOLD_FIELDS, minimum_cell, "", EvaluationError)
+    return load_threshold_table(path).minimums
+
+
+def _threshold_refusal(discipline: str = "geology", minimum: float = 3.0, written: str = "3") -> tuple:
+    minimums = {("mining", IndicatorKind.H_INDEX): 2.0, (discipline, IndicatorKind.PUBLICATIONS): minimum}
+    return (lambda path: save_threshold_table(ThresholdTable("t", minimums), path), "dsv", THRESHOLD_FIELDS,
+            [("label", "t")], [("mining", "h_index", "2"), (discipline, "publications", written)], _read_thresholds)
+
+
+WRITER_REFUSALS = {
+    **{f"apv_{fmt}_{name}": _apv_refusal(fmt, discipline=discipline) for fmt in ("dsv", "jsonl")
+       for name, discipline in (("padded", " geology"), ("empty", ""), ("surrogate", "geo\ud800"))},
+    **{f"apv_{fmt}_{name}": _apv_refusal(fmt, apv=apv) for fmt in ("dsv", "jsonl")
+       for name, apv in (("zero", 0.0), ("negative", -1.5), ("nan", math.nan), ("inf", math.inf))},
+    "thresholds_empty": _threshold_refusal(discipline=""),
+    "thresholds_padded": _threshold_refusal(discipline=" geology"),
+    "thresholds_surrogate": _threshold_refusal(discipline="geology\ud800"),
+    "thresholds_rounds_to_zero": _threshold_refusal(minimum=1e-7, written="0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_REFUSALS))
+def test_a_row_a_table_writer_refuses_is_one_its_reader_refuses_or_reads_back_otherwise(tmp_path, case):
+    write, fmt, fields, lead, rows, read = WRITER_REFUSALS[case]
+    with pytest.raises((RecalibrationError, EvaluationError)) as caught:
+        write(tmp_path / ("written.jsonl" if fmt == "jsonl" else "written.csv"))
+    row, words = re.fullmatch(r"row (\d+) \(.*?\): (.*)", str(caught.value)).groups()
+
+    path = tmp_path / "by_hand.csv"
+    if fmt == "jsonl" or any(_has_surrogate(cell) for cells in rows for cell in cells):
+        path = path.with_suffix(".jsonl")
+        path.write_text("".join(json.dumps(dict(zip(fields, cells))) + "\n" for cells in rows), encoding="utf-8")
+    else:
+        path.write_text("".join(",".join(cells) + "\n" for cells in [*lead, fields, *rows]), encoding="utf-8")
+    try:
+        table = read(path)
+    except (RecalibrationError, EvaluationError) as exc:
+        assert str(exc) == f"{path}:{row}: {words}"
+    else:
+        cell, value = list(table.items())[int(row) - 1]
+        named = ", ".join(repr(part) if type(part) is str else part.value for part in cell)
+        assert words == f"reads back as ({named}) with {value!r}"
